@@ -40,7 +40,6 @@ from .model import (
 from .montecarlo import (
     Ordering,
     SamplerConfig,
-    SweepResult,
     estimate_ergodic,
     estimate_optimized,
     sample_channel,

@@ -160,33 +160,18 @@ def _write_json(path: Path, experiment: str, columns, rows, cfg: ExperimentConfi
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _write_sweep(cfg: ExperimentConfig, experiment: str, columns, rows) -> Path:
-    out = Path(cfg.out or f"{experiment}.{ 'json' if cfg.fmt == 'json' else 'csv'}")
-    out.parent.mkdir(parents=True, exist_ok=True)
-    if cfg.fmt == "json":
-        _write_json(out, experiment, columns, rows, cfg)
-    elif cfg.fmt == "csv":
-        _write_csv(out, experiment, columns, rows, cfg)
-    else:
+def _output_path(cfg: ExperimentConfig, experiment: str) -> Path:
+    """Where a runner writes; checks the format before any work is done."""
+    if cfg.fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {cfg.fmt!r} (use csv|json)")
+    return Path(cfg.out or f"{experiment}.{cfg.fmt}")
+
+
+def _write_sweep(out: Path, cfg: ExperimentConfig, experiment: str, columns, rows) -> Path:
+    out.parent.mkdir(parents=True, exist_ok=True)
+    write = _write_json if cfg.fmt == "json" else _write_csv
+    write(out, experiment, columns, rows, cfg)
     return out
-
-
-def _sweep_result(cfg: ExperimentConfig, axis_name: str, axis_values, points) -> montecarlo.SweepResult:
-    sampler = cfg.sampler()
-    return montecarlo.SweepResult(
-        axis_name=axis_name,
-        axis_values=list(axis_values),
-        points=points,
-        metadata={
-            "seed": cfg.seed,
-            "samples": sampler.sample_count,
-            "ordering": sampler.ordering.value,
-            "block_size": sampler.block_size,
-            "grid_n": cfg.grid_n,
-            "timestamp": _timestamp(),
-        },
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -200,30 +185,21 @@ _FIG1_COLUMNS = (
 
 def run_fig1(cfg: ExperimentConfig) -> Path:
     """Ergodic rates vs SNR at the fixed baseline design point."""
+    out = _output_path(cfg, "fig1")
     d = cfg.baseline()
     sampler = cfg.sampler()
-    points = []
+    rows = []
     for snr_db in cfg.snr_db_values:
         p = cfg.system_params(snr_db)
-        points.append({
-            "snr_db": float(snr_db),
-            "mc": montecarlo.estimate_ergodic(sampler, p, d),
-            "analytic": analysis.ergodic_weighted_sum(p, d),
-            "c1_highsnr": analysis.high_snr_u1(p, d),
-            "c2_highsnr": analysis.high_snr_u2(p, d),
-        })
-    sweep = _sweep_result(cfg, "snr_db", cfg.snr_db_values, points)
-    rows = [
-        [
-            pt["snr_db"],
-            pt["mc"].c1_e, pt["mc"].c1_se, pt["mc"].c2_e, pt["mc"].c2_se,
-            pt["mc"].c_sum_e, pt["mc"].c_sum_se,
-            pt["analytic"].c1_e, pt["analytic"].c2_e, pt["analytic"].c_sum_e,
-            pt["c1_highsnr"], pt["c2_highsnr"],
-        ]
-        for pt in sweep.points
-    ]
-    return _write_sweep(cfg, "fig1", _FIG1_COLUMNS, rows)
+        mc = montecarlo.estimate_ergodic(sampler, p, d)
+        an = analysis.ergodic_weighted_sum(p, d)
+        rows.append([
+            float(snr_db),
+            mc.c1_e, mc.c1_se, mc.c2_e, mc.c2_se, mc.c_sum_e, mc.c_sum_se,
+            an.c1_e, an.c2_e, an.c_sum_e,
+            analysis.high_snr_u1(p, d), analysis.high_snr_u2(p, d),
+        ])
+    return _write_sweep(out, cfg, "fig1", _FIG1_COLUMNS, rows)
 
 
 _FIG2_COLUMNS = (
@@ -234,33 +210,27 @@ _FIG2_COLUMNS = (
 
 def run_fig2(cfg: ExperimentConfig) -> Path:
     """Optimized vs fixed weighted sum rate across the SNR sweep."""
+    out = _output_path(cfg, "fig2")
     wtilde2_values = cfg.wtilde2_values or (2.0, 5.0)
     if any(wt <= 1.0 for wt in wtilde2_values):
         raise ConfigError("fig2 requires w2 > w1, i.e. every wtilde2 > 1")
     d = cfg.baseline()
     sampler = cfg.sampler()
     grid = cfg.solver_grid()
-    points = []
+    rows = []
     for wt2 in wtilde2_values:
         for snr_db in cfg.snr_db_values:
             p = cfg.system_params(snr_db, w2=wt2 * cfg.w1)
             pt = montecarlo.estimate_optimized(
                 sampler, p, grid=grid, baseline=d, workers=cfg.workers
             )
-            pt["snr_db"] = float(snr_db)
-            pt["wtilde2"] = float(wt2)
-            points.append(pt)
-    sweep = _sweep_result(cfg, "snr_db", cfg.snr_db_values, points)
-    rows = [
-        [
-            pt["snr_db"], pt["wtilde2"],
-            pt["mean_wsum_opt"], pt["se_wsum_opt"],
-            pt["mean_wsum_fixed"], pt["se_wsum_fixed"],
-            100.0 * (pt["mean_wsum_opt"] - pt["mean_wsum_fixed"]) / pt["mean_wsum_fixed"],
-        ]
-        for pt in sweep.points
-    ]
-    return _write_sweep(cfg, "fig2", _FIG2_COLUMNS, rows)
+            rows.append([
+                float(snr_db), float(wt2),
+                pt["mean_wsum_opt"], pt["se_wsum_opt"],
+                pt["mean_wsum_fixed"], pt["se_wsum_fixed"],
+                100.0 * (pt["mean_wsum_opt"] - pt["mean_wsum_fixed"]) / pt["mean_wsum_fixed"],
+            ])
+    return _write_sweep(out, cfg, "fig2", _FIG2_COLUMNS, rows)
 
 
 _FIG3_COLUMNS = (
@@ -271,27 +241,22 @@ _FIG3_COLUMNS = (
 
 def run_fig3(cfg: ExperimentConfig) -> Path:
     """Mean optimal coefficients vs weight ratio at cfg.snr_db."""
+    out = _output_path(cfg, "fig3")
     wtilde2_values = cfg.wtilde2_values or _FIG3_DEFAULT_WTILDE2
     if any(wt <= 1.0 for wt in wtilde2_values):
         raise ConfigError("fig3 requires every wtilde2 > 1")
     sampler = cfg.sampler()
     grid = cfg.solver_grid()
-    points = []
+    rows = []
     for wt2 in wtilde2_values:
         p = cfg.system_params(cfg.snr_db, w2=wt2 * cfg.w1)
         pt = montecarlo.estimate_optimized(sampler, p, grid=grid, workers=cfg.workers)
-        pt["wtilde2"] = float(wt2)
-        points.append(pt)
-    sweep = _sweep_result(cfg, "wtilde2", wtilde2_values, points)
-    rows = [
-        [
-            pt["wtilde2"],
+        rows.append([
+            float(wt2),
             pt["mean_alpha_star"], pt["se_alpha_star"],
             pt["mean_rho_star"], pt["se_rho_star"],
-        ]
-        for pt in sweep.points
-    ]
-    return _write_sweep(cfg, "fig3", _FIG3_COLUMNS, rows)
+        ])
+    return _write_sweep(out, cfg, "fig3", _FIG3_COLUMNS, rows)
 
 
 _SOLVE_COLUMNS = (
@@ -303,6 +268,7 @@ def run_solve(cfg: ExperimentConfig) -> Path | None:
     """Solve one channel realization and print the outcome."""
     if cfg.g1 is None or cfg.g2 is None or cfg.g3 is None:
         raise ConfigError("solve requires --g1, --g2 and --g3")
+    path = _output_path(cfg, "solve") if cfg.out else None
     p = cfg.system_params(cfg.snr_db)
     ch = ChannelRealization(g1=cfg.g1, g2=cfg.g2, g3=cfg.g3)
     out = solve_1d(p, ch, cfg.solver_grid())
@@ -314,12 +280,12 @@ def run_solve(cfg: ExperimentConfig) -> Path | None:
     print(f"weighted_sum = {out.rate_triple.weighted_sum!r}")
     print(f"branch       = {out.branch.value}")
     print(f"evaluations  = {out.evaluations}")
-    if cfg.out:
-        row = [out.alpha_star, out.rho_star, out.objective_f,
-               out.rate_triple.c1, out.rate_triple.c2,
-               out.rate_triple.weighted_sum, float(out.evaluations)]
-        return _write_sweep(cfg, "solve", _SOLVE_COLUMNS, [row])
-    return None
+    if path is None:
+        return None
+    row = [out.alpha_star, out.rho_star, out.objective_f,
+           out.rate_triple.c1, out.rate_triple.c2,
+           out.rate_triple.weighted_sum, float(out.evaluations)]
+    return _write_sweep(path, cfg, "solve", _SOLVE_COLUMNS, [row])
 
 
 def run_validate(cfg: ExperimentConfig) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any
 
@@ -32,7 +32,6 @@ from .optimizer import AlphaGridSpec, solve_1d
 __all__ = [
     "Ordering",
     "SamplerConfig",
-    "SweepResult",
     "sample_channel",
     "sample_gains",
     "estimate_ergodic",
@@ -59,16 +58,6 @@ class SamplerConfig:
             raise DomainError("sample_count must be >= 1")
         if self.block_size < 1:
             raise DomainError("block_size must be >= 1")
-
-
-@dataclass
-class SweepResult:
-    """Per-point aggregates along one experiment axis, plus run metadata."""
-
-    axis_name: str
-    axis_values: list
-    points: list[dict]
-    metadata: dict = field(default_factory=dict)
 
 
 def _block_uniforms(seed: int, block_index: int, count: int) -> np.ndarray:

@@ -46,6 +46,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -179,31 +180,109 @@ def _check_alpha(alpha: float):
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
 
 
+# Float alphas take this math-backed stand-in for numpy in _profile: on a
+# 2-core VM with numpy 2.4, _profile costs about 65 us for a one-element alpha
+# array against 4 us for a float, and the golden-section refine makes about
+# 17 single-alpha calls per draw.
+_MATH = SimpleNamespace(
+    sqrt=math.sqrt, log=math.log, maximum=max, minimum=min,
+    where=lambda cond, a, b: a if cond else b, any=bool,
+)
+
+# Branch codes returned by _profile, indexing _BRANCHES.
+_INTERIOR, _LOWER, _BOUNDARY = 0, 1, 2
+_BRANCHES = (SolverBranch.INTERIOR, SolverBranch.LOWER, SolverBranch.BOUNDARY)
+
+
+def _f_coeffs(p: SystemParams, ch: ChannelRealization, alpha):
+    """(d, e, t, p, q) of f_alpha; alpha is a float or an array."""
+    e = 1.0 + alpha * p.avg_snr * ch.g1
+    return (
+        e + p.mu,
+        e,
+        1.0 + p.mu,
+        1.0 + (1.0 - alpha) * p.avg_snr * ch.g2 / (alpha * p.avg_snr * ch.g2 + 1.0 + p.mu),
+        p.eta * p.avg_snr * ch.g1 * ch.g3 / (1.0 + p.mu),
+    )
+
+
+def _boundary_terms(p: SystemParams, ch: ChannelRealization, alpha, d, e, pp, q):
+    """(a, b, c) of the feasibility quadratic a*rho^2 - b*rho + c."""
+    direct = pp - 1.0
+    return (
+        q * e,
+        q * d - direct * e + (1.0 - alpha) * p.avg_snr * ch.g1,
+        (1.0 - alpha) * p.avg_snr * ch.g1 - direct * d,
+    )
+
+
+def _feasibility_root(xp, a, b, c):
+    """rho_tilde: the smaller root 2c / (b + sqrt(b^2 - 4ac)), capped at 1."""
+    disc = b * b - 4.0 * a * c
+    scale = xp.maximum(abs(a), xp.maximum(abs(b), abs(c)))
+    if xp.any(disc < -_DISC_GUARD * scale * scale):
+        raise NumericalFailure("feasibility discriminant below roundoff guard")
+    return xp.minimum(2.0 * c / (b + xp.sqrt(xp.maximum(disc, 0.0))), 1.0)
+
+
+def _stationary_terms(q, wtilde2, d, e, t, pp):
+    """(lead, beta, constant, theta) of the stationary-point quadratic
+    lead*rho^2 - 2*beta*rho + constant; its discriminant is 4 theta."""
+    beta = 0.5 * q * d * (wtilde2 - 1.0) + 0.5 * q * e * t * (wtilde2 + 1.0)
+    constant = (d - e * t) * pp + q * wtilde2 * t * d
+    lead = q * wtilde2 * e
+    return lead, beta, constant, beta * beta - lead * constant
+
+
+def _stationary_root(xp, lead, beta, constant, theta):
+    """rho_bar: the smaller stationary root, in whichever of its two forms
+    does not cancel."""
+    if xp.any(lead == 0.0):
+        raise DivisionDegenerate(
+            "stationary-point quadratic degenerates when q * wtilde2 * e == 0"
+        )
+    scale = xp.maximum(beta * beta, abs(lead * constant))
+    if xp.any(theta < -_DISC_GUARD * scale):
+        raise NumericalFailure("stationary-point discriminant below roundoff guard")
+    root = xp.sqrt(xp.maximum(theta, 0.0))
+    positive = beta > 0.0
+    return (xp.where(positive, constant, beta - root)
+            / xp.where(positive, beta + root, lead))
+
+
+def _profile(p: SystemParams, ch: ChannelRealization, alpha):
+    """rho*(alpha), its branch code and log f(alpha, rho*(alpha)): the
+    profile the 1D search maximizes.  ``alpha`` is a float or an array
+    inside (0, 1); the channel must be ordered.  See the module docstring
+    for the case split."""
+    xp = np if isinstance(alpha, np.ndarray) else _MATH
+    d, e, t, pp, q = _f_coeffs(p, ch, alpha)
+    if q == 0.0:
+        # dead relay link: rho* = 0 at every alpha (never interior, always lower)
+        interior, lower, rb, rt = alpha < 0.0, alpha > 0.0, 0.0, 0.0
+    else:
+        rt = _feasibility_root(xp, *_boundary_terms(p, ch, alpha, d, e, pp, q))
+        lead, beta, constant, theta = _stationary_terms(q, p.wtilde2, d, e, t, pp)
+        rb = _stationary_root(xp, lead, beta, constant, theta)
+        interior = (theta > 0.0) & (rb > 0.0) & (rb < rt)
+        lower = (theta > 0.0) & (rb <= 0.0)
+    rho = xp.where(interior, rb, xp.where(lower, 0.0, xp.minimum(rt, _RHO_CAP)))
+    branch = xp.where(interior, _INTERIOR, xp.where(lower, _LOWER, _BOUNDARY))
+    log_f = xp.log(d - e * rho) - xp.log(t - rho) + p.wtilde2 * xp.log(pp + q * rho)
+    return rho, branch, log_f
+
+
 def inner_coeffs(p: SystemParams, ch: ChannelRealization, alpha: float) -> InnerCoefficients:
     """Coefficients d, e, t, p, q of f_alpha for this realization and alpha."""
     _check_alpha(alpha)
-    ag = alpha * p.avg_snr * ch.g1
-    e = 1.0 + ag
-    return InnerCoefficients(
-        d=e + p.mu,
-        e=e,
-        t=1.0 + p.mu,
-        p=1.0 + (1.0 - alpha) * p.avg_snr * ch.g2 / (alpha * p.avg_snr * ch.g2 + 1.0 + p.mu),
-        q=p.eta * p.avg_snr * ch.g1 * ch.g3 / (1.0 + p.mu),
-    )
+    return InnerCoefficients(*_f_coeffs(p, ch, alpha))
 
 
 def boundary_coeffs(p: SystemParams, ch: ChannelRealization, alpha: float) -> BoundaryCoefficients:
     """Coefficients of the feasibility quadratic in rho (a > 0 when the relay
     link is alive; c > 0 whenever g1 > g2)."""
-    _check_alpha(alpha)
     ic = inner_coeffs(p, ch, alpha)
-    direct = ic.p - 1.0
-    return BoundaryCoefficients(
-        a=ic.q * ic.e,
-        b=ic.q * ic.d - direct * ic.e + (1.0 - alpha) * p.avg_snr * ch.g1,
-        c=(1.0 - alpha) * p.avg_snr * ch.g1 - direct * ic.d,
-    )
+    return BoundaryCoefficients(*_boundary_terms(p, ch, alpha, ic.d, ic.e, ic.p, ic.q))
 
 
 def rho_tilde(p: SystemParams, ch: ChannelRealization, alpha: float) -> float:
@@ -217,16 +296,7 @@ def rho_tilde(p: SystemParams, ch: ChannelRealization, alpha: float) -> float:
     """
     _require_ordered(ch)
     bc = boundary_coeffs(p, ch, alpha)
-    disc = bc.b * bc.b - 4.0 * bc.a * bc.c
-    scale = max(abs(bc.a), abs(bc.b), abs(bc.c))
-    if disc < 0.0:
-        if disc < -_DISC_GUARD * scale * scale:
-            raise NumericalFailure(
-                f"feasibility discriminant {disc} below roundoff guard"
-            )
-        disc = 0.0
-    root = 2.0 * bc.c / (bc.b + math.sqrt(disc))
-    return min(root, 1.0)
+    return _feasibility_root(_MATH, bc.a, bc.b, bc.c)
 
 
 def f_objective(p: SystemParams, ch: ChannelRealization, d: DesignPoint) -> float:
@@ -249,9 +319,7 @@ def theta_beta(ic: InnerCoefficients, wtilde2: float):
     """(theta, beta) of the stationary-point quadratic
     (q wr e) rho^2 - 2 beta rho + [(d - e t) p + q wr t d]; its discriminant
     is 4 theta."""
-    beta = 0.5 * ic.q * ic.d * (wtilde2 - 1.0) + 0.5 * ic.q * ic.e * ic.t * (wtilde2 + 1.0)
-    constant = (ic.d - ic.e * ic.t) * ic.p + ic.q * wtilde2 * ic.t * ic.d
-    theta = beta * beta - ic.q * wtilde2 * ic.e * constant
+    _, beta, _, theta = _stationary_terms(ic.q, wtilde2, ic.d, ic.e, ic.t, ic.p)
     return theta, beta
 
 
@@ -259,22 +327,8 @@ def rho_bar(ic: InnerCoefficients, wtilde2: float) -> float:
     """Smaller root of the stationary-point quadratic: the interior maximizer
     of f_alpha when it falls in (0, 1).  May lie outside (0, 1); callers
     check theta > 0 first."""
-    lead = ic.q * wtilde2 * ic.e
-    if lead == 0.0:
-        raise DivisionDegenerate(
-            "stationary-point quadratic degenerates when q * wtilde2 * e == 0"
-        )
-    theta, beta = theta_beta(ic, wtilde2)
-    constant = (ic.d - ic.e * ic.t) * ic.p + ic.q * wtilde2 * ic.t * ic.d
-    if theta < 0.0:
-        guard = _DISC_GUARD * max(beta * beta, abs(lead * constant))
-        if theta < -guard:
-            raise NumericalFailure(f"theta {theta} below roundoff guard")
-        theta = 0.0
-    root = math.sqrt(theta)
-    if beta > 0.0:
-        return constant / (beta + root)
-    return (beta - root) / lead
+    terms = _stationary_terms(ic.q, wtilde2, ic.d, ic.e, ic.t, ic.p)
+    return _stationary_root(_MATH, *terms)
 
 
 def optimal_rho_for_alpha(p: SystemParams, ch: ChannelRealization, alpha: float):
@@ -283,71 +337,9 @@ def optimal_rho_for_alpha(p: SystemParams, ch: ChannelRealization, alpha: float)
     Returns ``(rho_star, branch)``; see the module docstring for the split.
     """
     _require_ordered(ch)
-    ic = inner_coeffs(p, ch, alpha)
-    if ic.q == 0.0:
-        return 0.0, SolverBranch.LOWER
-    rt = rho_tilde(p, ch, alpha)
-    theta, _ = theta_beta(ic, p.wtilde2)
-    if theta > 0.0:
-        rb = rho_bar(ic, p.wtilde2)
-        if 0.0 < rb < rt:
-            return rb, SolverBranch.INTERIOR
-        if rb <= 0.0:
-            return 0.0, SolverBranch.LOWER
-    return min(rt, _RHO_CAP), SolverBranch.BOUNDARY
-
-
-def _log_f(ic: InnerCoefficients, wtilde2: float, rho: float) -> float:
-    return (
-        math.log(ic.d - ic.e * rho)
-        - math.log(ic.t - rho)
-        + wtilde2 * math.log(ic.p + ic.q * rho)
-    )
-
-
-def _g_scalar(p: SystemParams, ch: ChannelRealization, alpha: float) -> float:
-    """log f(alpha, rho*(alpha)); the profile the 1D search maximizes."""
-    rho, _ = optimal_rho_for_alpha(p, ch, alpha)
-    return _log_f(inner_coeffs(p, ch, alpha), p.wtilde2, rho)
-
-
-def _grid_stage(p: SystemParams, ch: ChannelRealization, alphas: np.ndarray) -> np.ndarray:
-    """Vectorized log f(alpha, rho*(alpha)) over an alpha grid; mirrors
-    optimal_rho_for_alpha (equivalence is pinned by tests)."""
-    snr, mu, eta, wr = p.avg_snr, p.mu, p.eta, p.wtilde2
-    ag = alphas * (snr * ch.g1)
-    e = 1.0 + ag
-    d = e + mu
-    t = 1.0 + mu
-    pp = 1.0 + (1.0 - alphas) * snr * ch.g2 / (alphas * snr * ch.g2 + 1.0 + mu)
-    q = eta * snr * ch.g1 * ch.g3 / (1.0 + mu)
-
-    if q == 0.0:
-        rho = np.zeros_like(alphas)
-    else:
-        a = q * e
-        b = q * d - (pp - 1.0) * e + (1.0 - alphas) * snr * ch.g1
-        c = (1.0 - alphas) * snr * ch.g1 - (pp - 1.0) * d
-        disc = b * b - 4.0 * a * c
-        scale = np.maximum(np.abs(a), np.maximum(np.abs(b), np.abs(c)))
-        if np.any(disc < -_DISC_GUARD * scale * scale):
-            raise NumericalFailure("feasibility discriminant below roundoff guard")
-        rt = np.minimum(2.0 * c / (b + np.sqrt(np.maximum(disc, 0.0))), 1.0)
-
-        beta = 0.5 * q * d * (wr - 1.0) + 0.5 * q * e * t * (wr + 1.0)
-        constant = (d - e * t) * pp + q * wr * t * d
-        lead = q * wr * e
-        theta = beta * beta - lead * constant
-        th_scale = np.maximum(beta * beta, np.abs(lead * constant))
-        if np.any(theta < -_DISC_GUARD * th_scale):
-            raise NumericalFailure("stationary-point discriminant below roundoff guard")
-        root = np.sqrt(np.maximum(theta, 0.0))
-        rb = np.where(beta > 0.0, constant / (beta + root), (beta - root) / lead)
-        interior = (theta > 0.0) & (rb > 0.0) & (rb < rt)
-        lower = (theta > 0.0) & (rb <= 0.0)
-        rho = np.where(interior, rb, np.where(lower, 0.0, np.minimum(rt, _RHO_CAP)))
-
-    return np.log(d - e * rho) - np.log(t - rho) + wr * np.log(pp + q * rho)
+    _check_alpha(alpha)
+    rho, branch, _ = _profile(p, ch, alpha)
+    return rho, _BRANCHES[branch]
 
 
 def _golden_max(g, lo: float, hi: float, tol: float):
@@ -400,7 +392,7 @@ def solve_1d(p: SystemParams, ch: ChannelRealization,
     _require_ordered(ch)
 
     alphas = np.linspace(grid.margin, 1.0 - grid.margin, grid.n)
-    logf = _grid_stage(p, ch, alphas)
+    _, _, logf = _profile(p, ch, alphas)
     i = int(np.argmax(logf))  # first hit: smallest alpha wins ties
     best_alpha = float(alphas[i])
     best_logf = float(logf[i])
@@ -410,13 +402,13 @@ def solve_1d(p: SystemParams, ch: ChannelRealization,
         lo = float(alphas[max(i - 1, 0)])
         hi = float(alphas[min(i + 1, grid.n - 1)])
         a_ref, f_ref, n_ref = _golden_max(
-            lambda a: _g_scalar(p, ch, a), lo, hi, grid.refine_tol
+            lambda a: _profile(p, ch, a)[2], lo, hi, grid.refine_tol
         )
         evaluations += n_ref
         if f_ref > best_logf:
             best_alpha, best_logf = a_ref, f_ref
 
-    rho_star, branch = optimal_rho_for_alpha(p, ch, best_alpha)
+    rho_star, branch, _ = _profile(p, ch, best_alpha)
     evaluations += 1
     d = DesignPoint(alpha=best_alpha, rho=rho_star)
     return OptimizationOutcome(
@@ -424,7 +416,7 @@ def solve_1d(p: SystemParams, ch: ChannelRealization,
         rho_star=rho_star,
         objective_f=f_objective(p, ch, d),
         rate_triple=rates(p, ch, d),
-        branch=branch,
+        branch=_BRANCHES[branch],
         evaluations=evaluations,
     )
 

@@ -13,9 +13,12 @@ runtime special-function dependency:
   reference (see scripts/fit_k_bessel_coeffs.py, max relative error < 2e-16
   on [2, 2e6]).
 * ``integrate`` / ``integrate_semi_infinite``: globally adaptive bisection
-  quadrature with a nested Gauss-Legendre 10/21 pair.  Gauss nodes never
-  touch panel endpoints, so integrable endpoint singularities (flagged in
-  the spec) are handled by subdivision alone.
+  quadrature.  Each panel takes the 21-point Gauss-Legendre value, with
+  |G21 - G10| against the 10-point rule as its error estimate.  The two
+  rules share no nodes (this is not a Gauss-Kronrod pair), so a panel costs
+  31 integrand evaluations.  Gauss nodes never touch panel endpoints, so
+  integrable endpoint singularities (flagged in the spec) are handled by
+  subdivision alone.
 """
 
 from __future__ import annotations

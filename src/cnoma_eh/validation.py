@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, montecarlo, optimizer, specfun
-from .model import ChannelRealization, DesignPoint, SystemParams, _rate_tuple
+from .model import ChannelRealization, DesignPoint, SystemParams
 
 __all__ = ["CheckResult", "random_instances", "run_all"]
 
@@ -142,7 +142,8 @@ def check_stationarity(seed=1003, n_pairs=1000) -> CheckResult:
         ic = optimizer.inner_coeffs(p, ch, alpha)
         if ic.q == 0.0:
             continue
-        theta, _ = optimizer.theta_beta(ic, p.wtilde2)
+        lead, beta, constant, theta = optimizer._stationary_terms(
+            ic.q, p.wtilde2, ic.d, ic.e, ic.t, ic.p)
         if theta <= 0.0:
             continue
         rb = optimizer.rho_bar(ic, p.wtilde2)
@@ -150,9 +151,7 @@ def check_stationarity(seed=1003, n_pairs=1000) -> CheckResult:
             continue
         tested += 1
         # conditioning scale of evaluating the stationary quadratic at rb
-        _, beta = optimizer.theta_beta(ic, p.wtilde2)
-        constant = (ic.d - ic.e * ic.t) * ic.p + ic.q * p.wtilde2 * ic.t * ic.d
-        scale = ic.q * p.wtilde2 * ic.e * rb * rb + 2 * abs(beta) * rb + abs(constant)
+        scale = lead * rb * rb + 2 * abs(beta) * rb + abs(constant)
         if scale > 0:
             worst = max(
                 worst,
@@ -370,13 +369,8 @@ def check_optimized_dominance(seed=1007, samples=4000, workers=1,
         )
         pt = montecarlo.estimate_optimized(cfg, p, workers=workers)
         for alpha, rho in baselines:
-            fixed = 0.0
-            for b, n in montecarlo._blocks(cfg):
-                g1, g2, g3 = montecarlo.sample_gains(cfg, p, b, n)
-                _, _, ws = _rate_tuple(p.avg_snr, p.mu, p.eta, g1, g2, g3,
-                                       alpha, rho, p.w1, p.w2)
-                fixed += float(ws.sum())
-            worst = min(worst, pt["mean_wsum_opt"] - fixed / samples)
+            fixed = montecarlo.estimate_ergodic(cfg, p, DesignPoint(alpha, rho)).c_sum_e
+            worst = min(worst, pt["mean_wsum_opt"] - fixed)
     return CheckResult(
         name="optimized_dominance",
         value=worst,

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from cnoma_eh import analysis, optimizer, validation
+from cnoma_eh import analysis, montecarlo, optimizer, validation
 from cnoma_eh.cli import (
     ExperimentConfig,
     _parse_float_list,
@@ -252,16 +252,12 @@ class TestValidateCommand:
         clean = validation.check_solver_optimality(seed=1001, n_instances=60)
         assert clean.passed
 
-        original = optimizer.rho_bar
+        # the shared stationary-root helper feeds the alpha grid, the
+        # golden-section refine and the final rho*
+        def corrupted(xp, lead, beta, constant, theta):
+            return (beta - xp.sqrt(xp.maximum(theta, 0.0))) / (2.0 * lead)
 
-        def corrupted(ic, wtilde2):
-            lead = ic.q * wtilde2 * ic.e
-            if lead == 0.0:
-                return original(ic, wtilde2)
-            theta, beta = optimizer.theta_beta(ic, wtilde2)
-            return (beta - max(theta, 0.0) ** 0.5) / (2.0 * lead)
-
-        monkeypatch.setattr(optimizer, "rho_bar", corrupted)
+        monkeypatch.setattr(optimizer, "_stationary_root", corrupted)
         mutated = validation.check_solver_optimality(seed=1001, n_instances=60)
         assert not mutated.passed
 
@@ -280,3 +276,21 @@ class TestMainEntry:
                                out=str(tmp_path / "x.bin"), fmt="xml")
         with pytest.raises(ConfigError):
             run_fig3(cfg)
+
+    @pytest.mark.parametrize("kind", ["fig1", "fig2", "fig3"])
+    def test_unknown_format_fails_before_any_work(self, kind, tmp_path, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError("estimator ran before the output format was checked")
+
+        for module, name in ((montecarlo, "estimate_ergodic"),
+                             (montecarlo, "estimate_optimized"),
+                             (analysis, "ergodic_weighted_sum")):
+            monkeypatch.setattr(module, name, never)
+        runner = {"fig1": run_fig1, "fig2": run_fig2, "fig3": run_fig3}[kind]
+        with pytest.raises(ConfigError):
+            runner(ExperimentConfig(kind=kind, out=str(tmp_path / "x.xml"), fmt="xml"))
+
+        ini = tmp_path / "xml.ini"
+        ini.write_text("[output]\nformat = xml\n")
+        assert main([kind, "--config", str(ini)]) == 1
+        assert "format" in capsys.readouterr().err

@@ -9,7 +9,6 @@ from cnoma_eh.model import ChannelRealization, DesignPoint, SystemParams, rates
 from cnoma_eh.montecarlo import (
     Ordering,
     SamplerConfig,
-    SweepResult,
     estimate_ergodic,
     estimate_optimized,
     sample_channel,
@@ -160,11 +159,3 @@ class TestEstimateOptimized:
         fine = estimate_optimized(cfg, p, grid=AlphaGridSpec(n=1000))
         coarse = estimate_optimized(cfg, p, grid=AlphaGridSpec(n=250))
         assert coarse["mean_wsum_opt"] == pytest.approx(fine["mean_wsum_opt"], rel=1e-3)
-
-
-class TestSweepResult:
-    def test_carrier_fields(self):
-        sr = SweepResult(axis_name="snr_db", axis_values=[0, 10],
-                         points=[{"a": 1}], metadata={"seed": 3})
-        assert sr.axis_name == "snr_db"
-        assert sr.metadata["seed"] == 3

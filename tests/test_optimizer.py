@@ -17,6 +17,7 @@ from cnoma_eh.optimizer import (
     AlphaGridSpec,
     Grid2DSpec,
     SolverBranch,
+    _profile,
     boundary_coeffs,
     df_drho_numerator,
     f_objective,
@@ -394,6 +395,25 @@ class TestRhoPolicy:
                 assert changes == 0 and signs[0] < 0
             elif theta <= 0:
                 assert changes == 0 and (len(signs) == 0 or signs[0] > 0)
+
+
+class TestProfile:
+    def test_array_and_float_paths_agree(self):
+        # the alpha grid takes the numpy path of _profile; the golden-section
+        # refine, the final rho* and the scalar API take the math path
+        alphas = np.linspace(1e-4, 1.0 - 1e-4, 101)
+        pool = random_instances(97, 150)
+        pool += [(p, ChannelRealization(ch.g1, ch.g2, 0.0)) for p, ch in pool[:20]]
+        assert any(p.mu == 0.0 for p, _ in pool)
+        codes = set()
+        for p, ch in pool:
+            rho, branch, log_f = _profile(p, ch, alphas)
+            for k, alpha in enumerate(alphas):
+                r, b, lf = _profile(p, ch, float(alpha))
+                assert r == rho[k] and b == branch[k]
+                assert lf == pytest.approx(log_f[k], rel=1e-14, abs=0.0)
+                codes.add(b)
+        assert codes == {0, 1, 2}  # interior, lower and boundary all reached
 
 
 class TestSolve1D:
