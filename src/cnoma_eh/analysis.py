@@ -236,15 +236,11 @@ def ergodic_rate_u2(p: SystemParams, d: DesignPoint,
     )
     zmax = (1.0 - d.alpha) / d.alpha
 
-    if d.rho == 0.0:
-        def integrand(z: float) -> float:
-            return prob_y_exceeds(p, d, z) * (1.0 - w1_cdf(p, d, z)) / (1.0 + z)
-    else:
-        def integrand(z: float) -> float:
-            py = prob_y_exceeds(p, d, z)
-            if py == 0.0:
-                return 0.0
-            return py * prob_w_exceeds(p, d, z, inner_spec) / (1.0 + z)
+    def integrand(z: float) -> float:
+        py = prob_y_exceeds(p, d, z)
+        if py == 0.0:
+            return 0.0
+        return py * prob_w_exceeds(p, d, z, inner_spec) / (1.0 + z)
 
     value, err = integrate(integrand, 0.0, zmax, spec)
     return max(0.0, _HALF_LN2_INV * value), _HALF_LN2_INV * err

@@ -26,6 +26,7 @@ import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,19 +40,18 @@ __all__ = [
     "run_fig1",
     "run_fig2",
     "run_fig3",
+    "run_figure",
     "run_solve",
     "run_validate",
     "main",
 ]
 
-_FIG_DEFAULT_SAMPLES = {"fig1": 1_000_000, "fig2": 100_000, "fig3": 100_000}
-_FIG_DEFAULT_ORDERING = {"fig1": "unordered", "fig2": "swap", "fig3": "swap"}
-_FIG3_DEFAULT_WTILDE2 = (1.5, 2.0, 3.0, 5.0, 7.0, 10.0)
-
 
 @dataclass
 class ExperimentConfig:
-    """One experiment run.  ``None`` fields fall back to per-kind defaults."""
+    """One experiment run.  A figure kind fills unset ``samples``,
+    ``ordering`` and ``wtilde2_values`` with its defaults when the config is
+    built, so provenance records the values the run used."""
 
     kind: str
     # system (weights w1/w2 apply to fig1; fig2/fig3 build w2 from wtilde2)
@@ -87,6 +87,13 @@ class ExperimentConfig:
     out: str | None = None
     fmt: str = "csv"
 
+    def __post_init__(self):
+        fig = _FIGURES.get(self.kind)
+        if fig is not None:
+            self.samples = self.samples or fig.samples
+            self.ordering = self.ordering or fig.ordering
+            self.wtilde2_values = self.wtilde2_values or fig.wtilde2
+
     def system_params(self, snr_db: float, w2: float | None = None) -> SystemParams:
         return SystemParams(
             avg_snr=db_to_linear(snr_db), mu=self.mu, eta=self.eta,
@@ -95,15 +102,13 @@ class ExperimentConfig:
         )
 
     def sampler(self) -> montecarlo.SamplerConfig:
-        ordering = self.ordering or _FIG_DEFAULT_ORDERING.get(self.kind, "unordered")
         try:
-            ordering = montecarlo.Ordering(ordering)
+            ordering = montecarlo.Ordering(self.ordering)
         except ValueError:
-            raise ConfigError(f"unknown ordering {ordering!r} (use unordered|swap)")
-        samples = self.samples or _FIG_DEFAULT_SAMPLES.get(self.kind, 100_000)
+            raise ConfigError(f"unknown ordering {self.ordering!r} (use unordered|swap)")
         return montecarlo.SamplerConfig(
             seed=self.seed, ordering=ordering,
-            sample_count=samples, block_size=self.block_size,
+            sample_count=self.samples, block_size=self.block_size,
         )
 
     def solver_grid(self) -> AlphaGridSpec:
@@ -146,16 +151,15 @@ def _write_csv(path: Path, experiment: str, columns, rows, cfg: ExperimentConfig
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_json(path: Path, experiment: str, columns, rows, cfg: ExperimentConfig):
+def _write_json(path: Path, experiment: str, cfg: ExperimentConfig, **body):
     doc = {
         "experiment": experiment,
         "provenance": {
             "version": __version__,
             "timestamp": _timestamp(),
-            "config": {k: v for k, v in _flat_config(cfg).items()},
+            "config": _flat_config(cfg),
         },
-        "columns": list(columns),
-        "rows": [[float(v) for v in row] for row in rows],
+        **body,
     }
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -169,94 +173,105 @@ def _output_path(cfg: ExperimentConfig, experiment: str) -> Path:
 
 def _write_sweep(out: Path, cfg: ExperimentConfig, experiment: str, columns, rows) -> Path:
     out.parent.mkdir(parents=True, exist_ok=True)
-    write = _write_json if cfg.fmt == "json" else _write_csv
-    write(out, experiment, columns, rows, cfg)
+    if cfg.fmt == "json":
+        _write_json(out, experiment, cfg, columns=list(columns),
+                    rows=[[float(v) for v in row] for row in rows])
+    else:
+        _write_csv(out, experiment, columns, rows, cfg)
     return out
 
 
 # ---------------------------------------------------------------------------
 # Experiment runners
 
-_FIG1_COLUMNS = (
-    "snr_db", "c1_mc", "c1_se", "c2_mc", "c2_se", "csum_mc", "csum_se",
-    "c1_analytic", "c2_analytic", "csum_analytic", "c1_highsnr", "c2_highsnr",
-)
-
-
-def run_fig1(cfg: ExperimentConfig) -> Path:
-    """Ergodic rates vs SNR at the fixed baseline design point."""
-    out = _output_path(cfg, "fig1")
+def _fig1_rows(cfg: ExperimentConfig, sampler: montecarlo.SamplerConfig):
     d = cfg.baseline()
-    sampler = cfg.sampler()
-    rows = []
     for snr_db in cfg.snr_db_values:
         p = cfg.system_params(snr_db)
         mc = montecarlo.estimate_ergodic(sampler, p, d)
         an = analysis.ergodic_weighted_sum(p, d)
-        rows.append([
+        yield [
             float(snr_db),
             mc.c1_e, mc.c1_se, mc.c2_e, mc.c2_se, mc.c_sum_e, mc.c_sum_se,
             an.c1_e, an.c2_e, an.c_sum_e,
             analysis.high_snr_u1(p, d), analysis.high_snr_u2(p, d),
-        ])
-    return _write_sweep(out, cfg, "fig1", _FIG1_COLUMNS, rows)
+        ]
 
 
-_FIG2_COLUMNS = (
-    "snr_db", "wtilde2", "csum_optimized", "csum_optimized_se",
-    "csum_fixed", "csum_fixed_se", "gain_percent",
-)
-
-
-def run_fig2(cfg: ExperimentConfig) -> Path:
-    """Optimized vs fixed weighted sum rate across the SNR sweep."""
-    out = _output_path(cfg, "fig2")
-    wtilde2_values = cfg.wtilde2_values or (2.0, 5.0)
-    if any(wt <= 1.0 for wt in wtilde2_values):
-        raise ConfigError("fig2 requires w2 > w1, i.e. every wtilde2 > 1")
+def _fig2_rows(cfg: ExperimentConfig, sampler: montecarlo.SamplerConfig):
     d = cfg.baseline()
-    sampler = cfg.sampler()
     grid = cfg.solver_grid()
-    rows = []
-    for wt2 in wtilde2_values:
+    for wt2 in cfg.wtilde2_values:
         for snr_db in cfg.snr_db_values:
             p = cfg.system_params(snr_db, w2=wt2 * cfg.w1)
-            pt = montecarlo.estimate_optimized(
-                sampler, p, grid=grid, baseline=d, workers=cfg.workers
-            )
-            rows.append([
+            pt = montecarlo.estimate_optimized(sampler, p, grid=grid, baseline=d,
+                                               workers=cfg.workers)
+            yield [
                 float(snr_db), float(wt2),
                 pt["mean_wsum_opt"], pt["se_wsum_opt"],
                 pt["mean_wsum_fixed"], pt["se_wsum_fixed"],
                 100.0 * (pt["mean_wsum_opt"] - pt["mean_wsum_fixed"]) / pt["mean_wsum_fixed"],
-            ])
-    return _write_sweep(out, cfg, "fig2", _FIG2_COLUMNS, rows)
+            ]
 
 
-_FIG3_COLUMNS = (
-    "wtilde2", "mean_alpha_star", "mean_alpha_star_se",
-    "mean_rho_star", "mean_rho_star_se",
-)
-
-
-def run_fig3(cfg: ExperimentConfig) -> Path:
-    """Mean optimal coefficients vs weight ratio at cfg.snr_db."""
-    out = _output_path(cfg, "fig3")
-    wtilde2_values = cfg.wtilde2_values or _FIG3_DEFAULT_WTILDE2
-    if any(wt <= 1.0 for wt in wtilde2_values):
-        raise ConfigError("fig3 requires every wtilde2 > 1")
-    sampler = cfg.sampler()
+def _fig3_rows(cfg: ExperimentConfig, sampler: montecarlo.SamplerConfig):
     grid = cfg.solver_grid()
-    rows = []
-    for wt2 in wtilde2_values:
+    for wt2 in cfg.wtilde2_values:
         p = cfg.system_params(cfg.snr_db, w2=wt2 * cfg.w1)
         pt = montecarlo.estimate_optimized(sampler, p, grid=grid, workers=cfg.workers)
-        rows.append([
-            float(wt2),
-            pt["mean_alpha_star"], pt["se_alpha_star"],
-            pt["mean_rho_star"], pt["se_rho_star"],
-        ])
-    return _write_sweep(out, cfg, "fig3", _FIG3_COLUMNS, rows)
+        yield [float(wt2), pt["mean_alpha_star"], pt["se_alpha_star"],
+               pt["mean_rho_star"], pt["se_rho_star"]]
+
+
+class _Figure(NamedTuple):
+    """Everything one figure decides: its defaults, its file layout, and a
+    row builder ``rows(cfg, sampler)`` yielding one row per sweep point."""
+
+    help: str
+    samples: int
+    ordering: str
+    wtilde2: tuple | None  # None: the figure takes no weight ratios
+    columns: tuple
+    rows: Callable
+
+
+_FIGURES = {
+    "fig1": _Figure(
+        help="ergodic rates vs SNR at a fixed design point",
+        samples=1_000_000, ordering="unordered", wtilde2=None,
+        columns=("snr_db", "c1_mc", "c1_se", "c2_mc", "c2_se", "csum_mc", "csum_se",
+                 "c1_analytic", "c2_analytic", "csum_analytic", "c1_highsnr", "c2_highsnr"),
+        rows=_fig1_rows,
+    ),
+    "fig2": _Figure(
+        help="optimized vs fixed weighted sum rate",
+        samples=100_000, ordering="swap", wtilde2=(2.0, 5.0),
+        columns=("snr_db", "wtilde2", "csum_optimized", "csum_optimized_se",
+                 "csum_fixed", "csum_fixed_se", "gain_percent"),
+        rows=_fig2_rows,
+    ),
+    "fig3": _Figure(
+        help="mean optimal coefficients vs weight ratio",
+        samples=100_000, ordering="swap", wtilde2=(1.5, 2.0, 3.0, 5.0, 7.0, 10.0),
+        columns=("wtilde2", "mean_alpha_star", "mean_alpha_star_se",
+                 "mean_rho_star", "mean_rho_star_se"),
+        rows=_fig3_rows,
+    ),
+}
+
+
+def run_figure(cfg: ExperimentConfig) -> Path:
+    """Run the figure named by ``cfg.kind`` and write its file."""
+    fig = _FIGURES[cfg.kind]
+    out = _output_path(cfg, cfg.kind)
+    if fig.wtilde2 and any(wt <= 1.0 for wt in cfg.wtilde2_values):
+        raise ConfigError(f"{cfg.kind} requires w2 > w1, i.e. every wtilde2 > 1")
+    rows = list(fig.rows(cfg, cfg.sampler()))
+    return _write_sweep(out, cfg, cfg.kind, fig.columns, rows)
+
+
+# the benchmark, validation.check_determinism and the tests call these names
+run_fig1 = run_fig2 = run_fig3 = run_figure
 
 
 _SOLVE_COLUMNS = (
@@ -298,28 +313,18 @@ def run_validate(cfg: ExperimentConfig) -> int:
         status = "PASS" if c.passed else "FAIL"
         print(f"[{status}] {c.name}: value={c.value:.6g} tolerance={c.tolerance} ({c.detail})")
     all_passed = all(bool(c.passed) for c in checks)
-    doc = {
-        "experiment": "validate",
-        "provenance": {
-            "version": __version__,
-            "timestamp": _timestamp(),
-            "config": _flat_config(cfg),
-        },
-        "passed": all_passed,
-        "checks": [
-            {
-                "name": c.name,
-                "value": float(c.value),
-                "tolerance": c.tolerance if isinstance(c.tolerance, str) else float(c.tolerance),
-                "passed": bool(c.passed),
-                "detail": c.detail,
-            }
-            for c in checks
-        ],
-    }
     out = Path(cfg.out or "validate_report.json")
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write_json(out, "validate", cfg, passed=all_passed, checks=[
+        {
+            "name": c.name,
+            "value": float(c.value),
+            "tolerance": c.tolerance if isinstance(c.tolerance, str) else float(c.tolerance),
+            "passed": bool(c.passed),
+            "detail": c.detail,
+        }
+        for c in checks
+    ])
     print(("all checks passed" if all_passed else "CHECKS FAILED") + f"; report: {out}")
     return 0 if all_passed else 2
 
@@ -355,42 +360,42 @@ def _parse_float_list(text: str):
         raise ConfigError(f"bad float list {text!r}")
 
 
-def _parse_bool(text: str, where: str) -> bool:
+def _parse_bool(text: str) -> bool:
     t = text.strip().lower()
     if t in ("1", "true", "yes", "on"):
         return True
     if t in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"bad boolean {text!r} at {where}")
+    raise ValueError(text)
 
 
-# (section, key) -> (config field, converter taking (text, where))
+# (section, key) -> (config field, converter from the entry's text)
 _INI_FIELDS = {
-    ("system", "mu"): ("mu", lambda t, w: float(t)),
-    ("system", "eta"): ("eta", lambda t, w: float(t)),
-    ("system", "var1"): ("var1", lambda t, w: float(t)),
-    ("system", "var2"): ("var2", lambda t, w: float(t)),
-    ("system", "var3"): ("var3", lambda t, w: float(t)),
-    ("system", "w1"): ("w1", lambda t, w: float(t)),
-    ("system", "w2"): ("w2", lambda t, w: float(t)),
-    ("system", "snr_db"): ("snr_db", lambda t, w: float(t)),
-    ("design", "alpha"): ("alpha", lambda t, w: float(t)),
-    ("design", "rho"): ("rho", lambda t, w: float(t)),
-    ("sweep", "snr_db"): ("snr_db_values", lambda t, w: _parse_snr_values(t)),
-    ("sweep", "wtilde2"): ("wtilde2_values", lambda t, w: _parse_float_list(t)),
-    ("channel", "g1"): ("g1", lambda t, w: float(t)),
-    ("channel", "g2"): ("g2", lambda t, w: float(t)),
-    ("channel", "g3"): ("g3", lambda t, w: float(t)),
-    ("sampler", "seed"): ("seed", lambda t, w: int(t)),
-    ("sampler", "samples"): ("samples", lambda t, w: int(t)),
-    ("sampler", "ordering"): ("ordering", lambda t, w: t.strip()),
-    ("sampler", "block_size"): ("block_size", lambda t, w: int(t)),
-    ("solver", "grid"): ("grid_n", lambda t, w: int(t)),
+    ("system", "mu"): ("mu", float),
+    ("system", "eta"): ("eta", float),
+    ("system", "var1"): ("var1", float),
+    ("system", "var2"): ("var2", float),
+    ("system", "var3"): ("var3", float),
+    ("system", "w1"): ("w1", float),
+    ("system", "w2"): ("w2", float),
+    ("system", "snr_db"): ("snr_db", float),
+    ("design", "alpha"): ("alpha", float),
+    ("design", "rho"): ("rho", float),
+    ("sweep", "snr_db"): ("snr_db_values", _parse_snr_values),
+    ("sweep", "wtilde2"): ("wtilde2_values", _parse_float_list),
+    ("channel", "g1"): ("g1", float),
+    ("channel", "g2"): ("g2", float),
+    ("channel", "g3"): ("g3", float),
+    ("sampler", "seed"): ("seed", int),
+    ("sampler", "samples"): ("samples", int),
+    ("sampler", "ordering"): ("ordering", str.strip),
+    ("sampler", "block_size"): ("block_size", int),
+    ("solver", "grid"): ("grid_n", int),
     ("solver", "refine"): ("refine", _parse_bool),
-    ("run", "workers"): ("workers", lambda t, w: int(t)),
+    ("run", "workers"): ("workers", int),
     ("run", "full"): ("full", _parse_bool),
-    ("output", "out"): ("out", lambda t, w: t.strip()),
-    ("output", "format"): ("fmt", lambda t, w: t.strip()),
+    ("output", "out"): ("out", str.strip),
+    ("output", "format"): ("fmt", str.strip),
 }
 
 
@@ -408,7 +413,7 @@ def _load_config_file(path: str) -> dict:
             except KeyError:
                 raise ConfigError(f"unknown config entry at {where}")
             try:
-                overrides[field] = conv(text, where)
+                overrides[field] = conv(text)
             except ConfigError:
                 raise
             except ValueError:
@@ -438,13 +443,10 @@ def _build_parser() -> _Parser:
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--version", action="version", version=f"cnoma-eh {__version__}")
     subs = parser.add_subparsers(dest="kind", required=True)
-    for kind, desc in (
-        ("fig1", "ergodic rates vs SNR at a fixed design point"),
-        ("fig2", "optimized vs fixed weighted sum rate"),
-        ("fig3", "mean optimal coefficients vs weight ratio"),
-        ("solve", "optimize one channel realization"),
-        ("validate", "run the release-gate checks"),
-    ):
+    helps = {kind: fig.help for kind, fig in _FIGURES.items()}
+    helps.update(solve="optimize one channel realization",
+                 validate="run the release-gate checks")
+    for kind, desc in helps.items():
         sub = subs.add_parser(kind, help=desc)
         _add_common(sub)
         if kind == "solve":
@@ -458,24 +460,17 @@ def _build_parser() -> _Parser:
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    overrides = {}
-    if args.config:
-        overrides.update(_load_config_file(args.config))
-    for field, attr in (
-        ("seed", "seed"), ("samples", "samples"), ("alpha", "alpha"),
-        ("rho", "rho"), ("mu", "mu"), ("out", "out"), ("fmt", "fmt"),
-        ("ordering", "ordering"), ("grid_n", "grid_n"), ("workers", "workers"),
-        ("g1", "g1"), ("g2", "g2"), ("g3", "g3"), ("full", "full"),
-    ):
-        value = getattr(args, attr, None)
-        if value is not None:
+    overrides = _load_config_file(args.config) if args.config else {}
+    # every other argparse dest is the name of an ExperimentConfig field
+    for field, value in vars(args).items():
+        if value is not None and field not in ("kind", "config", "snr_db", "wtilde2"):
             overrides[field] = value
-    if getattr(args, "snr_db", None):
+    if args.snr_db:
         values = _parse_snr_values(args.snr_db)
         overrides["snr_db_values"] = values
         if len(values) == 1:
             overrides["snr_db"] = values[0]
-    if getattr(args, "wtilde2", None):
+    if args.wtilde2:
         overrides["wtilde2_values"] = _parse_float_list(args.wtilde2)
     try:
         return ExperimentConfig(kind=args.kind, **overrides)
@@ -488,18 +483,12 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _build_config(args)
-        if cfg.kind == "fig1":
-            print(f"wrote {run_fig1(cfg)}")
-        elif cfg.kind == "fig2":
-            print(f"wrote {run_fig2(cfg)}")
-        elif cfg.kind == "fig3":
-            print(f"wrote {run_fig3(cfg)}")
+        if cfg.kind in _FIGURES:
+            print(f"wrote {run_figure(cfg)}")
         elif cfg.kind == "solve":
             run_solve(cfg)
-        elif cfg.kind == "validate":
+        else:
             return run_validate(cfg)
-        else:  # pragma: no cover - argparse enforces choices
-            raise ConfigError(f"unknown subcommand {cfg.kind!r}")
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

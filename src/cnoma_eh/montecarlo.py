@@ -149,7 +149,7 @@ def _optimized_block(args) -> tuple[int, np.ndarray, int]:
     if baseline is not None:
         _, _, ws_fixed = _rate_tuple(p.avg_snr, p.mu, p.eta, g1, g2, g3,
                                      baseline.alpha, baseline.rho, p.w1, p.w2)
-        sums[6:8] = _moments(ws_fixed)
+        sums[6:8] = _moments(ws_fixed[g1 != g2])
     return block_index, sums, skipped
 
 
@@ -157,15 +157,17 @@ def estimate_optimized(cfg: SamplerConfig, p: SystemParams,
                        grid: AlphaGridSpec | None = None,
                        baseline: DesignPoint | None = None,
                        workers: int = 1) -> dict[str, Any]:
-    """Per-draw optimization over SWAP_ORDERED style draws.
+    """Per-draw optimization over SWAP_ORDERED draws.
 
     Runs the 1D search on every draw and aggregates the optimized weighted
     sum rate and the optimal coefficients; when ``baseline`` is given the
     fixed-design weighted sum is accumulated on the same draws.  Draws with
-    g1 == g2 exactly are skipped and counted.
+    g1 == g2 exactly are skipped, counted, and left out of every mean.
     """
     if not p.w2 > p.w1:
         raise DomainError("optimized sweeps require w2 > w1")
+    if cfg.ordering is not Ordering.SWAP_ORDERED:
+        raise DomainError("optimized sweeps require swap-ordered draws (g1 >= g2)")
     grid = grid or AlphaGridSpec()
     jobs = [(cfg, p, grid, baseline, b, n) for b, n in _blocks(cfg)]
     if workers > 1:
@@ -195,7 +197,7 @@ def estimate_optimized(cfg: SamplerConfig, p: SystemParams,
         "se_rho_star": r_se,
     }
     if baseline is not None:
-        f_m, f_se = _mean_se(cfg.sample_count, totals[6], totals[7])
+        f_m, f_se = _mean_se(n, totals[6], totals[7])
         point["mean_wsum_fixed"] = f_m
         point["se_wsum_fixed"] = f_se
     return point

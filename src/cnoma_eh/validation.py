@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, montecarlo, optimizer, specfun
-from .model import ChannelRealization, DesignPoint, SystemParams
+from .model import (ChannelRealization, DesignPoint, SystemParams, db_to_linear,
+                    sinr_mrc_at_u2, sinr_x2_at_u1)
 
 __all__ = ["CheckResult", "random_instances", "run_all"]
 
@@ -40,7 +41,7 @@ def random_instances(seed: int, n: int, snr_db_range=(0.0, 40.0),
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < n:
-        snr = 10.0 ** (rng.uniform(*snr_db_range) / 10.0)
+        snr = db_to_linear(rng.uniform(*snr_db_range))
         wt2 = float(rng.choice(wtilde2_choices))
         mu = float(rng.choice(mu_choices))
         g = rng.exponential(1.0, 3)
@@ -76,8 +77,6 @@ def check_solver_optimality(seed=1001, n_instances=200,
 def check_feasibility(seed=1001, n_instances=200) -> list[CheckResult]:
     worst_rho = -math.inf
     worst_sinr = -math.inf
-    from .model import sinr_mrc_at_u2, sinr_x2_at_u1
-
     for p, ch in random_instances(seed, n_instances):
         out = optimizer.solve_1d(p, ch)
         rt = optimizer.rho_tilde(p, ch, out.alpha_star)
@@ -106,8 +105,6 @@ def check_feasibility(seed=1001, n_instances=200) -> list[CheckResult]:
 
 
 def check_root_crossing(seed=1002, n_pairs=1000) -> CheckResult:
-    from .model import sinr_mrc_at_u2, sinr_x2_at_u1
-
     rng = np.random.default_rng(seed)
     instances = random_instances(seed + 1, n_pairs)
     worst = 0.0
@@ -234,7 +231,7 @@ def check_density_normalization() -> CheckResult:
     worst = 0.0
     spec = specfun.QuadratureSpec(rel_tol=1e-9, singular_left=True)
     for snr_db, rho in ((0.0, 0.05), (10.0, 0.3), (30.0, 0.9)):
-        p = SystemParams(avg_snr=10.0 ** (snr_db / 10.0), mu=1.0)
+        p = SystemParams(avg_snr=db_to_linear(snr_db), mu=1.0)
         d = DesignPoint(alpha=0.25, rho=rho)
         total, _ = specfun.integrate_semi_infinite(
             lambda z: analysis.w2_density(p, d, z), 0.0, spec
@@ -255,7 +252,7 @@ _MC_DESIGN = DesignPoint(alpha=0.25, rho=0.3)
 def check_u1_analytic_vs_mc(seed=1004, samples=1_000_000) -> CheckResult:
     worst = 0.0
     for snr_db in (0.0, 10.0, 20.0, 30.0):
-        p = SystemParams(avg_snr=10.0 ** (snr_db / 10.0), mu=1.0, w1=1.0, w2=2.0)
+        p = SystemParams(avg_snr=db_to_linear(snr_db), mu=1.0, w1=1.0, w2=2.0)
         cfg = montecarlo.SamplerConfig(
             seed=seed, ordering=montecarlo.Ordering.UNORDERED, sample_count=samples
         )
@@ -274,7 +271,7 @@ def check_u1_analytic_vs_mc(seed=1004, samples=1_000_000) -> CheckResult:
 def check_u2_analytic_vs_mc(seed=1005, samples=1_000_000) -> CheckResult:
     gaps = {}
     for snr_db in (0.0, 20.0, 30.0):
-        p = SystemParams(avg_snr=10.0 ** (snr_db / 10.0), mu=1.0, w1=1.0, w2=2.0)
+        p = SystemParams(avg_snr=db_to_linear(snr_db), mu=1.0, w1=1.0, w2=2.0)
         cfg = montecarlo.SamplerConfig(
             seed=seed, ordering=montecarlo.Ordering.UNORDERED, sample_count=samples
         )
@@ -328,8 +325,9 @@ def check_u2_saturation() -> CheckResult:
 
 def check_fig2_gains(seed=1006, samples=100_000, workers=1) -> list[CheckResult]:
     baseline = _MC_DESIGN
+    bands = ((5.0, 30.0, 60.0), (2.0, 17.0, 42.0))  # (wtilde2, low, high) gain in %
     gains = {}
-    for wt2, lo, hi in ((5.0, 30.0, 60.0), (2.0, 17.0, 42.0)):
+    for wt2, _, _ in bands:
         p = SystemParams(avg_snr=10.0, mu=1.0, w1=1.0, w2=wt2)
         cfg = montecarlo.SamplerConfig(
             seed=seed, ordering=montecarlo.Ordering.SWAP_ORDERED, sample_count=samples
@@ -344,7 +342,7 @@ def check_fig2_gains(seed=1006, samples=100_000, workers=1) -> list[CheckResult]
             passed=lo <= gains[wt2] <= hi,
             detail=f"optimized-vs-fixed gain at 10 dB, {samples} draws",
         )
-        for wt2, lo, hi in ((5.0, 30.0, 60.0), (2.0, 17.0, 42.0))
+        for wt2, lo, hi in bands
     ]
     results.append(
         CheckResult(
@@ -363,7 +361,7 @@ def check_optimized_dominance(seed=1007, samples=4000, workers=1,
                               baselines=((0.25, 0.3), (0.5, 0.5), (0.1, 0.1))) -> CheckResult:
     worst = math.inf
     for snr_db in snr_db_values:
-        p = SystemParams(avg_snr=10.0 ** (snr_db / 10.0), mu=1.0, w1=1.0, w2=2.0)
+        p = SystemParams(avg_snr=db_to_linear(snr_db), mu=1.0, w1=1.0, w2=2.0)
         cfg = montecarlo.SamplerConfig(
             seed=seed, ordering=montecarlo.Ordering.SWAP_ORDERED, sample_count=samples
         )

@@ -13,13 +13,7 @@ import pytest
 
 from cnoma_eh import validation
 from cnoma_eh.optimizer import Grid2DSpec
-from cnoma_eh.specfun import (
-    QuadratureSpec,
-    bessel_k0,
-    bessel_k1,
-    gamma_upper_0,
-    integrate_semi_infinite,
-)
+from cnoma_eh.specfun import bessel_k0, bessel_k1, gamma_upper_0
 
 SEED = 20260809
 WORKERS = 2
@@ -77,24 +71,8 @@ def test_04_special_functions_vs_live_oracles():
         detail="40-point log grid on [1e-6, 500]",
     )
     report(4, res)
-
-    # relay-branch SINR density normalizes to 1
-    worst_norm = 0.0
-    for lam in (0.05, 1.0, 30.0):
-        def density(z, lam=lam):
-            return math.inf if z <= 0 else 2.0 * lam * bessel_k0(2.0 * math.sqrt(lam * z))
-
-        total, _ = integrate_semi_infinite(
-            density, 0.0, QuadratureSpec(rel_tol=1e-9, singular_left=True)
-        )
-        worst_norm = max(worst_norm, abs(total - 1.0))
-    res = validation.CheckResult(
-        name="w2_density_normalization",
-        value=worst_norm,
-        tolerance=1e-7,
-        passed=worst_norm <= 1e-7,
-    )
-    report(4, res)
+    report(4, validation.check_specfun_reference())
+    report(4, validation.check_density_normalization())
 
 
 def test_05_u1_closed_form_vs_million_draw_mc():

@@ -154,6 +154,54 @@ class TestFig2:
         assert len(doc["rows"]) == 1
 
 
+class _Ones:
+    """Stands in for any estimator result: every field and key reads 1.0."""
+
+    def __getattr__(self, name):
+        return 1.0
+
+    def __getitem__(self, key):
+        return 1.0
+
+
+@pytest.mark.parametrize("kind, samples, ordering, wtilde2", [
+    ("fig1", 1_000_000, "unordered", "None"),
+    ("fig2", 100_000, "swap", "2.0,5.0"),
+    ("fig3", 100_000, "swap", "1.5,2.0,3.0,5.0,7.0,10.0"),
+])
+def test_default_run_records_resolved_defaults(kind, samples, ordering, wtilde2,
+                                               tmp_path, monkeypatch, capsys):
+    samplers = []
+
+    def fake(sampler, *args, **kwargs):
+        samplers.append(sampler)
+        return _Ones()
+
+    monkeypatch.setattr(montecarlo, "estimate_ergodic", fake)
+    monkeypatch.setattr(montecarlo, "estimate_optimized", fake)
+    monkeypatch.setattr(analysis, "ergodic_weighted_sum", lambda *a, **k: _Ones())
+    out = tmp_path / f"{kind}.csv"
+    assert main([kind, "--out", str(out)]) == 0
+    comments, _, rows = read_csv(out)
+    assert f"# config.samples={samples}" in comments
+    assert f"# config.ordering={ordering}" in comments
+    assert f"# config.wtilde2_values={wtilde2}" in comments
+    assert rows and len(samplers) == len(rows)
+    assert {(s.sample_count, s.ordering.value) for s in samplers} == {(samples, ordering)}
+
+
+@pytest.mark.parametrize("kind", ["fig2", "fig3"])
+def test_unordered_optimized_sweep_fails_before_any_solve(kind, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("solve_1d ran on an unordered sampler")
+
+    monkeypatch.setattr(montecarlo, "solve_1d", never)
+    rc = main([kind, "--ordering", "unordered", "--samples", "50", "--snr-db", "10",
+               "--wtilde2", "2", "--out", str(tmp_path / "x.csv")])
+    assert rc == 3
+    assert "swap-ordered" in capsys.readouterr().err
+
+
 class TestFig3:
     def test_output_domains(self, tmp_path):
         out = tmp_path / "fig3.csv"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cnoma_eh import montecarlo
 from cnoma_eh.analysis import RateSource, ergodic_rate_u1
 from cnoma_eh.errors import DomainError
 from cnoma_eh.model import ChannelRealization, DesignPoint, SystemParams, rates
@@ -122,6 +123,38 @@ class TestEstimateOptimized:
         cfg = SamplerConfig(seed=31, sample_count=10)
         with pytest.raises(DomainError):
             estimate_optimized(cfg, params(10, w2=0.5))
+
+    def test_rejects_unordered_draws_before_any_solve(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("solve_1d ran on an unordered sampler")
+
+        monkeypatch.setattr(montecarlo, "solve_1d", never)
+        cfg = SamplerConfig(seed=31, ordering=Ordering.UNORDERED, sample_count=50)
+        with pytest.raises(DomainError):
+            estimate_optimized(cfg, params(10, w2=2.0), baseline=BASE)
+
+    def test_fixed_baseline_averages_kept_draws(self, monkeypatch):
+        real = montecarlo.sample_gains
+
+        def with_ties(cfg, p, block_index, count):
+            g1, g2, g3 = real(cfg, p, block_index, count)
+            g2 = g2.copy()
+            g2[::7] = g1[::7]
+            return g1, g2, g3
+
+        monkeypatch.setattr(montecarlo, "sample_gains", with_ties)
+        cfg = SamplerConfig(seed=41, ordering=Ordering.SWAP_ORDERED,
+                            sample_count=300, block_size=128)
+        p = params(10, w2=2.0)
+        pt = estimate_optimized(cfg, p, baseline=BASE)
+        kept = []
+        for block_index, count in ((0, 128), (1, 128), (2, 44)):
+            g1, g2, g3 = with_ties(cfg, p, block_index, count)
+            kept += [rates(p, ChannelRealization(g1=float(a), g2=float(b), g3=float(c)),
+                           BASE).weighted_sum
+                     for a, b, c in zip(g1, g2, g3) if a != b]
+        assert pt["n"] == len(kept) and pt["skipped"] == 300 - len(kept) > 0
+        assert pt["mean_wsum_fixed"] == pytest.approx(np.mean(kept), rel=1e-12)
 
     def test_point_statistics(self):
         cfg = SamplerConfig(seed=33, ordering=Ordering.SWAP_ORDERED, sample_count=3000)
