@@ -207,8 +207,7 @@ def prob_w_exceeds(p: SystemParams, d: DesignPoint, z: float,
             y = s * s
             return kernel(y) * 4.0 * lam * s * bessel_k0(2.0 * math.sqrt(lam) * s)
 
-        conv, _ = integrate(integrand, 0.0, math.sqrt(z),
-                            replace(spec, singular_left=True))
+        conv, _ = integrate(integrand, 0.0, math.sqrt(z), spec)
     else:
         def integrand(y: float) -> float:
             if y <= lower:
@@ -230,10 +229,7 @@ def ergodic_rate_u2(p: SystemParams, d: DesignPoint,
     a 10x tighter relative tolerance).
     """
     spec = spec or QuadratureSpec()
-    inner_spec = replace(
-        spec, rel_tol=spec.rel_tol * 0.1, abs_tol=spec.abs_tol * 0.1,
-        singular_left=False, singular_right=False,
-    )
+    inner_spec = replace(spec, rel_tol=spec.rel_tol * 0.1, abs_tol=spec.abs_tol * 0.1)
     zmax = (1.0 - d.alpha) / d.alpha
 
     def integrand(z: float) -> float:

@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, analysis, montecarlo, validation
-from .errors import CnomaError, ConfigError, NumericalFailure
+from .errors import CnomaError, ConfigError, DomainError, NumericalFailure
 from .model import ChannelRealization, DesignPoint, SystemParams, db_to_linear
 from .optimizer import AlphaGridSpec, solve_1d
 
@@ -90,9 +90,12 @@ class ExperimentConfig:
     def __post_init__(self):
         fig = _FIGURES.get(self.kind)
         if fig is not None:
-            self.samples = self.samples or fig.samples
-            self.ordering = self.ordering or fig.ordering
-            self.wtilde2_values = self.wtilde2_values or fig.wtilde2
+            if self.samples is None:
+                self.samples = fig.samples
+            if self.ordering is None:
+                self.ordering = fig.ordering
+            if self.wtilde2_values is None:
+                self.wtilde2_values = fig.wtilde2
 
     def system_params(self, snr_db: float, w2: float | None = None) -> SystemParams:
         return SystemParams(
@@ -106,10 +109,13 @@ class ExperimentConfig:
             ordering = montecarlo.Ordering(self.ordering)
         except ValueError:
             raise ConfigError(f"unknown ordering {self.ordering!r} (use unordered|swap)")
-        return montecarlo.SamplerConfig(
-            seed=self.seed, ordering=ordering,
-            sample_count=self.samples, block_size=self.block_size,
-        )
+        try:
+            return montecarlo.SamplerConfig(
+                seed=self.seed, ordering=ordering,
+                sample_count=self.samples, block_size=self.block_size,
+            )
+        except DomainError as exc:
+            raise ConfigError(str(exc))
 
     def solver_grid(self) -> AlphaGridSpec:
         return AlphaGridSpec(n=self.grid_n, refine=self.refine)
@@ -195,6 +201,7 @@ def _fig1_rows(cfg: ExperimentConfig, sampler: montecarlo.SamplerConfig):
             mc.c1_e, mc.c1_se, mc.c2_e, mc.c2_se, mc.c_sum_e, mc.c_sum_se,
             an.c1_e, an.c2_e, an.c_sum_e,
             analysis.high_snr_u1(p, d), analysis.high_snr_u2(p, d),
+            an.quadrature_error,
         ]
 
 
@@ -240,7 +247,8 @@ _FIGURES = {
         help="ergodic rates vs SNR at a fixed design point",
         samples=1_000_000, ordering="unordered", wtilde2=None,
         columns=("snr_db", "c1_mc", "c1_se", "c2_mc", "c2_se", "csum_mc", "csum_se",
-                 "c1_analytic", "c2_analytic", "csum_analytic", "c1_highsnr", "c2_highsnr"),
+                 "c1_analytic", "c2_analytic", "csum_analytic", "c1_highsnr", "c2_highsnr",
+                 "c2_analytic_err"),
         rows=_fig1_rows,
     ),
     "fig2": _Figure(
@@ -355,7 +363,10 @@ def _parse_snr_values(text: str):
 
 def _parse_float_list(text: str):
     try:
-        return tuple(float(tok) for tok in text.replace(" ", "").split(",") if tok)
+        values = tuple(float(tok) for tok in text.replace(" ", "").split(",") if tok)
+        if not values:
+            raise ValueError
+        return values
     except ValueError:
         raise ConfigError(f"bad float list {text!r}")
 
@@ -465,12 +476,12 @@ def _build_config(args: argparse.Namespace) -> ExperimentConfig:
     for field, value in vars(args).items():
         if value is not None and field not in ("kind", "config", "snr_db", "wtilde2"):
             overrides[field] = value
-    if args.snr_db:
+    if args.snr_db is not None:
         values = _parse_snr_values(args.snr_db)
         overrides["snr_db_values"] = values
         if len(values) == 1:
             overrides["snr_db"] = values[0]
-    if args.wtilde2:
+    if args.wtilde2 is not None:
         overrides["wtilde2_values"] = _parse_float_list(args.wtilde2)
     try:
         return ExperimentConfig(kind=args.kind, **overrides)

@@ -22,7 +22,7 @@ class DivisionDegenerate(CnomaError):
 
 
 class NonFiniteSample(CnomaError):
-    """An integrand returned a non-finite value away from a flagged endpoint."""
+    """An integrand returned a non-finite value."""
 
 
 class ConfigError(CnomaError):

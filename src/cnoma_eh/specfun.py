@@ -13,12 +13,12 @@ runtime special-function dependency:
   reference (see scripts/fit_k_bessel_coeffs.py, max relative error < 2e-16
   on [2, 2e6]).
 * ``integrate`` / ``integrate_semi_infinite``: globally adaptive bisection
-  quadrature.  Each panel takes the 21-point Gauss-Legendre value, with
-  |G21 - G10| against the 10-point rule as its error estimate.  The two
-  rules share no nodes (this is not a Gauss-Kronrod pair), so a panel costs
-  31 integrand evaluations.  Gauss nodes never touch panel endpoints, so
-  integrable endpoint singularities (flagged in the spec) are handled by
-  subdivision alone.
+  quadrature with the nested G10/K21 Gauss-Kronrod pair of QUADPACK qk21.
+  Each panel samples the integrand once at the 21 Kronrod nodes, takes the
+  K21 value, and uses |K21 - G10| over the 10 embedded Gauss nodes as its
+  error estimate.  No node touches a panel end, so an integrable endpoint
+  singularity is handled by subdivision alone; any non-finite sample raises
+  ``NonFiniteSample``.
 """
 
 from __future__ import annotations
@@ -26,9 +26,7 @@ from __future__ import annotations
 import heapq
 import math
 import warnings
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import dataclass
 
 from .errors import DomainError, NonFiniteSample, ToleranceNotMet
 
@@ -239,13 +237,11 @@ def bessel_k1(x: float) -> float:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerances and endpoint-singularity flags for the adaptive integrator."""
+    """Tolerances for the adaptive integrator."""
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-8
     max_depth: int = 60
-    singular_left: bool = False
-    singular_right: bool = False
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
@@ -254,35 +250,42 @@ class QuadratureSpec:
             raise DomainError("max_depth must be >= 1")
 
 
-_LO_NODES, _LO_WEIGHTS = np.polynomial.legendre.leggauss(10)
-_HI_NODES, _HI_WEIGHTS = np.polynomial.legendre.leggauss(21)
+# G10/K21 Gauss-Kronrod pair, QUADPACK qk21 layout (Piessens et al., 1983):
+# Kronrod nodes >= 0 from the outermost in (Gauss nodes at odd indices, the
+# centre last), their K21 weights, and the G10 weights of the Gauss nodes.
+# Correctly rounded from 30 digits; tests/test_specfun.py rebuilds them.
+_XGK = (
+    0.9956571630258081, 0.9739065285171717, 0.9301574913557082,
+    0.8650633666889845, 0.7808177265864169, 0.6794095682990244,
+    0.5627571346686047, 0.4333953941292472, 0.2943928627014602,
+    0.14887433898163122, 0.0,
+)
+_WGK = (
+    0.011694638867371874, 0.032558162307964725, 0.054755896574351995,
+    0.07503967481091996, 0.0931254545836976, 0.10938715880229764,
+    0.12349197626206584, 0.13470921731147334, 0.14277593857706009,
+    0.14773910490133849, 0.1494455540029169,
+)
+_WG = (
+    0.06667134430868814, 0.1494513491505806, 0.21908636251598204,
+    0.26926671930999635, 0.29552422471475287,
+)
 
 
-def _rule_pair(f, a, b, spec, touches_left, touches_right):
-    """(21-point value, |21-point - 10-point|) on [a, b]; samples never hit a or b."""
+def _kronrod(f, a, b):
+    """(K21 value, |K21 - G10|) on [a, b]; the nodes never touch a or b."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    allow_nonfinite = (touches_left and spec.singular_left) or (
-        touches_right and spec.singular_right
-    )
-
-    def _sum(nodes, weights):
-        acc = 0.0
-        for t, w in zip(nodes, weights):
-            v = f(mid + half * t)
+    k21 = g10 = 0.0
+    for i, t in enumerate(_XGK):
+        for x in (mid - half * t, mid + half * t) if t else (mid,):
+            v = f(x)
             if not math.isfinite(v):
-                if allow_nonfinite:
-                    v = 0.0  # integrable singularity: drop the offending sample
-                else:
-                    raise NonFiniteSample(
-                        f"integrand returned {v} at x={mid + half * t}"
-                    )
-            acc += w * v
-        return half * acc
-
-    hi = _sum(_HI_NODES, _HI_WEIGHTS)
-    lo = _sum(_LO_NODES, _LO_WEIGHTS)
-    return hi, abs(hi - lo)
+                raise NonFiniteSample(f"integrand returned {v} at x={x}")
+            k21 += _WGK[i] * v
+            if i % 2:
+                g10 += _WG[i // 2] * v
+    return half * k21, abs(half * (k21 - g10))
 
 
 def integrate(f, lo: float, hi: float, spec: QuadratureSpec | None = None):
@@ -291,15 +294,16 @@ def integrate(f, lo: float, hi: float, spec: QuadratureSpec | None = None):
     Returns ``(value, error_estimate)``.  Panels with the largest error
     estimates are bisected first, down to ``spec.max_depth`` levels.  If the
     requested tolerance cannot be met a ``ToleranceNotMet`` warning is issued
-    and the best value is returned together with the achieved estimate.
+    and the best value is returned together with the achieved estimate.  A
+    non-finite integrand value raises ``NonFiniteSample``.
     """
     spec = spec or QuadratureSpec()
     if not lo < hi:
         raise DomainError(f"integration bounds must satisfy lo < hi, got [{lo}, {hi}]")
 
-    value, err = _rule_pair(f, lo, hi, spec, True, True)
-    # heap entries: (-err, seq, a, b, value, depth, touches_left, touches_right)
-    heap = [(-err, 0, lo, hi, value, 0, True, True)]
+    value, err = _kronrod(f, lo, hi)
+    # heap entries: (-err, seq, a, b, value, depth)
+    heap = [(-err, 0, lo, hi, value, 0)]
     done = []
     seq = 1
     total_value, total_err = value, err
@@ -309,26 +313,24 @@ def integrate(f, lo: float, hi: float, spec: QuadratureSpec | None = None):
             break
         if seq > _MAX_PANELS:
             break
-        neg_err, _, a, b, v, depth, tl, tr = heapq.heappop(heap)
-        if depth >= spec.max_depth:
-            done.append((a, b, v, -neg_err))
-            continue
+        neg_err, _, a, b, v, depth = heapq.heappop(heap)
         m = 0.5 * (a + b)
-        if m <= a or m >= b:  # interval exhausted at float resolution
+        # too deep, or the interval is exhausted at float resolution
+        if depth >= spec.max_depth or not a < m < b:
             done.append((a, b, v, -neg_err))
             continue
-        v1, e1 = _rule_pair(f, a, m, spec, tl, False)
-        v2, e2 = _rule_pair(f, m, b, spec, False, tr)
+        v1, e1 = _kronrod(f, a, m)
+        v2, e2 = _kronrod(f, m, b)
         total_value += (v1 + v2) - v
         total_err += (e1 + e2) - (-neg_err)
-        heapq.heappush(heap, (-e1, seq, a, m, v1, depth + 1, tl, False))
+        heapq.heappush(heap, (-e1, seq, a, m, v1, depth + 1))
         seq += 1
-        heapq.heappush(heap, (-e2, seq, m, b, v2, depth + 1, False, tr))
+        heapq.heappush(heap, (-e2, seq, m, b, v2, depth + 1))
         seq += 1
 
     # Recompute totals from the final disjoint panels, left to right, so the
     # result does not depend on the refinement history.
-    panels = done + [(a, b, v, -ne) for ne, _, a, b, v, *_ in heap]
+    panels = done + [(a, b, v, -ne) for ne, _, a, b, v, _ in heap]
     panels.sort(key=lambda t: t[0])
     value = math.fsum(t[2] for t in panels)
     err = math.fsum(t[3] for t in panels)
@@ -344,12 +346,10 @@ def integrate(f, lo: float, hi: float, spec: QuadratureSpec | None = None):
 
 def integrate_semi_infinite(f, lo: float, spec: QuadratureSpec | None = None):
     """Quadrature of ``f`` on [lo, inf) via the substitution x = lo + u/(1-u)."""
-    spec = spec or QuadratureSpec()
-    sub_spec = replace(spec, singular_right=True)
 
     def g(u):
         one_minus = 1.0 - u
         x = lo + u / one_minus
         return f(x) / (one_minus * one_minus)
 
-    return integrate(g, 0.0, 1.0, sub_spec)
+    return integrate(g, 0.0, 1.0, spec)

@@ -50,8 +50,9 @@ class TestParsers:
 
     def test_float_list(self):
         assert _parse_float_list("2, 5") == (2.0, 5.0)
-        with pytest.raises(ConfigError):
-            _parse_float_list("2,x")
+        for bad in ("2,x", "", " , "):
+            with pytest.raises(ConfigError):
+                _parse_float_list(bad)
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +83,7 @@ class TestFig1:
         assert header == [
             "snr_db", "c1_mc", "c1_se", "c2_mc", "c2_se", "csum_mc", "csum_se",
             "c1_analytic", "c2_analytic", "csum_analytic", "c1_highsnr", "c2_highsnr",
+            "c2_analytic_err",
         ]
 
     def test_analytic_column_is_pipeline_identity(self, result):
@@ -152,6 +154,16 @@ class TestFig2:
         jsonschema.validate(doc, schema)
         assert doc["experiment"] == "fig2"
         assert len(doc["rows"]) == 1
+
+
+def forbid_estimators(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("an estimator ran")
+
+    for module, name in ((montecarlo, "estimate_ergodic"),
+                         (montecarlo, "estimate_optimized"),
+                         (analysis, "ergodic_weighted_sum")):
+        monkeypatch.setattr(module, name, never)
 
 
 class _Ones:
@@ -272,6 +284,17 @@ class TestConfigFile:
         assert rc == 1
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("kind", ["fig2", "fig3"])
+    def test_empty_weight_ratio_list_rejected(self, kind, tmp_path, monkeypatch, capsys):
+        forbid_estimators(monkeypatch)
+        ini = tmp_path / "empty.ini"
+        ini.write_text("[sweep]\nwtilde2 =\n")
+        out = tmp_path / "x.csv"
+        assert main([kind, "--config", str(ini), "--out", str(out)]) == 1
+        assert main([kind, "--wtilde2", "", "--out", str(out)]) == 1
+        assert "bad float list" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_file(self, capsys):
         rc = main(["fig1", "--config", "/nonexistent/x.ini"])
         assert rc == 1
@@ -319,6 +342,16 @@ class TestMainEntry:
             main(["--version"])
         assert exc.value.code == 0
 
+    @pytest.mark.parametrize("kind", ["fig1", "fig2", "fig3"])
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_nonpositive_samples_fail_before_any_work(self, kind, samples, tmp_path,
+                                                      monkeypatch, capsys):
+        forbid_estimators(monkeypatch)
+        out = tmp_path / "x.csv"
+        assert main([kind, "--samples", samples, "--out", str(out)]) == 1
+        assert "sample_count must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_format_is_config_error(self, tmp_path):
         cfg = ExperimentConfig(kind="fig3", samples=100, wtilde2_values=(2.0,),
                                out=str(tmp_path / "x.bin"), fmt="xml")
@@ -327,13 +360,7 @@ class TestMainEntry:
 
     @pytest.mark.parametrize("kind", ["fig1", "fig2", "fig3"])
     def test_unknown_format_fails_before_any_work(self, kind, tmp_path, monkeypatch, capsys):
-        def never(*args, **kwargs):
-            raise AssertionError("estimator ran before the output format was checked")
-
-        for module, name in ((montecarlo, "estimate_ergodic"),
-                             (montecarlo, "estimate_optimized"),
-                             (analysis, "ergodic_weighted_sum")):
-            monkeypatch.setattr(module, name, never)
+        forbid_estimators(monkeypatch)
         runner = {"fig1": run_fig1, "fig2": run_fig2, "fig3": run_fig3}[kind]
         with pytest.raises(ConfigError):
             runner(ExperimentConfig(kind=kind, out=str(tmp_path / "x.xml"), fmt="xml"))
