@@ -88,6 +88,8 @@ class ExperimentConfig:
     fmt: str = "csv"
 
     def __post_init__(self):
+        if self.workers < 1:
+            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         fig = _FIGURES.get(self.kind)
         if fig is not None:
             if self.samples is None:
@@ -98,8 +100,8 @@ class ExperimentConfig:
                 self.wtilde2_values = fig.wtilde2
 
     def system_params(self, snr_db: float, w2: float | None = None) -> SystemParams:
-        return SystemParams(
-            avg_snr=db_to_linear(snr_db), mu=self.mu, eta=self.eta,
+        return _build(
+            SystemParams, avg_snr=db_to_linear(snr_db), mu=self.mu, eta=self.eta,
             var1=self.var1, var2=self.var2, var3=self.var3,
             w1=self.w1, w2=self.w2 if w2 is None else w2,
         )
@@ -109,19 +111,23 @@ class ExperimentConfig:
             ordering = montecarlo.Ordering(self.ordering)
         except ValueError:
             raise ConfigError(f"unknown ordering {self.ordering!r} (use unordered|swap)")
-        try:
-            return montecarlo.SamplerConfig(
-                seed=self.seed, ordering=ordering,
-                sample_count=self.samples, block_size=self.block_size,
-            )
-        except DomainError as exc:
-            raise ConfigError(str(exc))
+        return _build(montecarlo.SamplerConfig, seed=self.seed, ordering=ordering,
+                      sample_count=self.samples, block_size=self.block_size)
 
     def solver_grid(self) -> AlphaGridSpec:
-        return AlphaGridSpec(n=self.grid_n, refine=self.refine)
+        return _build(AlphaGridSpec, n=self.grid_n, refine=self.refine)
 
     def baseline(self) -> DesignPoint:
-        return DesignPoint(alpha=self.alpha, rho=self.rho)
+        return _build(DesignPoint, alpha=self.alpha, rho=self.rho)
+
+
+def _build(cls, **fields):
+    """``cls(**fields)`` from configured values: a value outside the model's
+    domain is a configuration error (exit 1), not a numerical one."""
+    try:
+        return cls(**fields)
+    except DomainError as exc:
+        raise ConfigError(str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +223,7 @@ def _fig2_rows(cfg: ExperimentConfig, sampler: montecarlo.SamplerConfig):
                 float(snr_db), float(wt2),
                 pt["mean_wsum_opt"], pt["se_wsum_opt"],
                 pt["mean_wsum_fixed"], pt["se_wsum_fixed"],
-                100.0 * (pt["mean_wsum_opt"] - pt["mean_wsum_fixed"]) / pt["mean_wsum_fixed"],
+                pt["gain_percent"],
             ]
 
 
@@ -293,7 +299,7 @@ def run_solve(cfg: ExperimentConfig) -> Path | None:
         raise ConfigError("solve requires --g1, --g2 and --g3")
     path = _output_path(cfg, "solve") if cfg.out else None
     p = cfg.system_params(cfg.snr_db)
-    ch = ChannelRealization(g1=cfg.g1, g2=cfg.g2, g3=cfg.g3)
+    ch = _build(ChannelRealization, g1=cfg.g1, g2=cfg.g2, g3=cfg.g3)
     out = solve_1d(p, ch, cfg.solver_grid())
     print(f"alpha_star   = {out.alpha_star!r}")
     print(f"rho_star     = {out.rho_star!r}")
@@ -425,8 +431,8 @@ def _load_config_file(path: str) -> dict:
                 raise ConfigError(f"unknown config entry at {where}")
             try:
                 overrides[field] = conv(text)
-            except ConfigError:
-                raise
+            except ConfigError as exc:
+                raise ConfigError(f"{exc} at {where}")
             except ValueError:
                 raise ConfigError(f"bad value {text!r} at {where}")
     return overrides

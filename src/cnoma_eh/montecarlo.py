@@ -161,8 +161,10 @@ def estimate_optimized(cfg: SamplerConfig, p: SystemParams,
 
     Runs the 1D search on every draw and aggregates the optimized weighted
     sum rate and the optimal coefficients; when ``baseline`` is given the
-    fixed-design weighted sum is accumulated on the same draws.  Draws with
-    g1 == g2 exactly are skipped, counted, and left out of every mean.
+    fixed-design weighted sum is accumulated on the same draws, and
+    ``gain_percent`` is 100 (optimized - fixed) / fixed of the two means.
+    Draws with g1 == g2 exactly are skipped, counted, and left out of every
+    mean.
     """
     if not p.w2 > p.w1:
         raise DomainError("optimized sweeps require w2 > w1")
@@ -200,4 +202,5 @@ def estimate_optimized(cfg: SamplerConfig, p: SystemParams,
         f_m, f_se = _mean_se(n, totals[6], totals[7])
         point["mean_wsum_fixed"] = f_m
         point["se_wsum_fixed"] = f_se
+        point["gain_percent"] = 100.0 * (ws_m - f_m) / f_m
     return point

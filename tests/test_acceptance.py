@@ -2,7 +2,9 @@
 
 Each test prints one `[acceptance NN] name: PASS/FAIL` line (run pytest with
 -s to see them inline) and asserts the criterion.  These call the same check
-functions as the `validate` CLI subcommand, at full scale.
+functions as the `validate` CLI subcommand, at the `validate --full` scales
+except `optimized_dominance`, which runs 20,000 draws per point (`--full`:
+100,000).  Tests that report results of one check share one run of it.
 """
 
 import math
@@ -26,20 +28,35 @@ def report(num, result, extra=""):
     assert result.passed, f"{result.name}: {result.value} vs {result.tolerance}; {result.detail}"
 
 
-def test_01_solver_optimality_vs_2d_oracle():
+def by_name(results):
+    return {res.name: res for res in results}
+
+
+@pytest.fixture(scope="module")
+def solver_pool():
     t0 = time.perf_counter()
-    res = validation.check_solver_optimality(
+    results = validation.check_solver_pool(
         seed=SEED, n_instances=200, grid2d=Grid2DSpec(n_alpha=300, n_rho=300),
         margin=1e-4,
     )
-    elapsed = time.perf_counter() - t0
-    report(1, res, extra=f" [{elapsed:.1f}s]")
+    return by_name(results), time.perf_counter() - t0
+
+
+@pytest.fixture(scope="module")
+def weak_user():
+    return by_name(validation.check_weak_user(seed=SEED + 4, samples=1_000_000))
+
+
+def test_01_solver_optimality_vs_2d_oracle(solver_pool):
+    results, elapsed = solver_pool
+    report(1, results["solver_optimality"], extra=f" [{elapsed:.1f}s]")
     assert elapsed < 60.0
 
 
-def test_02_feasibility_at_solver_output():
-    for res in validation.check_feasibility(seed=SEED, n_instances=200):
-        report(2, res)
+def test_02_feasibility_at_solver_output(solver_pool):
+    results, _ = solver_pool
+    report(2, results["feasibility_rho_bound"])
+    report(2, results["feasibility_decode_margin"])
 
 
 def test_03_root_correctness():
@@ -83,13 +100,13 @@ def test_05_u1_closed_form_vs_million_draw_mc():
     assert elapsed < 30.0
 
 
-def test_06_u2_factored_tail_vs_correlated_mc():
-    report(6, validation.check_u2_analytic_vs_mc(seed=SEED + 4, samples=1_000_000))
+def test_06_u2_factored_tail_vs_correlated_mc(weak_user):
+    report(6, weak_user["u2_analytic_vs_mc"])
 
 
-def test_07_high_snr_scaling():
-    report(7, validation.check_high_snr_slope())
-    report(7, validation.check_u2_saturation())
+def test_07_high_snr_scaling(weak_user):
+    report(7, weak_user["high_snr_slope"])
+    report(7, weak_user["u2_saturation"])
 
 
 def test_08_fig2_gain_bands_and_dominance():

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -158,11 +159,12 @@ class TestFig2:
 
 def forbid_estimators(monkeypatch):
     def never(*args, **kwargs):
-        raise AssertionError("an estimator ran")
+        raise AssertionError("an estimator or the release gate ran")
 
     for module, name in ((montecarlo, "estimate_ergodic"),
                          (montecarlo, "estimate_optimized"),
-                         (analysis, "ergodic_weighted_sum")):
+                         (analysis, "ergodic_weighted_sum"),
+                         (validation, "run_all")):
         monkeypatch.setattr(module, name, never)
 
 
@@ -295,6 +297,19 @@ class TestConfigFile:
         assert "bad float list" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, text, message", [
+        ("wtilde2", "", "bad float list ''"),
+        ("snr_db", "5:0:1", "bad SNR sweep spec '5:0:1'"),
+    ])
+    def test_bad_sweep_entry_rejected_with_location(self, key, text, message, tmp_path,
+                                                    monkeypatch, capsys):
+        forbid_estimators(monkeypatch)
+        ini = tmp_path / "sweep.ini"
+        ini.write_text(f"[sweep]\n{key} = {text}\n")
+        assert main(["fig2", "--config", str(ini), "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert message in err and f"at {ini} [sweep] {key}" in err
+
     def test_missing_file(self, capsys):
         rc = main(["fig1", "--config", "/nonexistent/x.ini"])
         assert rc == 1
@@ -320,8 +335,8 @@ class TestValidateCommand:
     def test_mutation_in_solver_is_caught(self, monkeypatch):
         # corrupting the denominator of the interior stationary point must
         # trip the solver-vs-oracle check
-        clean = validation.check_solver_optimality(seed=1001, n_instances=60)
-        assert clean.passed
+        clean = validation.check_solver_pool(seed=1001, n_instances=60)[0]
+        assert clean.name == "solver_optimality" and clean.passed
 
         # the shared stationary-root helper feeds the alpha grid, the
         # golden-section refine and the final rho*
@@ -329,8 +344,28 @@ class TestValidateCommand:
             return (beta - xp.sqrt(xp.maximum(theta, 0.0))) / (2.0 * lead)
 
         monkeypatch.setattr(optimizer, "_stationary_root", corrupted)
-        mutated = validation.check_solver_optimality(seed=1001, n_instances=60)
+        mutated = validation.check_solver_pool(seed=1001, n_instances=60)[0]
         assert not mutated.passed
+
+    def test_run_all_computes_each_quantity_once(self, monkeypatch):
+        # the weak-user quadrature runs once per SNR (0/20/30/40 dB) and
+        # each instance of the 200-instance solver pool is solved once
+        calls = Counter()
+
+        def count(module, name, impl):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return impl(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(analysis, "ergodic_rate_u2", lambda *a, **k: (1.0, 0.0))
+        count(optimizer, "solve_1d", optimizer.solve_1d)
+        monkeypatch.setattr(montecarlo, "estimate_ergodic", lambda *a, **k: _Ones())
+        monkeypatch.setattr(montecarlo, "estimate_optimized", lambda *a, **k: _Ones())
+        results = validation.run_all()
+        assert len(results) == 18
+        assert calls == {"ergodic_rate_u2": 4, "solve_1d": 200}
 
 
 class TestMainEntry:
@@ -350,6 +385,33 @@ class TestMainEntry:
         out = tmp_path / "x.csv"
         assert main([kind, "--samples", samples, "--out", str(out)]) == 1
         assert "sample_count must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fig2", "--grid", "1"], "alpha grid needs at least 2 points"),
+        (["fig2", "--alpha", "1.5"], "alpha must be in (0, 1)"),
+        (["fig1", "--mu", "-1"], "mu must be >= 0"),
+        (["fig1", "--rho", "1"], "rho must be in [0, 1)"),
+        (["solve", "--g1", "1", "--g2", "0.5", "--g3", "-1"], "g3 must be >= 0"),
+    ])
+    def test_config_domain_error_exits_one(self, argv, message, tmp_path, monkeypatch,
+                                           capsys):
+        forbid_estimators(monkeypatch)
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind, workers", [("fig3", "0"), ("fig2", "-4"), ("validate", "0")])
+    def test_workers_below_one_rejected_before_any_work(self, kind, workers, tmp_path,
+                                                        monkeypatch, capsys):
+        forbid_estimators(monkeypatch)
+        out = tmp_path / "x.csv"
+        assert main([kind, "--workers", workers, "--out", str(out)]) == 1
+        ini = tmp_path / "workers.ini"
+        ini.write_text(f"[run]\nworkers = {workers}\n")
+        assert main([kind, "--config", str(ini), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.count("workers must be >= 1") == 2
         assert not out.exists()
 
     def test_unknown_format_is_config_error(self, tmp_path):

@@ -164,6 +164,8 @@ class TestEstimateOptimized:
         assert 0.0 < pt["mean_alpha_star"] < 1.0
         assert 0.0 <= pt["mean_rho_star"] < 1.0
         assert pt["mean_wsum_opt"] > pt["mean_wsum_fixed"]
+        assert pt["gain_percent"] == (
+            100.0 * (pt["mean_wsum_opt"] - pt["mean_wsum_fixed"]) / pt["mean_wsum_fixed"])
         assert pt["se_wsum_opt"] > 0.0
 
     def test_per_draw_dominance(self):
