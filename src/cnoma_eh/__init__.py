@@ -46,18 +46,14 @@ from .montecarlo import (
 )
 from .optimizer import (
     AlphaGridSpec,
-    BoundaryCoefficients,
     Grid2DSpec,
-    InnerCoefficients,
     OptimizationOutcome,
     SolverBranch,
     f_objective,
     optimal_rho_for_alpha,
-    rho_bar,
     rho_tilde,
     solve_1d,
     solve_2d_exhaustive,
-    theta_beta,
 )
 from .specfun import (
     EULER_GAMMA,

@@ -51,7 +51,9 @@ __all__ = [
 class ExperimentConfig:
     """One experiment run.  A figure kind fills unset ``samples``,
     ``ordering`` and ``wtilde2_values`` with its defaults when the config is
-    built, so provenance records the values the run used."""
+    built, so provenance records the values the run used.  The worker count,
+    the fixed design point and a figure's sample count are checked then too,
+    before any work."""
 
     kind: str
     # system (weights w1/w2 apply to fig1; fig2/fig3 build w2 from wtilde2)
@@ -90,6 +92,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
+        self.baseline()
         fig = _FIGURES.get(self.kind)
         if fig is not None:
             if self.samples is None:
@@ -98,6 +101,9 @@ class ExperimentConfig:
                 self.ordering = fig.ordering
             if self.wtilde2_values is None:
                 self.wtilde2_values = fig.wtilde2
+            if self.samples == 1:
+                raise ConfigError("a figure needs samples >= 2: every row reports "
+                                  "a standard error")
 
     def system_params(self, snr_db: float, w2: float | None = None) -> SystemParams:
         return _build(

@@ -69,18 +69,11 @@ from .model import (
 
 __all__ = [
     "SolverBranch",
-    "InnerCoefficients",
-    "BoundaryCoefficients",
     "AlphaGridSpec",
     "Grid2DSpec",
     "OptimizationOutcome",
-    "boundary_coeffs",
     "rho_tilde",
-    "inner_coeffs",
     "f_objective",
-    "df_drho_numerator",
-    "theta_beta",
-    "rho_bar",
     "optimal_rho_for_alpha",
     "solve_1d",
     "solve_2d_exhaustive",
@@ -96,6 +89,13 @@ _DISC_GUARD = 1e-8
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# Width in alpha at which the golden-section refine stops.
+_REFINE_TOL = 1e-6
+
+# The 2D oracle's box: alpha on [margin, 1 - margin], rho on [0, rho_max].
+_GRID2D_ALPHA_MARGIN = 1e-4
+_GRID2D_RHO_MAX = 1.0 - 1e-6
+
 
 class SolverBranch(Enum):
     INTERIOR = "interior"  # rho* at the stationary point rho_bar
@@ -106,58 +106,32 @@ class SolverBranch(Enum):
 
 
 @dataclass(frozen=True)
-class InnerCoefficients:
-    """Coefficients of the fixed-alpha objective f_alpha(rho)."""
-
-    d: float
-    e: float
-    t: float
-    p: float
-    q: float
-
-
-@dataclass(frozen=True)
-class BoundaryCoefficients:
-    """Coefficients of the feasibility quadratic a*rho^2 - b*rho + c >= 0."""
-
-    a: float
-    b: float
-    c: float
-
-
-@dataclass(frozen=True)
 class AlphaGridSpec:
-    """Grid for the 1D search: n points on (margin, 1 - margin), optionally
-    refined by golden-section search to refine_tol in alpha."""
+    """Grid for the 1D search: n points on [margin, 1 - margin], optionally
+    refined by golden-section search to 1e-6 in alpha."""
 
     n: int = 1000
     margin: float = 1e-4
     refine: bool = True
-    refine_tol: float = 1e-6
 
     def __post_init__(self):
         if self.n < 2:
             raise DomainError("alpha grid needs at least 2 points")
         if not 0 < self.margin < 0.5:
             raise DomainError("alpha margin must be in (0, 0.5)")
-        if not self.refine_tol > 0:
-            raise DomainError("refine_tol must be > 0")
 
 
 @dataclass(frozen=True)
 class Grid2DSpec:
-    """Exhaustive-search grid over (alpha, rho)."""
+    """Exhaustive-search grid over alpha in [1e-4, 1 - 1e-4] and rho in
+    [0, 1 - 1e-6]."""
 
     n_alpha: int = 300
     n_rho: int = 300
-    alpha_margin: float = 1e-4
-    rho_max: float = 1.0 - 1e-6
 
     def __post_init__(self):
         if self.n_alpha < 2 or self.n_rho < 2:
             raise DomainError("2D grid needs at least 2 points per axis")
-        if not 0 <= self.rho_max < 1:
-            raise DomainError("rho_max must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -272,19 +246,6 @@ def _profile(p: SystemParams, ch: ChannelRealization, alpha):
     return rho, branch, log_f
 
 
-def inner_coeffs(p: SystemParams, ch: ChannelRealization, alpha: float) -> InnerCoefficients:
-    """Coefficients d, e, t, p, q of f_alpha for this realization and alpha."""
-    _check_alpha(alpha)
-    return InnerCoefficients(*_f_coeffs(p, ch, alpha))
-
-
-def boundary_coeffs(p: SystemParams, ch: ChannelRealization, alpha: float) -> BoundaryCoefficients:
-    """Coefficients of the feasibility quadratic in rho (a > 0 when the relay
-    link is alive; c > 0 whenever g1 > g2)."""
-    ic = inner_coeffs(p, ch, alpha)
-    return BoundaryCoefficients(*_boundary_terms(p, ch, alpha, ic.d, ic.e, ic.p, ic.q))
-
-
 def rho_tilde(p: SystemParams, ch: ChannelRealization, alpha: float) -> float:
     """Largest power-splitting fraction for which U1 still decodes x2 at least
     as well as U2's combiner.
@@ -295,40 +256,15 @@ def rho_tilde(p: SystemParams, ch: ChannelRealization, alpha: float) -> float:
     a weak relay link); then there is no SINR crossing below 1.
     """
     _require_ordered(ch)
-    bc = boundary_coeffs(p, ch, alpha)
-    return _feasibility_root(_MATH, bc.a, bc.b, bc.c)
+    _check_alpha(alpha)
+    d, e, _, pp, q = _f_coeffs(p, ch, alpha)
+    return _feasibility_root(_MATH, *_boundary_terms(p, ch, alpha, d, e, pp, q))
 
 
 def f_objective(p: SystemParams, ch: ChannelRealization, d: DesignPoint) -> float:
     """(1 + sinr_x1) * (1 + sinr_mrc)^(w2/w1); its scaled log is the weighted
     sum rate with the weak user's rate taken at the combiner."""
     return (1.0 + sinr_x1_at_u1(p, ch, d)) * (1.0 + sinr_mrc_at_u2(p, ch, d)) ** p.wtilde2
-
-
-def df_drho_numerator(ic: InnerCoefficients, wtilde2: float, rho: float) -> float:
-    """Numerator of d f_alpha / d rho; shares its sign with the derivative on
-    rho in [0, 1) since the denominator (p + q rho)^(1-wr) (t - rho)^2 > 0."""
-    if not 0 <= rho < 1:
-        raise DomainError(f"rho must be in [0, 1), got {rho}")
-    return (ic.d - ic.e * ic.t) * (ic.p + ic.q * rho) + ic.q * wtilde2 * (
-        ic.t - rho
-    ) * (ic.d - ic.e * rho)
-
-
-def theta_beta(ic: InnerCoefficients, wtilde2: float):
-    """(theta, beta) of the stationary-point quadratic
-    (q wr e) rho^2 - 2 beta rho + [(d - e t) p + q wr t d]; its discriminant
-    is 4 theta."""
-    _, beta, _, theta = _stationary_terms(ic.q, wtilde2, ic.d, ic.e, ic.t, ic.p)
-    return theta, beta
-
-
-def rho_bar(ic: InnerCoefficients, wtilde2: float) -> float:
-    """Smaller root of the stationary-point quadratic: the interior maximizer
-    of f_alpha when it falls in (0, 1).  May lie outside (0, 1); callers
-    check theta > 0 first."""
-    terms = _stationary_terms(ic.q, wtilde2, ic.d, ic.e, ic.t, ic.p)
-    return _stationary_root(_MATH, *terms)
 
 
 def optimal_rho_for_alpha(p: SystemParams, ch: ChannelRealization, alpha: float):
@@ -402,7 +338,7 @@ def solve_1d(p: SystemParams, ch: ChannelRealization,
         lo = float(alphas[max(i - 1, 0)])
         hi = float(alphas[min(i + 1, grid.n - 1)])
         a_ref, f_ref, n_ref = _golden_max(
-            lambda a: _profile(p, ch, a)[2], lo, hi, grid.refine_tol
+            lambda a: _profile(p, ch, a)[2], lo, hi, _REFINE_TOL
         )
         evaluations += n_ref
         if f_ref > best_logf:
@@ -430,8 +366,8 @@ def solve_2d_exhaustive(p: SystemParams, ch: ChannelRealization,
     smallest alpha, then the smallest rho.
     """
     grid = grid or Grid2DSpec()
-    alphas = np.linspace(grid.alpha_margin, 1.0 - grid.alpha_margin, grid.n_alpha)
-    rhos = np.linspace(0.0, grid.rho_max, grid.n_rho)
+    alphas = np.linspace(_GRID2D_ALPHA_MARGIN, 1.0 - _GRID2D_ALPHA_MARGIN, grid.n_alpha)
+    rhos = np.linspace(0.0, _GRID2D_RHO_MAX, grid.n_rho)
     c1, c2, ws = _rate_tuple(
         p.avg_snr, p.mu, p.eta, ch.g1, ch.g2, ch.g3,
         alphas[:, None], rhos[None, :], p.w1, p.w2,

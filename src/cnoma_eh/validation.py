@@ -42,17 +42,22 @@ def _at_most(name: str, value: float, bound: float, detail: str) -> CheckResult:
                        passed=value <= bound, detail=detail)
 
 
-def random_instances(seed: int, n: int, snr_db_range=(0.0, 40.0),
-                     wtilde2_choices=(1.5, 2.0, 5.0, 10.0),
-                     mu_choices=(0.0, 0.5, 1.0)):
+# The standard instance pool draws its SNR, weight ratio and conversion noise
+# from these.
+_POOL_SNR_DB_RANGE = (0.0, 40.0)
+_POOL_WTILDE2_CHOICES = (1.5, 2.0, 5.0, 10.0)
+_POOL_MU_CHOICES = (0.0, 0.5, 1.0)
+
+
+def random_instances(seed: int, n: int):
     """Seeded random (params, channel) pairs with swap-ordered unit-variance
     Rayleigh gains; the standard instance pool for solver checks."""
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < n:
-        snr = db_to_linear(rng.uniform(*snr_db_range))
-        wt2 = float(rng.choice(wtilde2_choices))
-        mu = float(rng.choice(mu_choices))
+        snr = db_to_linear(rng.uniform(*_POOL_SNR_DB_RANGE))
+        wt2 = float(rng.choice(_POOL_WTILDE2_CHOICES))
+        mu = float(rng.choice(_POOL_MU_CHOICES))
         g = rng.exponential(1.0, 3)
         g1, g2 = max(g[0], g[1]), min(g[0], g[1])
         if g1 == g2:
@@ -119,6 +124,15 @@ def check_root_crossing(seed=1002, n_pairs=1000) -> CheckResult:
                     f"SINR crossing residual at rho_tilde over {n_pairs} (instance, alpha) pairs")
 
 
+def _df_drho_numerator(d, e, t, pp, q, wtilde2, rho):
+    """Numerator N(rho) of d f_alpha / d rho, written from the coefficients of
+    f_alpha rather than the solver's (lead, beta, constant): the stationarity
+    check's independent reference.  It shares its sign with the derivative on
+    [0, 1), where the denominator (p + q rho)^(1 - wr) (t - rho)^2 is
+    positive."""
+    return (d - e * t) * (pp + q * rho) + q * wtilde2 * (t - rho) * (d - e * rho)
+
+
 def check_stationarity(seed=1003, n_pairs=1000) -> CheckResult:
     rng = np.random.default_rng(seed)
     instances = random_instances(seed + 1, n_pairs)
@@ -126,24 +140,20 @@ def check_stationarity(seed=1003, n_pairs=1000) -> CheckResult:
     tested = 0
     for p, ch in instances:
         alpha = float(rng.uniform(0.02, 0.98))
-        ic = optimizer.inner_coeffs(p, ch, alpha)
-        if ic.q == 0.0:
+        d, e, t, pp, q = optimizer._f_coeffs(p, ch, alpha)
+        if q == 0.0:
             continue
-        lead, beta, constant, theta = optimizer._stationary_terms(
-            ic.q, p.wtilde2, ic.d, ic.e, ic.t, ic.p)
+        lead, beta, constant, theta = optimizer._stationary_terms(q, p.wtilde2, d, e, t, pp)
         if theta <= 0.0:
             continue
-        rb = optimizer.rho_bar(ic, p.wtilde2)
+        rb = optimizer._stationary_root(optimizer._MATH, lead, beta, constant, theta)
         if not 0.0 <= rb < 1.0:
             continue
         tested += 1
         # conditioning scale of evaluating the stationary quadratic at rb
         scale = lead * rb * rb + 2 * abs(beta) * rb + abs(constant)
         if scale > 0:
-            worst = max(
-                worst,
-                abs(optimizer.df_drho_numerator(ic, p.wtilde2, rb)) / scale,
-            )
+            worst = max(worst, abs(_df_drho_numerator(d, e, t, pp, q, p.wtilde2, rb)) / scale)
     return _at_most("stationarity_residual", worst, 1e-9,
                     f"|derivative numerator at rho_bar| / scale, {tested} interior cases")
 

@@ -378,13 +378,20 @@ class TestMainEntry:
         assert exc.value.code == 0
 
     @pytest.mark.parametrize("kind", ["fig1", "fig2", "fig3"])
-    @pytest.mark.parametrize("samples", ["0", "-5"])
-    def test_nonpositive_samples_fail_before_any_work(self, kind, samples, tmp_path,
-                                                      monkeypatch, capsys):
+    @pytest.mark.parametrize("samples, message", [
+        ("0", "sample_count must be >= 1"),
+        ("-5", "sample_count must be >= 1"),
+        ("1", "a figure needs samples >= 2"),
+    ], ids=["0", "-5", "1"])
+    def test_nonpositive_samples_fail_before_any_work(self, kind, samples, message,
+                                                      tmp_path, monkeypatch, capsys):
         forbid_estimators(monkeypatch)
         out = tmp_path / "x.csv"
         assert main([kind, "--samples", samples, "--out", str(out)]) == 1
-        assert "sample_count must be >= 1" in capsys.readouterr().err
+        ini = tmp_path / "samples.ini"
+        ini.write_text(f"[sampler]\nsamples = {samples}\n")
+        assert main([kind, "--config", str(ini), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.count(message) == 2
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
@@ -393,6 +400,10 @@ class TestMainEntry:
         (["fig1", "--mu", "-1"], "mu must be >= 0"),
         (["fig1", "--rho", "1"], "rho must be in [0, 1)"),
         (["solve", "--g1", "1", "--g2", "0.5", "--g3", "-1"], "g3 must be >= 0"),
+        (["fig3", "--alpha", "1.5", "--samples", "10", "--wtilde2", "2"],
+         "alpha must be in (0, 1)"),
+        (["solve", "--alpha", "1.5", "--g1", "1.5", "--g2", "0.5", "--g3", "0.8"],
+         "alpha must be in (0, 1)"),
     ])
     def test_config_domain_error_exits_one(self, argv, message, tmp_path, monkeypatch,
                                            capsys):

@@ -14,22 +14,24 @@ from cnoma_eh.model import (
     sinr_x2_at_u1,
 )
 from cnoma_eh.optimizer import (
+    _GRID2D_ALPHA_MARGIN,
+    _GRID2D_RHO_MAX,
+    _MATH,
     AlphaGridSpec,
     Grid2DSpec,
     SolverBranch,
+    _boundary_terms,
+    _f_coeffs,
     _profile,
-    boundary_coeffs,
-    df_drho_numerator,
+    _stationary_root,
+    _stationary_terms,
     f_objective,
-    inner_coeffs,
     optimal_rho_for_alpha,
-    rho_bar,
     rho_tilde,
     solve_1d,
     solve_2d_exhaustive,
-    theta_beta,
 )
-from cnoma_eh.validation import random_instances
+from cnoma_eh.validation import _df_drho_numerator, random_instances
 
 from conftest import ordered_channels, system_params_strategy
 
@@ -54,54 +56,66 @@ def bisect_crossing(p, ch, alpha, iters=200):
     return 0.5 * (lo + hi)
 
 
-def log_f_alpha(ic, wtilde2, rho):
-    return (
-        np.log(ic.d - ic.e * rho) - np.log(ic.t - rho)
-        + wtilde2 * np.log(ic.p + ic.q * rho)
-    )
+def log_f_alpha(coeffs, wtilde2, rho):
+    d, e, t, pp, q = coeffs
+    return np.log(d - e * rho) - np.log(t - rho) + wtilde2 * np.log(pp + q * rho)
+
+
+def theta_beta(coeffs, wtilde2):
+    """(theta, beta) of the stationary-point quadratic, from the solver's
+    kernel."""
+    d, e, t, pp, q = coeffs
+    _, beta, _, theta = _stationary_terms(q, wtilde2, d, e, t, pp)
+    return theta, beta
+
+
+def rho_bar(coeffs, wtilde2):
+    """The solver's smaller stationary root, on its float path."""
+    d, e, t, pp, q = coeffs
+    return _stationary_root(_MATH, *_stationary_terms(q, wtilde2, d, e, t, pp))
 
 
 class TestInnerCoefficients:
     def test_hand_values(self):
         p = SystemParams(avg_snr=40.0, mu=1.0, eta=1.0, w1=1.0, w2=2.0)
         ch = ChannelRealization(g1=0.5, g2=0.1, g3=0.5)
-        ic = inner_coeffs(p, ch, 0.25)
-        assert (ic.d, ic.e, ic.t) == (7.0, 6.0, 2.0)
-        assert ic.q == 5.0
+        d, e, t, _, q = _f_coeffs(p, ch, 0.25)
+        assert (d, e, t) == (7.0, 6.0, 2.0)
+        assert q == 5.0
 
     def test_mu_zero_collapses_d_to_e(self):
         p = SystemParams(avg_snr=10.0, mu=0.0)
         ch = ChannelRealization(g1=1.0, g2=0.3, g3=0.4)
-        ic = inner_coeffs(p, ch, 0.4)
-        assert ic.d == ic.e
-        assert ic.t == 1.0
+        d, e, t, _, _ = _f_coeffs(p, ch, 0.4)
+        assert d == e
+        assert t == 1.0
 
     @given(p=system_params_strategy(), ch=ordered_channels(),
            alpha=st.floats(0.01, 0.99))
     def test_structural_invariants(self, p, ch, alpha):
-        ic = inner_coeffs(p, ch, alpha)
-        assert ic.d == pytest.approx(ic.e + p.mu, rel=1e-15)
-        assert ic.t <= ic.d
-        assert ic.p >= 1.0
-        assert ic.q >= 0.0
+        d, e, t, pp, q = _f_coeffs(p, ch, alpha)
+        assert d == pytest.approx(e + p.mu, rel=1e-15)
+        assert t <= d
+        assert pp >= 1.0
+        assert q >= 0.0
 
     @given(p=system_params_strategy(), ch=ordered_channels(),
            alpha=st.floats(0.01, 0.99), rho=st.floats(0.0, 0.95))
     def test_f_alpha_matches_raw_sinr_objective(self, p, ch, alpha, rho):
-        ic = inner_coeffs(p, ch, alpha)
-        d = DesignPoint(alpha=alpha, rho=rho)
-        f_raw = f_objective(p, ch, d)
-        f_coeff = (ic.d - ic.e * rho) / (ic.t - rho) * (ic.p + ic.q * rho) ** p.wtilde2
+        d, e, t, pp, q = _f_coeffs(p, ch, alpha)
+        f_raw = f_objective(p, ch, DesignPoint(alpha=alpha, rho=rho))
+        f_coeff = (d - e * rho) / (t - rho) * (pp + q * rho) ** p.wtilde2
         assert f_coeff == pytest.approx(f_raw, rel=1e-12)
 
 
 class TestBoundary:
     def test_coefficient_signs(self):
         for p, ch in random_instances(3, 50):
-            bc = boundary_coeffs(p, ch, 0.4)
+            d, e, _, pp, q = _f_coeffs(p, ch, 0.4)
+            a, _, c = _boundary_terms(p, ch, 0.4, d, e, pp, q)
             if p.eta > 0 and ch.g1 > 0 and ch.g3 > 0:
-                assert bc.a > 0
-            assert bc.c > 0  # holds whenever g1 > g2
+                assert a > 0
+            assert c > 0  # holds whenever g1 > g2
 
     def test_requires_ordered_channel(self):
         p = SystemParams(avg_snr=10.0)
@@ -200,41 +214,38 @@ class TestObjective:
 
 
 class TestDerivativeNumerator:
-    def test_rho_domain(self):
-        p = SystemParams(avg_snr=10.0)
-        ic = inner_coeffs(p, ChannelRealization(2.0, 0.5, 1.0), 0.5)
-        with pytest.raises(DomainError):
-            df_drho_numerator(ic, 2.0, 1.0)
-
     def test_mu_zero_form(self):
         # with d = e and t = 1 the numerator reduces to q wr (1 - rho)(d - e rho) > 0
         p = SystemParams(avg_snr=10.0, mu=0.0, w1=1.0, w2=3.0)
-        ic = inner_coeffs(p, ChannelRealization(1.5, 0.5, 0.7), 0.4)
+        coeffs = _f_coeffs(p, ChannelRealization(1.5, 0.5, 0.7), 0.4)
+        d, e, _, _, q = coeffs
         for rho in (0.0, 0.3, 0.9):
-            expected = ic.q * 3.0 * (1 - rho) * (ic.d - ic.e * rho)
-            assert df_drho_numerator(ic, 3.0, rho) == pytest.approx(expected, rel=1e-13)
-            assert df_drho_numerator(ic, 3.0, rho) > 0
+            expected = q * 3.0 * (1 - rho) * (d - e * rho)
+            assert _df_drho_numerator(*coeffs, 3.0, rho) == pytest.approx(expected, rel=1e-13)
+            assert _df_drho_numerator(*coeffs, 3.0, rho) > 0
 
     def test_dead_relay_form(self):
         # q = 0: numerator = (d - e t) p = -mu alpha snr g1 p <= 0
         p = SystemParams(avg_snr=10.0, mu=0.8, w1=1.0, w2=2.0)
-        ic = inner_coeffs(p, ChannelRealization(1.5, 0.5, 0.0), 0.4)
-        assert ic.q == 0.0
-        expected = -(0.8 * 0.4 * 10.0 * 1.5) * ic.p
+        coeffs = _f_coeffs(p, ChannelRealization(1.5, 0.5, 0.0), 0.4)
+        _, _, _, pp, q = coeffs
+        assert q == 0.0
+        expected = -(0.8 * 0.4 * 10.0 * 1.5) * pp
         for rho in (0.0, 0.5):
-            assert df_drho_numerator(ic, 2.0, rho) == pytest.approx(expected, rel=1e-13)
+            assert _df_drho_numerator(*coeffs, 2.0, rho) == pytest.approx(expected, rel=1e-13)
 
     def test_sign_matches_finite_differences(self):
         rng = np.random.default_rng(37)
         for p, ch in random_instances(41, 100):
             alpha = float(rng.uniform(0.05, 0.95))
             rho = float(rng.uniform(0.0, 0.9))
-            ic = inner_coeffs(p, ch, alpha)
-            num = df_drho_numerator(ic, p.wtilde2, rho)
+            coeffs = _f_coeffs(p, ch, alpha)
+            d, _, t, pp, q = coeffs
+            num = _df_drho_numerator(*coeffs, p.wtilde2, rho)
             h = 1e-7
-            fd = (log_f_alpha(ic, p.wtilde2, rho + h)
-                  - log_f_alpha(ic, p.wtilde2, max(rho - h, 0.0)))
-            scale = abs(ic.d * ic.p) + abs(ic.q * p.wtilde2 * ic.t * ic.d)
+            fd = (log_f_alpha(coeffs, p.wtilde2, rho + h)
+                  - log_f_alpha(coeffs, p.wtilde2, max(rho - h, 0.0)))
+            scale = abs(d * pp) + abs(q * p.wtilde2 * t * d)
             if abs(num) > 1e-6 * scale:  # away from the stationary point
                 assert math.copysign(1, num) == math.copysign(1, fd)
 
@@ -242,16 +253,17 @@ class TestDerivativeNumerator:
 class TestThetaBeta:
     def test_dead_relay(self):
         p = SystemParams(avg_snr=10.0, mu=1.0)
-        ic = inner_coeffs(p, ChannelRealization(1.0, 0.5, 0.0), 0.5)
-        theta, beta = theta_beta(ic, 2.0)
+        coeffs = _f_coeffs(p, ChannelRealization(1.0, 0.5, 0.0), 0.5)
+        theta, beta = theta_beta(coeffs, 2.0)
         assert beta == 0.0
         assert theta == 0.0
 
     def test_equal_weights_beta(self):
         p = SystemParams(avg_snr=10.0, mu=0.7)
-        ic = inner_coeffs(p, ChannelRealization(1.3, 0.4, 0.9), 0.35)
-        _, beta = theta_beta(ic, 1.0)
-        assert beta == pytest.approx(ic.q * ic.e * ic.t, rel=1e-14)
+        coeffs = _f_coeffs(p, ChannelRealization(1.3, 0.4, 0.9), 0.35)
+        _, e, t, _, q = coeffs
+        _, beta = theta_beta(coeffs, 1.0)
+        assert beta == pytest.approx(q * e * t, rel=1e-14)
 
     def test_discriminant_matches_polynomial_fit(self):
         # interpolate the quadratic numerator through three points in
@@ -261,11 +273,11 @@ class TestThetaBeta:
         with mp.workdps(50):
             for p, ch in random_instances(47, 100):
                 alpha = float(rng.uniform(0.05, 0.95))
-                ic = inner_coeffs(p, ch, alpha)
-                if ic.q == 0.0:
+                coeffs = _f_coeffs(p, ch, alpha)
+                if coeffs[4] == 0.0:
                     continue
                 wr = mp.mpf(p.wtilde2)
-                d, e, t, pp, q = (mp.mpf(v) for v in (ic.d, ic.e, ic.t, ic.p, ic.q))
+                d, e, t, pp, q = (mp.mpf(v) for v in coeffs)
 
                 def num(rho):
                     return (d - e * t) * (pp + q * rho) + q * wr * (t - rho) * (d - e * rho)
@@ -274,9 +286,10 @@ class TestThetaBeta:
                 a_fit = (n_p + n_m) / 2 - n_0
                 b_fit = (n_p - n_m) / 2
                 disc_fit = b_fit * b_fit - 4 * a_fit * n_0
-                theta, beta = theta_beta(ic, p.wtilde2)
-                constant = (ic.d - ic.e * ic.t) * ic.p + ic.q * p.wtilde2 * ic.t * ic.d
-                scale = 4.0 * max(beta * beta, abs(ic.q * p.wtilde2 * ic.e * constant))
+                theta, beta = theta_beta(coeffs, p.wtilde2)
+                fd, fe, ft, fp, fq = coeffs
+                constant = (fd - fe * ft) * fp + fq * p.wtilde2 * ft * fd
+                scale = 4.0 * max(beta * beta, abs(fq * p.wtilde2 * fe * constant))
                 assert abs(float(disc_fit) - 4.0 * theta) <= 1e-10 * scale
 
 
@@ -285,57 +298,59 @@ class TestRhoBar:
         rng = np.random.default_rng(seed)
         for p, ch in random_instances(seed, n):
             alpha = float(rng.uniform(0.05, 0.95))
-            ic = inner_coeffs(p, ch, alpha)
-            if ic.q == 0.0:
+            coeffs = _f_coeffs(p, ch, alpha)
+            if coeffs[4] == 0.0:
                 continue
-            theta, _ = theta_beta(ic, p.wtilde2)
+            theta, _ = theta_beta(coeffs, p.wtilde2)
             if theta <= 0.0:
                 continue
-            rb = rho_bar(ic, p.wtilde2)
-            yield p, ch, alpha, ic, rb
+            rb = rho_bar(coeffs, p.wtilde2)
+            yield p, ch, alpha, coeffs, rb
 
     def test_degenerate_division(self):
         p = SystemParams(avg_snr=10.0, mu=1.0)
-        ic = inner_coeffs(p, ChannelRealization(1.0, 0.5, 0.0), 0.5)
+        coeffs = _f_coeffs(p, ChannelRealization(1.0, 0.5, 0.0), 0.5)
         with pytest.raises(DivisionDegenerate):
-            rho_bar(ic, 2.0)
+            rho_bar(coeffs, 2.0)
 
     def test_stationary_point_of_derivative(self):
         found = 0
-        for p, ch, alpha, ic, rb in self.interior_cases():
+        for p, ch, alpha, coeffs, rb in self.interior_cases():
             if not 0.0 <= rb < 1.0:
                 continue
             found += 1
             # conditioning scale of evaluating the quadratic at rb
-            theta, beta = theta_beta(ic, p.wtilde2)
-            constant = (ic.d - ic.e * ic.t) * ic.p + ic.q * p.wtilde2 * ic.t * ic.d
-            scale = ic.q * p.wtilde2 * ic.e * rb * rb + 2 * abs(beta) * rb + abs(constant)
-            assert abs(df_drho_numerator(ic, p.wtilde2, rb)) <= 1e-9 * scale
+            d, e, t, pp, q = coeffs
+            theta, beta = theta_beta(coeffs, p.wtilde2)
+            constant = (d - e * t) * pp + q * p.wtilde2 * t * d
+            scale = q * p.wtilde2 * e * rb * rb + 2 * abs(beta) * rb + abs(constant)
+            assert abs(_df_drho_numerator(*coeffs, p.wtilde2, rb)) <= 1e-9 * scale
         assert found > 10
 
     def test_local_maximum_probe(self):
         eps = 1e-4
-        for p, ch, alpha, ic, rb in self.interior_cases():
+        for p, ch, alpha, coeffs, rb in self.interior_cases():
             if not eps < rb < 1.0 - eps:
                 continue
-            fm = log_f_alpha(ic, p.wtilde2, rb - eps)
-            f0 = log_f_alpha(ic, p.wtilde2, rb)
-            fp = log_f_alpha(ic, p.wtilde2, rb + eps)
+            fm = log_f_alpha(coeffs, p.wtilde2, rb - eps)
+            f0 = log_f_alpha(coeffs, p.wtilde2, rb)
+            fp = log_f_alpha(coeffs, p.wtilde2, rb + eps)
             assert fm < f0 and fp < f0
 
     def test_bounded_by_t_for_growing_weight_ratio(self):
         p0 = SystemParams(avg_snr=30.0, mu=1.0)
         ch = ChannelRealization(g1=1.2, g2=0.4, g3=0.8)
-        ic = inner_coeffs(p0, ch, 0.3)
+        coeffs = _f_coeffs(p0, ch, 0.3)
+        t = coeffs[2]
         grid = np.linspace(0.0, 0.999999, 10_000)
         for wr in (1.5, 3.0, 10.0, 1e2, 1e4):
-            theta, _ = theta_beta(ic, wr)
+            theta, _ = theta_beta(coeffs, wr)
             if theta <= 0:
                 continue
-            rb = rho_bar(ic, wr)
-            assert rb <= ic.t + 1e-12
+            rb = rho_bar(coeffs, wr)
+            assert rb <= t + 1e-12
             if 0 < rb < 1:  # fine-grid argmax agrees with the closed form
-                best = grid[np.argmax(log_f_alpha(ic, wr, grid))]
+                best = grid[np.argmax(log_f_alpha(coeffs, wr, grid))]
                 assert abs(best - rb) < 2e-4
 
 
@@ -346,9 +361,9 @@ class TestRhoPolicy:
         rho, branch = optimal_rho_for_alpha(p, ch, 0.4)
         assert rho == 0.0
         assert branch is SolverBranch.LOWER
-        ic = inner_coeffs(p, ch, 0.4)
+        coeffs = _f_coeffs(p, ch, 0.4)
         grid = np.linspace(0.0, rho_tilde(p, ch, 0.4), 10_000)
-        vals = log_f_alpha(ic, p.wtilde2, grid)
+        vals = log_f_alpha(coeffs, p.wtilde2, grid)
         assert vals[0] == pytest.approx(float(np.max(vals)), rel=1e-12)
 
     def test_no_conversion_noise_rides_the_boundary(self):
@@ -363,11 +378,11 @@ class TestRhoPolicy:
         for p, ch in random_instances(67, 300):
             alpha = float(rng.uniform(0.05, 0.95))
             rho, _ = optimal_rho_for_alpha(p, ch, alpha)
-            ic = inner_coeffs(p, ch, alpha)
+            coeffs = _f_coeffs(p, ch, alpha)
             rt = min(rho_tilde(p, ch, alpha), 1.0 - 1e-9)
             grid = np.linspace(0.0, rt, 10_000)
-            best = float(np.max(log_f_alpha(ic, p.wtilde2, grid)))
-            mine = log_f_alpha(ic, p.wtilde2, rho)
+            best = float(np.max(log_f_alpha(coeffs, p.wtilde2, grid)))
+            mine = log_f_alpha(coeffs, p.wtilde2, rho)
             assert mine >= best - 1e-6 * abs(best) - 1e-12
 
     def test_unimodal_shape_classification(self):
@@ -376,17 +391,17 @@ class TestRhoPolicy:
         rng = np.random.default_rng(71)
         for p, ch in random_instances(73, 120):
             alpha = float(rng.uniform(0.05, 0.95))
-            ic = inner_coeffs(p, ch, alpha)
+            coeffs = _f_coeffs(p, ch, alpha)
             grid = np.linspace(0.0, 1.0 - 1e-6, 10_000)
-            vals = log_f_alpha(ic, p.wtilde2, grid)
+            vals = log_f_alpha(coeffs, p.wtilde2, grid)
             diffs = np.diff(vals)
             signs = np.sign(diffs[np.abs(diffs) > 1e-13])
             changes = int(np.count_nonzero(np.diff(signs)))
-            if ic.q == 0.0:
+            if coeffs[4] == 0.0:
                 assert changes == 0 and (len(signs) == 0 or signs[0] <= 0)
                 continue
-            theta, _ = theta_beta(ic, p.wtilde2)
-            rb = rho_bar(ic, p.wtilde2) if theta > 0 else None
+            theta, _ = theta_beta(coeffs, p.wtilde2)
+            rb = rho_bar(coeffs, p.wtilde2) if theta > 0 else None
             if theta > 0 and rb is not None and 1e-4 < rb < 1 - 1e-4:
                 assert changes <= 1
                 if changes == 1:
@@ -400,7 +415,8 @@ class TestRhoPolicy:
 class TestProfile:
     def test_array_and_float_paths_agree(self):
         # the alpha grid takes the numpy path of _profile; the golden-section
-        # refine, the final rho* and the scalar API take the math path
+        # refine, solve_1d's final rho* and optimal_rho_for_alpha pass a
+        # float alpha and take the math path
         alphas = np.linspace(1e-4, 1.0 - 1e-4, 101)
         pool = random_instances(97, 150)
         pool += [(p, ChannelRealization(ch.g1, ch.g2, 0.0)) for p, ch in pool[:20]]
@@ -488,8 +504,8 @@ class TestSolve2D:
         grid = Grid2DSpec(n_alpha=2, n_rho=2)
         out = solve_2d_exhaustive(p, ch, grid)
         corners = []
-        for a in (grid.alpha_margin, 1 - grid.alpha_margin):
-            for r in (0.0, grid.rho_max):
+        for a in (_GRID2D_ALPHA_MARGIN, 1 - _GRID2D_ALPHA_MARGIN):
+            for r in (0.0, _GRID2D_RHO_MAX):
                 corners.append(rates(p, ch, DesignPoint(a, r)).weighted_sum)
         assert out.rate_triple.weighted_sum == max(corners)
         assert out.evaluations == 4
