@@ -52,8 +52,8 @@ class ExperimentConfig:
     """One experiment run.  A figure kind fills unset ``samples``,
     ``ordering`` and ``wtilde2_values`` with its defaults when the config is
     built, so provenance records the values the run used.  The worker count,
-    the fixed design point and a figure's sample count are checked then too,
-    before any work."""
+    the fixed design point, the sampler and the solver grid are checked then
+    too, for every subcommand, before any work."""
 
     kind: str
     # system (weights w1/w2 apply to fig1; fig2/fig3 build w2 from wtilde2)
@@ -93,6 +93,7 @@ class ExperimentConfig:
         if self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
         self.baseline()
+        self.solver_grid()
         fig = _FIGURES.get(self.kind)
         if fig is not None:
             if self.samples is None:
@@ -101,9 +102,10 @@ class ExperimentConfig:
                 self.ordering = fig.ordering
             if self.wtilde2_values is None:
                 self.wtilde2_values = fig.wtilde2
-            if self.samples == 1:
-                raise ConfigError("a figure needs samples >= 2: every row reports "
-                                  "a standard error")
+        self.sampler()
+        if fig is not None and self.samples == 1:
+            raise ConfigError("a figure needs samples >= 2: every row reports "
+                              "a standard error")
 
     def system_params(self, snr_db: float, w2: float | None = None) -> SystemParams:
         return _build(
@@ -113,12 +115,17 @@ class ExperimentConfig:
         )
 
     def sampler(self) -> montecarlo.SamplerConfig:
-        try:
-            ordering = montecarlo.Ordering(self.ordering)
-        except ValueError:
-            raise ConfigError(f"unknown ordering {self.ordering!r} (use unordered|swap)")
-        return _build(montecarlo.SamplerConfig, seed=self.seed, ordering=ordering,
-                      sample_count=self.samples, block_size=self.block_size)
+        """The Monte Carlo sampler; ``SamplerConfig``'s defaults stand in for
+        the samples and ordering that solve and validate leave unset."""
+        fields = dict(seed=self.seed, block_size=self.block_size)
+        if self.samples is not None:
+            fields["sample_count"] = self.samples
+        if self.ordering is not None:
+            try:
+                fields["ordering"] = montecarlo.Ordering(self.ordering)
+            except ValueError:
+                raise ConfigError(f"unknown ordering {self.ordering!r} (use unordered|swap)")
+        return _build(montecarlo.SamplerConfig, **fields)
 
     def solver_grid(self) -> AlphaGridSpec:
         return _build(AlphaGridSpec, n=self.grid_n, refine=self.refine)

@@ -8,25 +8,31 @@ runtime special-function dependency:
   integral E1).  Alternating series for x <= 1, modified-Lentz continued
   fraction for x > 1.
 * ``bessel_k0`` / ``bessel_k1``: modified Bessel functions of the second
-  kind.  Exact ascending series for x <= 2; for x > 2 a Chebyshev expansion
-  of sqrt(x) exp(x) K_n(x) in 4/x - 1, fitted offline against a 40-digit
+  kind, for a float or elementwise for an array.  A fixed 16-term ascending
+  series in y = x^2/4 for x <= 2; for x > 2 a Chebyshev expansion of
+  sqrt(x) exp(x) K_n(x) in 4/x - 1, fitted offline against a 40-digit
   reference (see scripts/fit_k_bessel_coeffs.py, max relative error < 2e-16
-  on [2, 2e6]).
+  on [2, 2e6]) and summed by array Clenshaw.  A float runs the same array
+  code, so it gets the same bits as that element of an array.
 * ``integrate`` / ``integrate_semi_infinite``: globally adaptive bisection
   quadrature with the nested G10/K21 Gauss-Kronrod pair of QUADPACK qk21.
-  Each panel samples the integrand once at the 21 Kronrod nodes, takes the
-  K21 value, and uses |K21 - G10| over the 10 embedded Gauss nodes as its
-  error estimate.  No node touches a panel end, so an integrable endpoint
+  Each panel calls the integrand once, on the array of its 21 Kronrod
+  nodes, takes the K21 value, and uses |K21 - G10| over the 10 embedded
+  Gauss nodes as its error estimate.  An integrand may return an (m, 21)
+  array: m integrals then share one panel tree, each component must meet
+  its own tolerance, and the panel worst off relative to its tolerance is
+  bisected next.  No node touches a panel end, so an integrable endpoint
   singularity is handled by subdivision alone; any non-finite sample raises
   ``NonFiniteSample``.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import warnings
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, NonFiniteSample, ToleranceNotMet
 
@@ -170,66 +176,92 @@ _K1_LARGE_CHEB = (
 )
 
 
-def _clenshaw(coeffs, v: float) -> float:
-    b1 = b2 = 0.0
+# Ascending series in y = x^2/4 for x <= 2, 16 terms (k = 0..15): with y <= 1
+# the first dropped term is below 1/(16!)^2 < 3e-27 of the leading one.  Each
+# coefficient is an exact ratio of integers (euler enters as its float value),
+# and int / int is correctly rounded.  Tables run from the highest power down.
+#   K0 = -(ln(x/2) + euler) I0(x) + sum_k H_k y^k / (k!)^2,
+#   I0 = sum_k y^k / (k!)^2,
+#   K1 = 1/x + ln(x/2) I1(x) - (x/4) sum_k (H_k + H_{k+1} - 2 euler) y^k / (k!(k+1)!),
+#   I1 = (x/2) sum_k y^k / (k!(k+1)!).
+_TERMS = range(15, -1, -1)
+_FACT = [math.factorial(k) for k in range(17)]
+_LCM = math.lcm(*range(1, 17))
+_H = [sum(_LCM // j for j in range(1, k + 1)) for k in range(17)]  # _LCM * H_k
+_EG_NUM, _EG_DEN = EULER_GAMMA.as_integer_ratio()
+_I0_SERIES = tuple(1 / _FACT[k] ** 2 for k in _TERMS)
+_K0_H_SERIES = tuple(_H[k] / (_LCM * _FACT[k] ** 2) for k in _TERMS)
+_I1_SERIES = tuple(1 / (_FACT[k] * _FACT[k + 1]) for k in _TERMS)
+_K1_H_SERIES = tuple(
+    ((_H[k] + _H[k + 1]) * _EG_DEN - 2 * _EG_NUM * _LCM)
+    / (_LCM * _EG_DEN * _FACT[k] * _FACT[k + 1])
+    for k in _TERMS)
+
+
+def _horner(coeffs, y):
+    acc = np.full_like(y, coeffs[0])
+    for c in coeffs[1:]:
+        acc *= y
+        acc += c
+    return acc
+
+
+def _clenshaw(coeffs, v):
+    two_v = 2.0 * v
+    b1 = np.zeros_like(v)
+    b2 = np.zeros_like(v)
     for c in reversed(coeffs[1:]):
-        b1, b2 = 2.0 * v * b1 - b2 + c, b1
+        b0 = two_v * b1
+        b0 -= b2
+        b0 += c
+        b1, b2 = b0, b1
     return v * b1 - b2 + coeffs[0] / 2.0
 
 
-def _k0_small(x: float) -> float:
-    # K0 = -(ln(x/2) + euler) I0(x) + sum_{k>=1} H_k y^k / (k!)^2, y = x^2/4
+def _k0_small(x):
     y = 0.25 * x * x
-    term = 1.0
-    i0 = 1.0
-    hsum = 0.0
-    hk = 0.0
-    for k in range(1, 60):
-        term *= y / (k * k)
-        hk += 1.0 / k
-        i0 += term
-        hsum += term * hk
-        if term < _SERIES_EPS:
-            break
-    return -(math.log(0.5 * x) + EULER_GAMMA) * i0 + hsum
+    return -(np.log(0.5 * x) + EULER_GAMMA) * _horner(_I0_SERIES, y) + _horner(_K0_H_SERIES, y)
 
 
-def _k1_small(x: float) -> float:
-    # K1 = 1/x + ln(x/2) I1(x) - (x/4) sum_{k>=0} (H_k + H_{k+1} - 2 euler) y^k / (k!(k+1)!)
+def _k1_small(x):
     y = 0.25 * x * x
-    term = 1.0
-    s_i1 = 1.0
-    hk = 0.0
-    hk1 = 1.0
-    s_dig = 1.0 - 2.0 * EULER_GAMMA
-    for k in range(1, 60):
-        term *= y / (k * (k + 1))
-        hk += 1.0 / k
-        hk1 += 1.0 / (k + 1)
-        s_i1 += term
-        s_dig += term * (hk + hk1 - 2.0 * EULER_GAMMA)
-        if term < _SERIES_EPS:
-            break
-    i1 = 0.5 * x * s_i1
-    return 1.0 / x + math.log(0.5 * x) * i1 - 0.25 * x * s_dig
+    i1 = 0.5 * x * _horner(_I1_SERIES, y)
+    return 1.0 / x + np.log(0.5 * x) * i1 - 0.25 * x * _horner(_K1_H_SERIES, y)
 
 
-def bessel_k0(x: float) -> float:
-    """Modified Bessel K0(x) for x > 0, relative accuracy ~1e-14 on [1e-8, 700]."""
-    if not x > 0:
-        raise DomainError(f"bessel_k0 requires x > 0, got {x}")
-    if x <= 2.0:
-        return _k0_small(x)
-    return _clenshaw(_K0_LARGE_CHEB, 4.0 / x - 1.0) * math.exp(-x) / math.sqrt(x)
+def _float_or_array(out: np.ndarray):
+    """A 0-d result as a float, any other as the array itself."""
+    return out if out.ndim else float(out)
 
 
-def bessel_k1(x: float) -> float:
-    """Modified Bessel K1(x) for x > 0, relative accuracy ~1e-14 on [1e-8, 700]."""
-    if not x > 0:
-        raise DomainError(f"bessel_k1 requires x > 0, got {x}")
-    if x <= 2.0:
-        return _k1_small(x)
-    return _clenshaw(_K1_LARGE_CHEB, 4.0 / x - 1.0) * math.exp(-x) / math.sqrt(x)
+def _bessel_k(name, small, cheb, x):
+    """K_n at every element of ``x``: the ascending series for x <= 2, the
+    Chebyshev table in 4/x - 1 above.  A float gives a float."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(x > 0):
+        raise DomainError(f"{name} requires x > 0, got {x[~(x > 0)].flat[0]}")
+    low = x <= 2.0
+    out = np.empty_like(x)
+    if low.any():
+        out[low] = small(x[low])
+    if not low.all():
+        xh = x[~low]
+        out[~low] = _clenshaw(cheb, 4.0 / xh - 1.0) * np.exp(-xh) / np.sqrt(xh)
+    return _float_or_array(out)
+
+
+def bessel_k0(x):
+    """Modified Bessel K0(x) for x > 0 (a float or an array), relative
+    accuracy ~1e-14 on [1e-8, 700].  A float goes through the array code and
+    costs about 100 us, so pass many points as one array."""
+    return _bessel_k("bessel_k0", _k0_small, _K0_LARGE_CHEB, x)
+
+
+def bessel_k1(x):
+    """Modified Bessel K1(x) for x > 0 (a float or an array), relative
+    accuracy ~1e-14 on [1e-8, 700].  A float goes through the array code and
+    costs about 100 us, so pass many points as one array."""
+    return _bessel_k("bessel_k1", _k1_small, _K1_LARGE_CHEB, x)
 
 
 # ---------------------------------------------------------------------------
@@ -272,75 +304,112 @@ _WG = (
 )
 
 
+# The 21 nodes in ascending order on [-1, 1], their K21 weights, and their
+# G10 weights (zero at the Kronrod-only nodes).
+_NODES = np.array([-t for t in _XGK[:-1]] + list(reversed(_XGK)))
+_WK21 = np.array(_WGK[:-1] + _WGK[::-1])
+_G10_HALF = tuple(_WG[i // 2] if i % 2 else 0.0 for i in range(len(_WGK)))
+_WG10 = np.array(_G10_HALF[:-1] + _G10_HALF[::-1])
+
+
 def _kronrod(f, a, b):
-    """(K21 value, |K21 - G10|) on [a, b]; the nodes never touch a or b."""
+    """(K21 value, |K21 - G10|) on [a, b], one entry per integrand component,
+    from one call of ``f`` on the 21 nodes; no node touches a or b."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    k21 = g10 = 0.0
-    for i, t in enumerate(_XGK):
-        for x in (mid - half * t, mid + half * t) if t else (mid,):
-            v = f(x)
-            if not math.isfinite(v):
-                raise NonFiniteSample(f"integrand returned {v} at x={x}")
-            k21 += _WGK[i] * v
-            if i % 2:
-                g10 += _WG[i // 2] * v
-    return half * k21, abs(half * (k21 - g10))
+    x = mid + half * _NODES
+    v = np.asarray(f(x), dtype=float)
+    finite = np.isfinite(v)
+    if not finite.all():
+        bad = tuple(np.argwhere(~finite)[0])
+        raise NonFiniteSample(f"integrand returned {v[bad]} at x={x[bad[-1]]}")
+    # elementwise sums, not BLAS: each row's sum is the same for any m
+    k21 = (v * _WK21).sum(axis=-1)
+    g10 = (v * _WG10).sum(axis=-1)
+    return half * k21, np.abs(half * (k21 - g10))
+
+
+_OPEN, _RETIRED, _SPLIT = 0, 1, 2
 
 
 def integrate(f, lo: float, hi: float, spec: QuadratureSpec | None = None):
     """Adaptive quadrature of ``f`` on [lo, hi].
 
-    Returns ``(value, error_estimate)``.  Panels with the largest error
-    estimates are bisected first, down to ``spec.max_depth`` levels.  If the
-    requested tolerance cannot be met a ``ToleranceNotMet`` warning is issued
-    and the best value is returned together with the achieved estimate.  A
-    non-finite integrand value raises ``NonFiniteSample``.
+    ``f`` takes the array of a panel's 21 nodes and returns one value per
+    node, or an (m, 21) array for m integrals over [lo, hi] that share one
+    panel tree.  Returns ``(value, error_estimate)``: two floats, or two
+    length-m arrays.  Until every component meets its own tolerance
+    ``max(spec.abs_tol, spec.rel_tol * |value|)``, the panel with the largest
+    error over tolerance in any component is bisected, down to
+    ``spec.max_depth`` levels (for one integral: the panel with the largest
+    error).  If the tolerance cannot be met a single ``ToleranceNotMet``
+    warning is issued and the best values are returned together with the
+    achieved estimates.  A non-finite integrand value raises
+    ``NonFiniteSample``.
     """
     spec = spec or QuadratureSpec()
     if not lo < hi:
         raise DomainError(f"integration bounds must satisfy lo < hi, got [{lo}, {hi}]")
 
     value, err = _kronrod(f, lo, hi)
-    # heap entries: (-err, seq, a, b, value, depth)
-    heap = [(-err, 0, lo, hi, value, 0)]
-    done = []
-    seq = 1
-    total_value, total_err = value, err
+    scalar = value.ndim == 0
+    # One row per panel, in the order the panels were made, so argmax breaks
+    # a tie in favour of the older panel.
+    cap = 64
+    vals = np.empty((cap, value.size))
+    errs = np.empty((cap, value.size))
+    state = np.full(cap, _SPLIT, dtype=np.int8)
+    ends = [(lo, hi, 0)]
+    vals[0], errs[0], state[0] = value, err, _OPEN
+    total_value, total_err = vals[0].copy(), errs[0].copy()
+    n = 1
 
-    while heap:
-        if total_err <= max(spec.abs_tol, spec.rel_tol * abs(total_value)):
+    while True:
+        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total_value))
+        if (total_err <= tol).all() or n > _MAX_PANELS:
             break
-        if seq > _MAX_PANELS:
+        # with one component tol is common to all panels: rank by err alone
+        ratio = errs[:n, 0] if value.size == 1 else (errs[:n] / tol).max(axis=1)
+        j = int(np.argmax(np.where(state[:n] == _OPEN, ratio, -1.0)))
+        if state[j] != _OPEN:
             break
-        neg_err, _, a, b, v, depth = heapq.heappop(heap)
+        a, b, depth = ends[j]
         m = 0.5 * (a + b)
         # too deep, or the interval is exhausted at float resolution
         if depth >= spec.max_depth or not a < m < b:
-            done.append((a, b, v, -neg_err))
+            state[j] = _RETIRED
             continue
         v1, e1 = _kronrod(f, a, m)
         v2, e2 = _kronrod(f, m, b)
-        total_value += (v1 + v2) - v
-        total_err += (e1 + e2) - (-neg_err)
-        heapq.heappush(heap, (-e1, seq, a, m, v1, depth + 1))
-        seq += 1
-        heapq.heappush(heap, (-e2, seq, m, b, v2, depth + 1))
-        seq += 1
+        total_value += (v1 + v2) - vals[j]
+        total_err += (e1 + e2) - errs[j]
+        if n + 2 > cap:
+            vals, errs = np.concatenate([vals, vals]), np.concatenate([errs, errs])
+            state = np.concatenate([state, np.full(cap, _SPLIT, dtype=np.int8)])
+            cap *= 2
+        vals[n], errs[n], vals[n + 1], errs[n + 1] = v1, e1, v2, e2
+        state[j], state[n], state[n + 1] = _SPLIT, _OPEN, _OPEN
+        ends += [(a, m, depth + 1), (m, b, depth + 1)]
+        n += 2
 
     # Recompute totals from the final disjoint panels, left to right, so the
     # result does not depend on the refinement history.
-    panels = done + [(a, b, v, -ne) for ne, _, a, b, v, _ in heap]
-    panels.sort(key=lambda t: t[0])
-    value = math.fsum(t[2] for t in panels)
-    err = math.fsum(t[3] for t in panels)
-    if err > max(spec.abs_tol, spec.rel_tol * abs(value)):
+    final = sorted(np.flatnonzero(state[:n] != _SPLIT), key=lambda i: ends[i][0])
+    value = np.array([math.fsum(col) for col in vals[final].T.tolist()])
+    err = np.array([math.fsum(col) for col in errs[final].T.tolist()])
+    tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value))
+    missed = err > tol
+    if missed.any():
+        worst = int(np.argmax(err / tol))
+        where = "" if scalar else f" in {int(missed.sum())} of {value.size} components"
         warnings.warn(
-            f"quadrature error estimate {err:.3e} exceeds tolerance "
-            f"(abs {spec.abs_tol:.1e}, rel {spec.rel_tol:.1e})",
+            f"quadrature error estimate {err[worst]:.3e} exceeds tolerance "
+            f"(abs {spec.abs_tol:.1e}, rel {spec.rel_tol:.1e}){where}",
             ToleranceNotMet,
             stacklevel=2,
         )
+    if scalar:
+        return float(value[0]), float(err[0])
     return value, err
 
 

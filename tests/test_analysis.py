@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from cnoma_eh.analysis import (
     w2_cdf,
     w2_density,
 )
-from cnoma_eh.errors import DomainError
+from cnoma_eh.errors import DomainError, ToleranceNotMet
 from cnoma_eh.model import (
     DesignPoint,
     SystemParams,
@@ -61,7 +62,7 @@ class TestErgodicU1:
                             rho=float(rng.uniform(0.0, 0.9)))
             k = (1 - d.rho + p.mu) / ((1 - d.rho) * d.alpha * p.avg_snr * p.var1)
             val, _ = integrate_semi_infinite(
-                lambda x: math.exp(-k * x) / (1.0 + x), 0.0,
+                lambda x: np.exp(-k * x) / (1.0 + x), 0.0,
                 QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14),
             )
             assert ergodic_rate_u1(p, d) == pytest.approx(
@@ -89,8 +90,9 @@ class TestProbYExceeds:
         assert prob_y_exceeds(p, d, 0.5) == pytest.approx(math.exp(-0.2), rel=1e-14)
 
     def test_rejects_negative_z(self):
-        with pytest.raises(DomainError):
-            prob_y_exceeds(params(10), BASE, -0.1)
+        for z in (-0.1, math.nan, [0.5, math.nan]):
+            with pytest.raises(DomainError):
+                prob_y_exceeds(params(10), BASE, z)
 
     def test_monotone_tail_in_unit_interval(self):
         p = params(15)
@@ -123,6 +125,13 @@ class TestRelayBranchDistribution:
     def test_density_singular_at_origin(self):
         assert w2_density(params(10), BASE, 0.0) == math.inf
         assert w2_density(params(10), BASE, -1.0) == 0.0
+
+    def test_nan_rejected(self):
+        for f in (w2_density, w2_cdf):
+            for z in (math.nan, [1.0, math.nan]):
+                with pytest.raises(DomainError):
+                    f(params(10), BASE, z)
+        assert math.isnan(w1_cdf(params(10), BASE, math.nan))
 
 
 class TestProbWExceeds:
@@ -163,8 +172,10 @@ class TestProbWExceeds:
         assert all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
 
     def test_rejects_negative_z(self):
-        with pytest.raises(DomainError):
-            prob_w_exceeds(params(10), BASE, -1e-9)
+        for d in (BASE, DesignPoint(alpha=0.25, rho=0.0)):
+            for z in (-1e-9, math.nan, [0.5, math.nan]):
+                with pytest.raises(DomainError):
+                    prob_w_exceeds(params(10), d, z)
 
 
 class TestErgodicU2:
@@ -218,6 +229,58 @@ class TestErgodicU2:
             mc = float(np.mean(0.5 * np.log2(1.0 + z)))
             gaps[db] = abs(ergodic_rate_u2(p, BASE)[0] - mc) / mc
         assert gaps[30] < gaps[10] < gaps[0]
+
+
+# (snr_db, alpha, rho, rate, error estimate) of ergodic_rate_u2 at its default
+# tolerances, frozen from the scalar nested quadrature (one inner integral per
+# outer node) that the shared-panel array quadrature replaced.
+U2_REFERENCE = (
+    (0.0, 0.1, 0.0, 0.13124307500929994, 9.515210149417013e-10),
+    (0.0, 0.1, 0.05, 0.13635270660504467, 3.5183911717597784e-10),
+    (0.0, 0.1, 0.3, 0.1427991468526063, 4.7487514844523e-10),
+    (0.0, 0.1, 0.9, 0.05191115291612396, 1.6147373025769618e-10),
+    (0.0, 0.25, 0.0, 0.10628157368646848, 6.08076943856124e-12),
+    (0.0, 0.25, 0.05, 0.11169881501600748, 9.984509044355437e-10),
+    (0.0, 0.25, 0.3, 0.11842655261701934, 1.6874224450490092e-10),
+    (0.0, 0.25, 0.9, 0.0429621860733032, 5.712539007195263e-11),
+    (0.0, 0.5, 0.0, 0.06785428353871557, 3.903448373172674e-10),
+    (0.0, 0.5, 0.05, 0.07346187164544773, 4.4596351564213496e-10),
+    (0.0, 0.5, 0.3, 0.07918299247775601, 6.021886503098693e-10),
+    (0.0, 0.5, 0.9, 0.028349162174084543, 2.0683745508589414e-10),
+    (20.0, 0.1, 0.0, 1.257207831477011, 5.34157897268696e-10),
+    (20.0, 0.1, 0.05, 1.3162502379293455, 1.1457866434028819e-08),
+    (20.0, 0.1, 0.3, 1.330547370074865, 7.141584446364873e-09),
+    (20.0, 0.1, 0.9, 0.9912727635667846, 7.234897216383736e-10),
+    (20.0, 0.25, 0.0, 0.8201665228592754, 1.452464147810789e-10),
+    (20.0, 0.25, 0.05, 0.8621282245396011, 3.4916543734849283e-09),
+    (20.0, 0.25, 0.3, 0.8624535727546094, 6.283450847883598e-09),
+    (20.0, 0.25, 0.9, 0.6809346646592557, 1.981368959015807e-10),
+    (20.0, 0.5, 0.0, 0.4291506750892925, 4.279390777926334e-11),
+    (20.0, 0.5, 0.05, 0.4506334945896738, 2.2039056735950836e-10),
+    (20.0, 0.5, 0.3, 0.4481525127342626, 1.999206785892102e-09),
+    (20.0, 0.5, 0.9, 0.368971912612956, 1.616266981616605e-09),
+    (40.0, 0.1, 0.0, 1.646155377699914, 1.858015810194449e-09),
+    (40.0, 0.1, 0.05, 1.6523592209100897, 6.077840556070691e-10),
+    (40.0, 0.1, 0.3, 1.651165530770092, 7.76479366944778e-09),
+    (40.0, 0.1, 0.9, 1.6273209223642189, 1.3683296936809318e-08),
+    (40.0, 0.25, 0.0, 0.994455108125827, 2.9443104081098395e-09),
+    (40.0, 0.25, 0.05, 0.9968428249536686, 1.4191873313693496e-09),
+    (40.0, 0.25, 0.3, 0.9963688918143845, 5.46956521170122e-10),
+    (40.0, 0.25, 0.9, 0.9871345962918652, 1.6142053399824584e-10),
+    (40.0, 0.5, 0.0, 0.49801911302296853, 9.80520477665686e-10),
+    (40.0, 0.5, 0.05, 0.4988828938546492, 4.587813132741741e-09),
+    (40.0, 0.5, 0.3, 0.4987097497704268, 4.800018434681485e-09),
+    (40.0, 0.5, 0.9, 0.49534988916366757, 5.347239557927655e-11),
+)
+
+
+@pytest.mark.parametrize("snr_db, alpha, rho, rate, err", U2_REFERENCE,
+                         ids=[f"{s:g}dB-alpha{a:g}-rho{r:g}" for s, a, r, _, _ in U2_REFERENCE])
+def test_u2_matches_frozen_scalar_quadrature(snr_db, alpha, rho, rate, err):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ToleranceNotMet)
+        value, _ = ergodic_rate_u2(params(snr_db), DesignPoint(alpha=alpha, rho=rho))
+    assert abs(value - rate) <= err
 
 
 class TestWeightedSum:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from cnoma_eh import analysis, montecarlo, optimizer, validation
+from cnoma_eh import analysis, cli, montecarlo, optimizer, validation
 from cnoma_eh.cli import (
     ExperimentConfig,
     _parse_float_list,
@@ -164,6 +164,7 @@ def forbid_estimators(monkeypatch):
     for module, name in ((montecarlo, "estimate_ergodic"),
                          (montecarlo, "estimate_optimized"),
                          (analysis, "ergodic_weighted_sum"),
+                         (cli, "solve_1d"),
                          (validation, "run_all")):
         monkeypatch.setattr(module, name, never)
 
@@ -404,6 +405,10 @@ class TestMainEntry:
          "alpha must be in (0, 1)"),
         (["solve", "--alpha", "1.5", "--g1", "1.5", "--g2", "0.5", "--g3", "0.8"],
          "alpha must be in (0, 1)"),
+        (["fig1", "--grid", "1", "--samples", "10", "--snr-db", "0"],
+         "alpha grid needs at least 2 points"),
+        (["solve", "--samples", "-3", "--g1", "1.5", "--g2", "0.5", "--g3", "0.8"],
+         "sample_count must be >= 1"),
     ])
     def test_config_domain_error_exits_one(self, argv, message, tmp_path, monkeypatch,
                                            capsys):

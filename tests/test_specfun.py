@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cnoma_eh import specfun
+from cnoma_eh import specfun, validation
 from cnoma_eh.errors import DomainError, NonFiniteSample, ToleranceNotMet
 from cnoma_eh.specfun import (
     EULER_GAMMA,
@@ -147,6 +148,38 @@ class TestBesselK:
             assert bessel_k0(x) == pytest.approx(k0_ref, rel=1e-12)
             assert bessel_k1(x) == pytest.approx(k1_ref, rel=1e-12)
 
+    ARRAY_XS = np.concatenate([
+        [1e-8, 1.999999999, math.nextafter(2.0, 0.0), 2.0, math.nextafter(2.0, 3.0),
+         2.000000001, 700.0],
+        np.logspace(-8, math.log10(700.0), 25),
+    ])
+
+    @pytest.mark.parametrize("f", [bessel_k0, bessel_k1])
+    def test_array_matches_scalar_calls(self, f):
+        xs = self.ARRAY_XS
+        values = f(xs)
+        assert isinstance(values, np.ndarray) and values.shape == xs.shape
+        scalar = np.array([f(float(x)) for x in xs])
+        assert np.all(np.abs(values / scalar - 1.0) <= 1e-15)
+        assert np.array_equal(f(xs.reshape(4, 8)), values.reshape(4, 8))
+        assert isinstance(f(1.0), float)
+
+    def test_array_vs_oracle_and_frozen_table(self):
+        xs = self.ARRAY_XS
+        for order, f in ((0, bessel_k0), (1, bessel_k1)):
+            ref = np.array([oracle_k(order, float(x))[0] for x in xs])
+            assert np.all(np.abs(f(xs) / ref - 1.0) <= 1e-10)
+        table = np.array(validation._SPECFUN_REFERENCE)
+        assert np.all(np.abs(bessel_k0(table[:, 0]) / table[:, 2] - 1.0) <= 1e-10)
+        assert np.all(np.abs(bessel_k1(table[:, 0]) / table[:, 3] - 1.0) <= 1e-10)
+
+    @pytest.mark.parametrize("bad", [0.0, -2.0, math.nan])
+    def test_array_domain(self, bad):
+        xs = np.array([0.5, 3.0, bad, 1.0])
+        for f in (bessel_k0, bessel_k1):
+            with pytest.raises(DomainError):
+                f(xs)
+
 
 def gauss_kronrod_21():
     """The G10/K21 rule in the layout of specfun's frozen tuples, built at 30
@@ -205,15 +238,18 @@ class TestGaussKronrodRule:
     def test_polynomial_costs_one_panel(self):
         coeffs = [(-1.0) ** k * (k + 1) / 7.0 for k in range(20)]  # degree 19
         calls = []
+        shapes = []
 
         def poly(x):
-            calls.append(x)
+            calls.extend(x)
+            shapes.append(x.shape)
             return sum(c * x ** k for k, c in enumerate(coeffs))
 
         lo, hi = 0.3, 1.7
         value, err = integrate(poly, lo, hi)
         exact = sum(c * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1) for k, c in enumerate(coeffs))
         assert len(calls) == 21
+        assert shapes == [(21,)]  # one integrand call per panel
         assert all(lo < x < hi for x in calls)
         assert value == pytest.approx(exact, rel=1e-13)
         assert err <= 1e-13 * abs(exact)
@@ -233,27 +269,27 @@ class TestQuadrature:
             integrate(lambda x: x, 1.0, 1.0)
 
     def test_constant(self):
-        value, err = integrate(lambda x: 1.0, 0.0, 1.0)
+        value, err = integrate(np.ones_like, 0.0, 1.0)
         assert value == pytest.approx(1.0, rel=1e-14)
         assert err < 1e-12
 
     def test_semi_infinite_exponential_kernel(self):
         # int_0^inf e^-x / (1 + x) dx = e * Gamma(0, 1)
         value, err = integrate_semi_infinite(
-            lambda x: math.exp(-x) / (1.0 + x), 0.0, QuadratureSpec(rel_tol=1e-10)
+            lambda x: np.exp(-x) / (1.0 + x), 0.0, QuadratureSpec(rel_tol=1e-10)
         )
         assert value == pytest.approx(0.5963473623231940, rel=1e-9)
 
     def test_log_endpoint_singularity(self):
         value, _ = integrate(
-            lambda x: math.log(x), 0.0, 1.0,
+            np.log, 0.0, 1.0,
             QuadratureSpec(rel_tol=1e-9),
         )
         assert value == pytest.approx(-1.0, rel=1e-8)
 
     def test_inverse_sqrt_singularity(self):
         value, _ = integrate(
-            lambda x: 1.0 / math.sqrt(x), 0.0, 1.0,
+            lambda x: 1.0 / np.sqrt(x), 0.0, 1.0,
             QuadratureSpec(rel_tol=1e-8, abs_tol=1e-12),
         )
         assert value == pytest.approx(2.0, rel=1e-7)
@@ -261,8 +297,8 @@ class TestQuadrature:
     @given(a=st.floats(-3, 3), b=st.floats(-3, 3))
     def test_linearity(self, a, b):
         spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-13)
-        f = math.exp
-        g = math.sin
+        f = np.exp
+        g = np.sin
         combined, e1 = integrate(lambda x: a * f(x) + b * g(x), 0.0, 2.0, spec)
         vf, e2 = integrate(f, 0.0, 2.0, spec)
         vg, e3 = integrate(g, 0.0, 2.0, spec)
@@ -273,9 +309,7 @@ class TestQuadrature:
         # 2 lam K0(2 sqrt(lam z)) integrates to 1 on (0, inf) for any lam > 0
         for lam in (0.07, 1.0, 23.0):
             def density(z, lam=lam):
-                if z <= 0:
-                    return math.inf
-                return 2.0 * lam * bessel_k0(2.0 * math.sqrt(lam * z))
+                return 2.0 * lam * bessel_k0(2.0 * np.sqrt(lam * z))
 
             value, _ = integrate_semi_infinite(
                 density, 0.0, QuadratureSpec(rel_tol=1e-9)
@@ -284,7 +318,7 @@ class TestQuadrature:
 
     def test_nonfinite_raises_away_from_endpoints(self):
         def bad(x):
-            return math.inf if 0.4 < x < 0.6 else 1.0
+            return np.where((0.4 < x) & (x < 0.6), math.inf, 1.0)
 
         with pytest.raises(NonFiniteSample):
             integrate(bad, 0.0, 1.0)
@@ -292,7 +326,7 @@ class TestQuadrature:
     def test_nonfinite_beside_an_endpoint_raises(self):
         # refinement toward the log singularity samples below 1e-6
         def bad(x):
-            return math.inf if x < 1e-6 else math.log(x)
+            return np.where(x < 1e-6, math.inf, np.log(x))
 
         with pytest.raises(NonFiniteSample):
             integrate(bad, 0.0, 1.0)
@@ -300,6 +334,54 @@ class TestQuadrature:
     def test_tolerance_not_met_warning_still_returns_value(self):
         spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-16, max_depth=2)
         with pytest.warns(ToleranceNotMet):
-            value, err = integrate(lambda x: math.exp(-x) / (1 + 50 * x * x), 0.0, 30.0, spec)
+            value, err = integrate(lambda x: np.exp(-x) / (1 + 50 * x * x), 0.0, 30.0, spec)
         assert math.isfinite(value)
         assert err > 0
+
+
+class TestVectorIntegrand:
+    """An (m, nodes) integrand: m integrals on one shared panel tree."""
+
+    def test_each_component_meets_its_own_tolerance(self):
+        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14)
+        scales = np.array([1e-6, 1.0, 1e6])
+
+        def f(x):
+            return scales[:, None] * np.vstack([np.exp(-x), np.log(x), np.cos(40.0 * x)])
+
+        values, errs = integrate(f, 0.0, 1.0, spec)
+        exact = scales * np.array([1.0 - math.exp(-1.0), -1.0, math.sin(40.0) / 40.0])
+        assert values.shape == errs.shape == (3,)
+        assert np.all(errs <= np.maximum(spec.abs_tol, spec.rel_tol * np.abs(values)))
+        assert np.all(np.abs(values - exact) <= 1e-9 * np.abs(exact))
+        # each component agrees with integrating it alone
+        for i in range(3):
+            alone, _ = integrate(lambda x, i=i: f(x)[i], 0.0, 1.0, spec)
+            assert values[i] == pytest.approx(alone, rel=1e-9)
+
+    def test_one_component_is_one_integral(self):
+        v1, e1 = integrate(lambda x: np.exp(-x)[None, :], 0.0, 3.0)
+        v0, e0 = integrate(lambda x: np.exp(-x), 0.0, 3.0)
+        assert v1.shape == e1.shape == (1,)
+        assert (v1[0], e1[0]) == (v0, e0)
+
+    def test_unconvergeable_component_warns_once(self):
+        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14, max_depth=6)
+
+        def f(x):
+            # the second row oscillates far too fast for six levels
+            return np.vstack([np.exp(-x), np.sin(1e4 * x) ** 2])
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            values, errs = integrate(f, 0.0, 1.0, spec)
+        missed = [w for w in caught if issubclass(w.category, ToleranceNotMet)]
+        assert len(missed) == 1
+        assert "1 of 2 components" in str(missed[0].message)
+        assert errs[0] <= max(spec.abs_tol, spec.rel_tol * abs(values[0]))
+        assert values[0] == pytest.approx(1.0 - math.exp(-1.0), rel=1e-10)
+        assert errs[1] > spec.rel_tol * abs(values[1])
+
+    def test_nonfinite_component_raises(self):
+        with pytest.raises(NonFiniteSample):
+            integrate(lambda x: np.vstack([x, np.where(x > 0.5, math.nan, x)]), 0.0, 1.0)
