@@ -16,18 +16,19 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--outdir", default="results")
     ap.add_argument("--seed", type=int, default=12345)
-    ap.add_argument("--workers", type=int, default=1)
+    ap.add_argument("--workers", type=int, default=1, help="worker processes for fig2 and fig3")
     ap.add_argument("--quick", action="store_true",
                     help="reduced draw counts for a fast smoke run")
     args = ap.parse_args()
 
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    common = ["--seed", str(args.seed), "--workers", str(args.workers)]
     samples = {"fig1": "20000", "fig2": "2000", "fig3": "2000"} if args.quick else {}
 
     for kind in ("fig1", "fig2", "fig3"):
-        argv = [kind, "--out", str(outdir / f"{kind}.csv"), *common]
+        argv = [kind, "--out", str(outdir / f"{kind}.csv"), "--seed", str(args.seed)]
+        if kind != "fig1":  # fig1 always runs in one process
+            argv += ["--workers", str(args.workers)]
         if kind in samples:
             argv += ["--samples", samples[kind]]
         rc = cli_main(argv)

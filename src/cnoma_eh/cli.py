@@ -9,8 +9,10 @@ Subcommands
     solve     one channel realization through the 1D search
     validate  the release-gate checks, with a JSON report
 
-Every output file embeds its effective configuration, the package version,
-the seed, and a timestamp; rerunning with the embedded configuration
+Each subcommand takes, checks and records only the options it reads; one
+table, ``_OPTIONS``, gives every option's flag, INI entry and readers.
+Every output file embeds the configuration fields its subcommand read, the
+package version and a timestamp; rerunning with the embedded configuration
 reproduces the file byte-for-byte except for the timestamp line.  SNR is
 expressed in dB at this boundary and converted to the linear scale
 internally.
@@ -20,8 +22,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -35,28 +37,23 @@ from .errors import CnomaError, ConfigError, DomainError, NumericalFailure
 from .model import ChannelRealization, DesignPoint, SystemParams, db_to_linear
 from .optimizer import AlphaGridSpec, solve_1d
 
-__all__ = [
-    "ExperimentConfig",
-    "run_fig1",
-    "run_fig2",
-    "run_fig3",
-    "run_figure",
-    "run_solve",
-    "run_validate",
-    "main",
-]
+__all__ = ["ExperimentConfig", "run_fig1", "run_fig2", "run_fig3", "run_figure", "run_solve",
+           "run_validate", "main"]
 
 
 @dataclass
 class ExperimentConfig:
-    """One experiment run.  A figure kind fills unset ``samples``,
-    ``ordering`` and ``wtilde2_values`` with its defaults when the config is
-    built, so provenance records the values the run used.  The worker count,
-    the fixed design point, the sampler and the solver grid are checked then
-    too, for every subcommand, before any work."""
+    """One experiment run.  ``kind`` names the subcommand, and ``_OPTIONS``
+    says which of the other fields it reads; only those are checked and
+    recorded.  A figure kind fills unset ``samples``, ``ordering`` and
+    ``wtilde2_values`` with its defaults when the config is built, so
+    provenance records the values the run used.  Every object the run
+    builds from the config (system points, design point, sampler, solver
+    grid, channel) is built then too, before any work."""
 
     kind: str
-    # system (weights w1/w2 apply to fig1; fig2/fig3 build w2 from wtilde2)
+    # system (weights w1/w2 apply to fig1 and solve; fig2/fig3 build w2
+    # from wtilde2)
     mu: float = 1.0
     eta: float = 1.0
     var1: float = 1.0
@@ -81,7 +78,6 @@ class ExperimentConfig:
     block_size: int = 8192
     # solver
     grid_n: int = 1000
-    refine: bool = True
     # run
     workers: int = 1
     full: bool = False
@@ -90,48 +86,71 @@ class ExperimentConfig:
     fmt: str = "csv"
 
     def __post_init__(self):
-        if self.workers < 1:
+        reads = _READS[self.kind]
+        if "workers" in reads and self.workers < 1:
             raise ConfigError(f"workers must be >= 1, got {self.workers}")
-        self.baseline()
-        self.solver_grid()
+        if "seed" in reads and not 0 <= self.seed < 2**64:  # validate builds no sampler
+            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         fig = _FIGURES.get(self.kind)
         if fig is not None:
             if self.samples is None:
                 self.samples = fig.samples
             if self.ordering is None:
                 self.ordering = fig.ordering
-            if self.wtilde2_values is None:
+            if fig.wtilde2 and self.wtilde2_values is None:
                 self.wtilde2_values = fig.wtilde2
-        self.sampler()
-        if fig is not None and self.samples == 1:
-            raise ConfigError("a figure needs samples >= 2: every row reports "
-                              "a standard error")
+            self.sampler()
+            if self.samples == 1:
+                raise ConfigError("a figure needs samples >= 2: every row reports "
+                                  "a standard error")
+        if "alpha" in reads:
+            self.baseline()
+        if "grid_n" in reads:
+            self.solver_grid()
+        if "g1" in reads:
+            self.channel()
+        if "mu" in reads:
+            self.system_points()
 
     def system_params(self, snr_db: float, w2: float | None = None) -> SystemParams:
+        try:
+            avg_snr = db_to_linear(snr_db)
+        except OverflowError:
+            raise ConfigError(f"SNR {snr_db} dB is out of range")
         return _build(
-            SystemParams, avg_snr=db_to_linear(snr_db), mu=self.mu, eta=self.eta,
+            SystemParams, avg_snr=avg_snr, mu=self.mu, eta=self.eta,
             var1=self.var1, var2=self.var2, var3=self.var3,
             w1=self.w1, w2=self.w2 if w2 is None else w2,
         )
 
+    def system_points(self) -> list:
+        """``(snr_db, wtilde2, SystemParams)`` for every point of the run, in
+        row order (weight ratio outer, SNR inner).  ``wtilde2`` is None where
+        the run takes the configured ``w2``."""
+        reads = _READS[self.kind]
+        snrs = self.snr_db_values if "snr_db_values" in reads else (self.snr_db,)
+        ratios = self.wtilde2_values if "wtilde2_values" in reads else (None,)
+        return [(s, wt, self.system_params(s, None if wt is None else wt * self.w1))
+                for wt in ratios for s in snrs]
+
     def sampler(self) -> montecarlo.SamplerConfig:
-        """The Monte Carlo sampler; ``SamplerConfig``'s defaults stand in for
-        the samples and ordering that solve and validate leave unset."""
-        fields = dict(seed=self.seed, block_size=self.block_size)
-        if self.samples is not None:
-            fields["sample_count"] = self.samples
-        if self.ordering is not None:
-            try:
-                fields["ordering"] = montecarlo.Ordering(self.ordering)
-            except ValueError:
-                raise ConfigError(f"unknown ordering {self.ordering!r} (use unordered|swap)")
-        return _build(montecarlo.SamplerConfig, **fields)
+        try:
+            ordering = montecarlo.Ordering(self.ordering)
+        except ValueError:
+            raise ConfigError(f"unknown ordering {self.ordering!r} (use unordered|swap)")
+        return _build(montecarlo.SamplerConfig, seed=self.seed, ordering=ordering,
+                      sample_count=self.samples, block_size=self.block_size)
 
     def solver_grid(self) -> AlphaGridSpec:
-        return _build(AlphaGridSpec, n=self.grid_n, refine=self.refine)
+        return _build(AlphaGridSpec, n=self.grid_n)
 
     def baseline(self) -> DesignPoint:
         return _build(DesignPoint, alpha=self.alpha, rho=self.rho)
+
+    def channel(self) -> ChannelRealization:
+        if self.g1 is None or self.g2 is None or self.g3 is None:
+            raise ConfigError("solve requires --g1, --g2 and --g3")
+        return _build(ChannelRealization, g1=self.g1, g2=self.g2, g3=self.g3)
 
 
 def _build(cls, **fields):
@@ -147,12 +166,13 @@ def _build(cls, **fields):
 # Output files
 
 def _flat_config(cfg: ExperimentConfig) -> dict:
+    """The fields the run read, as provenance."""
     flat = {}
-    for field in dataclasses.fields(cfg):
-        v = getattr(cfg, field.name)
+    for name in ("kind", *_READS[cfg.kind]):
+        v = getattr(cfg, name)
         if isinstance(v, tuple):
             v = ",".join(repr(float(x)) for x in v)
-        flat[f"config.{field.name}"] = v
+        flat[f"config.{name}"] = v
     flat["version"] = __version__
     flat["numpy_version"] = np.__version__
     return dict(sorted(flat.items()))
@@ -177,15 +197,8 @@ def _write_csv(path: Path, experiment: str, columns, rows, cfg: ExperimentConfig
 
 
 def _write_json(path: Path, experiment: str, cfg: ExperimentConfig, **body):
-    doc = {
-        "experiment": experiment,
-        "provenance": {
-            "version": __version__,
-            "timestamp": _timestamp(),
-            "config": _flat_config(cfg),
-        },
-        **body,
-    }
+    doc = {"experiment": experiment, **body, "provenance": {
+        "version": __version__, "timestamp": _timestamp(), "config": _flat_config(cfg)}}
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
@@ -211,39 +224,27 @@ def _write_sweep(out: Path, cfg: ExperimentConfig, experiment: str, columns, row
 
 def _fig1_rows(cfg: ExperimentConfig, sampler: montecarlo.SamplerConfig):
     d = cfg.baseline()
-    for snr_db in cfg.snr_db_values:
-        p = cfg.system_params(snr_db)
+    for snr_db, _, p in cfg.system_points():
         mc = montecarlo.estimate_ergodic(sampler, p, d)
         an = analysis.ergodic_weighted_sum(p, d)
-        yield [
-            float(snr_db),
-            mc.c1_e, mc.c1_se, mc.c2_e, mc.c2_se, mc.c_sum_e, mc.c_sum_se,
-            an.c1_e, an.c2_e, an.c_sum_e,
-            analysis.high_snr_u1(p, d), analysis.high_snr_u2(p, d),
-            an.quadrature_error,
-        ]
+        yield [float(snr_db), mc.c1_e, mc.c1_se, mc.c2_e, mc.c2_se, mc.c_sum_e, mc.c_sum_se,
+               an.c1_e, an.c2_e, an.c_sum_e, analysis.high_snr_u1(p, d),
+               analysis.high_snr_u2(p, d), an.quadrature_error]
 
 
 def _fig2_rows(cfg: ExperimentConfig, sampler: montecarlo.SamplerConfig):
     d = cfg.baseline()
     grid = cfg.solver_grid()
-    for wt2 in cfg.wtilde2_values:
-        for snr_db in cfg.snr_db_values:
-            p = cfg.system_params(snr_db, w2=wt2 * cfg.w1)
-            pt = montecarlo.estimate_optimized(sampler, p, grid=grid, baseline=d,
-                                               workers=cfg.workers)
-            yield [
-                float(snr_db), float(wt2),
-                pt["mean_wsum_opt"], pt["se_wsum_opt"],
-                pt["mean_wsum_fixed"], pt["se_wsum_fixed"],
-                pt["gain_percent"],
-            ]
+    for snr_db, wt2, p in cfg.system_points():
+        pt = montecarlo.estimate_optimized(sampler, p, grid=grid, baseline=d,
+                                           workers=cfg.workers)
+        yield [float(snr_db), float(wt2), pt["mean_wsum_opt"], pt["se_wsum_opt"],
+               pt["mean_wsum_fixed"], pt["se_wsum_fixed"], pt["gain_percent"]]
 
 
 def _fig3_rows(cfg: ExperimentConfig, sampler: montecarlo.SamplerConfig):
     grid = cfg.solver_grid()
-    for wt2 in cfg.wtilde2_values:
-        p = cfg.system_params(cfg.snr_db, w2=wt2 * cfg.w1)
+    for _, wt2, p in cfg.system_points():
         pt = montecarlo.estimate_optimized(sampler, p, grid=grid, workers=cfg.workers)
         yield [float(wt2), pt["mean_alpha_star"], pt["se_alpha_star"],
                pt["mean_rho_star"], pt["se_rho_star"]]
@@ -301,33 +302,21 @@ def run_figure(cfg: ExperimentConfig) -> Path:
 run_fig1 = run_fig2 = run_fig3 = run_figure
 
 
-_SOLVE_COLUMNS = (
-    "alpha_star", "rho_star", "objective_f", "c1", "c2", "weighted_sum", "evaluations",
-)
+_SOLVE_COLUMNS = ("alpha_star", "rho_star", "objective_f", "c1", "c2", "weighted_sum",
+                  "evaluations")
 
 
 def run_solve(cfg: ExperimentConfig) -> Path | None:
     """Solve one channel realization and print the outcome."""
-    if cfg.g1 is None or cfg.g2 is None or cfg.g3 is None:
-        raise ConfigError("solve requires --g1, --g2 and --g3")
-    path = _output_path(cfg, "solve") if cfg.out else None
-    p = cfg.system_params(cfg.snr_db)
-    ch = _build(ChannelRealization, g1=cfg.g1, g2=cfg.g2, g3=cfg.g3)
-    out = solve_1d(p, ch, cfg.solver_grid())
-    print(f"alpha_star   = {out.alpha_star!r}")
-    print(f"rho_star     = {out.rho_star!r}")
-    print(f"objective_f  = {out.objective_f!r}")
-    print(f"c1           = {out.rate_triple.c1!r}")
-    print(f"c2           = {out.rate_triple.c2!r}")
-    print(f"weighted_sum = {out.rate_triple.weighted_sum!r}")
+    path = _output_path(cfg, "solve")
+    out = solve_1d(cfg.system_params(cfg.snr_db), cfg.channel(), cfg.solver_grid())
+    row = [out.alpha_star, out.rho_star, out.objective_f, out.rate_triple.c1,
+           out.rate_triple.c2, out.rate_triple.weighted_sum, float(out.evaluations)]
+    for name, v in zip(_SOLVE_COLUMNS[:-1], row):
+        print(f"{name:<12} = {v!r}")
     print(f"branch       = {out.branch.value}")
     print(f"evaluations  = {out.evaluations}")
-    if path is None:
-        return None
-    row = [out.alpha_star, out.rho_star, out.objective_f,
-           out.rate_triple.c1, out.rate_triple.c2,
-           out.rate_triple.weighted_sum, float(out.evaluations)]
-    return _write_sweep(path, cfg, "solve", _SOLVE_COLUMNS, [row])
+    return None if cfg.out is None else _write_sweep(path, cfg, "solve", _SOLVE_COLUMNS, [row])
 
 
 def run_validate(cfg: ExperimentConfig) -> int:
@@ -343,15 +332,9 @@ def run_validate(cfg: ExperimentConfig) -> int:
     out = Path(cfg.out or "validate_report.json")
     out.parent.mkdir(parents=True, exist_ok=True)
     _write_json(out, "validate", cfg, passed=all_passed, checks=[
-        {
-            "name": c.name,
-            "value": float(c.value),
-            "tolerance": c.tolerance if isinstance(c.tolerance, str) else float(c.tolerance),
-            "passed": bool(c.passed),
-            "detail": c.detail,
-        }
-        for c in checks
-    ])
+        {"name": c.name, "value": float(c.value), "passed": bool(c.passed), "detail": c.detail,
+         "tolerance": c.tolerance if isinstance(c.tolerance, str) else float(c.tolerance)}
+        for c in checks])
     print(("all checks passed" if all_passed else "CHECKS FAILED") + f"; report: {out}")
     return 0 if all_passed else 2
 
@@ -368,7 +351,8 @@ def _parse_snr_values(text: str):
     try:
         if ":" in text:
             start, stop, step = (float(tok) for tok in text.split(":"))
-            if step <= 0 or stop < start:
+            if not (math.isfinite(start) and math.isfinite(stop) and step > 0
+                    and stop >= start):
                 raise ValueError
             n = int(round((stop - start) / step))
             values = tuple(start + step * k for k in range(n + 1) if start + step * k <= stop + 1e-9 * max(1.0, step))
@@ -376,7 +360,7 @@ def _parse_snr_values(text: str):
                 raise ValueError
             return values
         return (float(text),)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ConfigError(f"bad SNR sweep spec {text!r}; expected START:STOP:STEP or a single dB value")
 
 
@@ -391,45 +375,76 @@ def _parse_float_list(text: str):
 
 
 def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(text)
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(text)
 
 
-# (section, key) -> (config field, converter from the entry's text)
-_INI_FIELDS = {
-    ("system", "mu"): ("mu", float),
-    ("system", "eta"): ("eta", float),
-    ("system", "var1"): ("var1", float),
-    ("system", "var2"): ("var2", float),
-    ("system", "var3"): ("var3", float),
-    ("system", "w1"): ("w1", float),
-    ("system", "w2"): ("w2", float),
-    ("system", "snr_db"): ("snr_db", float),
-    ("design", "alpha"): ("alpha", float),
-    ("design", "rho"): ("rho", float),
-    ("sweep", "snr_db"): ("snr_db_values", _parse_snr_values),
-    ("sweep", "wtilde2"): ("wtilde2_values", _parse_float_list),
-    ("channel", "g1"): ("g1", float),
-    ("channel", "g2"): ("g2", float),
-    ("channel", "g3"): ("g3", float),
-    ("sampler", "seed"): ("seed", int),
-    ("sampler", "samples"): ("samples", int),
-    ("sampler", "ordering"): ("ordering", str.strip),
-    ("sampler", "block_size"): ("block_size", int),
-    ("solver", "grid"): ("grid_n", int),
-    ("solver", "refine"): ("refine", _parse_bool),
-    ("run", "workers"): ("workers", int),
-    ("run", "full"): ("full", _parse_bool),
-    ("output", "out"): ("out", str.strip),
-    ("output", "format"): ("fmt", str.strip),
-}
+class _Option(NamedTuple):
+    """One ``ExperimentConfig`` field: its INI (section, key) and its flag
+    (None: not settable that way), the converter from the entry's or the
+    flag's text, and the subcommands that read the field."""
+
+    field: str
+    ini: tuple | None
+    flag: str | None
+    conv: Callable
+    kinds: tuple
+    help: str | None = None
 
 
-def _load_config_file(path: str) -> dict:
+_FIGS = ("fig1", "fig2", "fig3")
+_SYSTEM = (*_FIGS, "solve")
+_OPTIMIZED = ("fig2", "fig3")
+
+_OPTIONS = (
+    _Option("mu", ("system", "mu"), "--mu", float, _SYSTEM, "conversion-noise factor"),
+    *(_Option(name, ("system", name), None, float, _SYSTEM)
+      for name in ("eta", "var1", "var2", "var3", "w1")),
+    _Option("w2", ("system", "w2"), None, float, ("fig1", "solve")),
+    _Option("alpha", ("design", "alpha"), "--alpha", float, ("fig1", "fig2"),
+            "fixed power-allocation baseline"),
+    _Option("rho", ("design", "rho"), "--rho", float, ("fig1", "fig2"),
+            "fixed power-splitting baseline"),
+    _Option("snr_db_values", ("sweep", "snr_db"), "--snr-db", _parse_snr_values,
+            ("fig1", "fig2"), "SNR sweep in dB: START:STOP:STEP or a single value"),
+    _Option("wtilde2_values", ("sweep", "wtilde2"), "--wtilde2", _parse_float_list,
+            _OPTIMIZED, "comma-separated weight ratios w2/w1, each > 1"),
+    _Option("snr_db", ("system", "snr_db"), "--snr-db", float, ("fig3", "solve"),
+            "average SNR in dB (one value)"),
+    _Option("g1", ("channel", "g1"), "--g1", float, ("solve",), "source->U1 power gain"),
+    _Option("g2", ("channel", "g2"), "--g2", float, ("solve",), "source->U2 power gain"),
+    _Option("g3", ("channel", "g3"), "--g3", float, ("solve",), "U1->U2 power gain"),
+    _Option("seed", ("sampler", "seed"), "--seed", int, (*_FIGS, "validate"),
+            "64-bit RNG seed"),
+    _Option("samples", ("sampler", "samples"), "--samples", int, _FIGS,
+            "Monte Carlo draws per sweep point"),
+    # each figure's ordering is its own (_Figure.ordering); Python callers
+    # may still pass one
+    _Option("ordering", None, None, str, _FIGS),
+    _Option("block_size", ("sampler", "block_size"), None, int, _FIGS),
+    _Option("grid_n", ("solver", "grid"), "--grid", int, (*_OPTIMIZED, "solve"),
+            "alpha grid points of the 1D search"),
+    _Option("workers", ("run", "workers"), "--workers", int, (*_OPTIMIZED, "validate"),
+            "parallel workers (deterministic for any count)"),
+    _Option("full", ("run", "full"), "--full", _parse_bool, ("validate",),
+            "run the Monte Carlo checks at full published scales"),
+    _Option("out", ("output", "out"), "--out", str.strip, (*_SYSTEM, "validate"),
+            "output file path"),
+    _Option("fmt", ("output", "format"), "--format", str.strip, _SYSTEM,
+            "output format: csv or json"),
+)
+
+# subcommand -> the ExperimentConfig fields it reads (``kind`` aside)
+_READS = {kind: frozenset(opt.field for opt in _OPTIONS if kind in opt.kinds)
+          for kind in (*_SYSTEM, "validate")}
+_BY_INI = {opt.ini: opt for opt in _OPTIONS if opt.ini}
+
+
+def _load_config_file(path: str, kind: str) -> dict:
+    """The entries ``kind`` reads, as config fields; entries it does not read
+    are skipped, so one file can serve every subcommand."""
     parser = configparser.ConfigParser()
     read = parser.read(path)
     if not read:
@@ -438,34 +453,18 @@ def _load_config_file(path: str) -> dict:
     for section in parser.sections():
         for key, text in parser.items(section):
             where = f"{path} [{section}] {key}"
-            try:
-                field, conv = _INI_FIELDS[(section, key)]
-            except KeyError:
+            opt = _BY_INI.get((section, key))
+            if opt is None:
                 raise ConfigError(f"unknown config entry at {where}")
+            if kind not in opt.kinds:
+                continue
             try:
-                overrides[field] = conv(text)
+                overrides[opt.field] = opt.conv(text)
             except ConfigError as exc:
                 raise ConfigError(f"{exc} at {where}")
             except ValueError:
                 raise ConfigError(f"bad value {text!r} at {where}")
     return overrides
-
-
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--config", metavar="PATH", help="INI config file")
-    sub.add_argument("--seed", type=int, help="64-bit RNG seed")
-    sub.add_argument("--samples", type=int, help="Monte Carlo draws per sweep point")
-    sub.add_argument("--snr-db", metavar="START:STOP:STEP",
-                     help="SNR sweep in dB (or a single value)")
-    sub.add_argument("--wtilde2", metavar="LIST", help="comma-separated weight ratios")
-    sub.add_argument("--alpha", type=float, help="fixed power-allocation baseline")
-    sub.add_argument("--rho", type=float, help="fixed power-splitting baseline")
-    sub.add_argument("--mu", type=float, help="conversion-noise factor")
-    sub.add_argument("--out", metavar="PATH", help="output file path")
-    sub.add_argument("--format", choices=("csv", "json"), dest="fmt")
-    sub.add_argument("--ordering", choices=("unordered", "swap"))
-    sub.add_argument("--grid", type=int, dest="grid_n", help="alpha grid points for the 1D search")
-    sub.add_argument("--workers", type=int, help="parallel workers (deterministic for any count)")
 
 
 def _build_parser() -> _Parser:
@@ -478,34 +477,23 @@ def _build_parser() -> _Parser:
                  validate="run the release-gate checks")
     for kind, desc in helps.items():
         sub = subs.add_parser(kind, help=desc)
-        _add_common(sub)
-        if kind == "solve":
-            sub.add_argument("--g1", type=float, help="source->U1 power gain")
-            sub.add_argument("--g2", type=float, help="source->U2 power gain")
-            sub.add_argument("--g3", type=float, help="U1->U2 power gain")
-        if kind == "validate":
-            sub.add_argument("--full", action="store_true", default=None,
-                             help="run Monte Carlo checks at full published scales")
+        sub.add_argument("--config", metavar="PATH",
+                         help="INI config file (entries this subcommand does not read are skipped)")
+        for opt in _OPTIONS:
+            if opt.flag is None or kind not in opt.kinds:
+                continue
+            kw = (dict(action="store_true", default=None) if opt.conv is _parse_bool
+                  else dict(type=opt.conv, metavar=opt.flag.lstrip("-").upper()))
+            sub.add_argument(opt.flag, dest=opt.field, help=opt.help, **kw)
     return parser
 
 
 def _build_config(args: argparse.Namespace) -> ExperimentConfig:
-    overrides = _load_config_file(args.config) if args.config else {}
+    overrides = _load_config_file(args.config, args.kind) if args.config else {}
     # every other argparse dest is the name of an ExperimentConfig field
-    for field, value in vars(args).items():
-        if value is not None and field not in ("kind", "config", "snr_db", "wtilde2"):
-            overrides[field] = value
-    if args.snr_db is not None:
-        values = _parse_snr_values(args.snr_db)
-        overrides["snr_db_values"] = values
-        if len(values) == 1:
-            overrides["snr_db"] = values[0]
-    if args.wtilde2 is not None:
-        overrides["wtilde2_values"] = _parse_float_list(args.wtilde2)
-    try:
-        return ExperimentConfig(kind=args.kind, **overrides)
-    except TypeError as exc:
-        raise ConfigError(str(exc))
+    overrides.update((field, value) for field, value in vars(args).items()
+                     if value is not None and field not in ("kind", "config"))
+    return ExperimentConfig(kind=args.kind, **overrides)
 
 
 def main(argv=None) -> int:

@@ -54,7 +54,7 @@ def linear_to_db(snr_linear):
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Static scenario description.
+    """Static scenario description; every field is finite.
 
     avg_snr   transmit power over noise power (linear scale), > 0
     mu        conversion-noise factor, >= 0
@@ -73,6 +73,9 @@ class SystemParams:
     w2: float = 2.0
 
     def __post_init__(self):
+        for name in ("avg_snr", "mu", "var1", "var2", "var3", "w1", "w2"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.avg_snr > 0:
             raise DomainError(f"avg_snr must be > 0, got {self.avg_snr}")
         if not self.mu >= 0:
@@ -100,7 +103,7 @@ class SystemParams:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One block-fading draw of the three channel power gains."""
+    """One block-fading draw of the three channel power gains (finite, >= 0)."""
 
     g1: float
     g2: float
@@ -108,8 +111,11 @@ class ChannelRealization:
 
     def __post_init__(self):
         for name in ("g1", "g2", "g3"):
-            if not getattr(self, name) >= 0:
-                raise DomainError(f"{name} must be >= 0, got {getattr(self, name)}")
+            g = getattr(self, name)
+            if not g >= 0:
+                raise DomainError(f"{name} must be >= 0, got {g}")
+            if not math.isfinite(g):
+                raise DomainError(f"{name} must be finite, got {g}")
 
     @property
     def ordered(self) -> bool:

@@ -1,6 +1,9 @@
+import dataclasses
 import json
+import re
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -180,7 +183,7 @@ class _Ones:
 
 
 @pytest.mark.parametrize("kind, samples, ordering, wtilde2", [
-    ("fig1", 1_000_000, "unordered", "None"),
+    ("fig1", 1_000_000, "unordered", None),  # fig1 takes no weight ratios
     ("fig2", 100_000, "swap", "2.0,5.0"),
     ("fig3", 100_000, "swap", "1.5,2.0,3.0,5.0,7.0,10.0"),
 ])
@@ -200,9 +203,64 @@ def test_default_run_records_resolved_defaults(kind, samples, ordering, wtilde2,
     comments, _, rows = read_csv(out)
     assert f"# config.samples={samples}" in comments
     assert f"# config.ordering={ordering}" in comments
-    assert f"# config.wtilde2_values={wtilde2}" in comments
+    if wtilde2 is None:
+        assert not any(line.startswith("# config.wtilde2_values=") for line in comments)
+    else:
+        assert f"# config.wtilde2_values={wtilde2}" in comments
     assert rows and len(samplers) == len(rows)
     assert {(s.sample_count, s.ordering.value) for s in samplers} == {(samples, ordering)}
+
+
+_SYSTEM = {"mu", "eta", "var1", "var2", "var3", "w1"}
+_SAMPLER = {"seed", "samples", "ordering", "block_size"}
+
+
+@pytest.mark.parametrize("argv, read", [
+    (["fig1", "--format", "json"],
+     _SYSTEM | _SAMPLER | {"w2", "alpha", "rho", "snr_db_values", "fmt"}),
+    (["fig2", "--format", "json"],
+     _SYSTEM | _SAMPLER | {"alpha", "rho", "snr_db_values", "wtilde2_values", "grid_n",
+                           "workers", "fmt"}),
+    (["fig3", "--format", "json"],
+     _SYSTEM | _SAMPLER | {"snr_db", "wtilde2_values", "grid_n", "workers", "fmt"}),
+    (["solve", "--format", "json", "--g1", "1.5", "--g2", "0.5", "--g3", "0.8"],
+     _SYSTEM | {"w2", "snr_db", "g1", "g2", "g3", "grid_n", "fmt"}),
+    (["validate"], {"seed", "full", "workers"}),
+], ids=["fig1", "fig2", "fig3", "solve", "validate"])
+def test_provenance_lists_exactly_the_fields_read(argv, read, tmp_path, monkeypatch, capsys):
+    fields = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    reads, recording = set(), [True]
+
+    class Recording(ExperimentConfig):
+        def __getattribute__(self, name):
+            if recording[0] and name in fields:
+                reads.add(name)
+            return object.__getattribute__(self, name)
+
+    def flat_config(cfg, real=cli._flat_config):
+        recording[0] = False  # writing the provenance is not a read by the run
+        try:
+            return real(cfg)
+        finally:
+            recording[0] = True
+
+    solved = SimpleNamespace(
+        alpha_star=0.5, rho_star=0.25, objective_f=1.0, evaluations=3,
+        rate_triple=SimpleNamespace(c1=1.0, c2=1.0, weighted_sum=3.0),
+        branch=SimpleNamespace(value="interior"))
+    monkeypatch.setattr(cli, "ExperimentConfig", Recording)
+    monkeypatch.setattr(cli, "_flat_config", flat_config)
+    monkeypatch.setattr(montecarlo, "estimate_ergodic", lambda *a, **k: _Ones())
+    monkeypatch.setattr(montecarlo, "estimate_optimized", lambda *a, **k: _Ones())
+    monkeypatch.setattr(analysis, "ergodic_weighted_sum", lambda *a, **k: _Ones())
+    monkeypatch.setattr(cli, "solve_1d", lambda *a, **k: solved)
+    monkeypatch.setattr(validation, "run_all", lambda **kw: [
+        validation.CheckResult("demo", 0.0, 1.0, True, "ok")])
+    out = tmp_path / "x.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    config = json.loads(out.read_text())["provenance"]["config"]
+    recorded = {k.removeprefix("config.") for k in config if k.startswith("config.")}
+    assert recorded == reads == read | {"kind", "out"}
 
 
 @pytest.mark.parametrize("kind", ["fig2", "fig3"])
@@ -210,8 +268,11 @@ def test_unordered_optimized_sweep_fails_before_any_solve(kind, tmp_path, monkey
     def never(*args, **kwargs):
         raise AssertionError("solve_1d ran on an unordered sampler")
 
+    # no option sets the ordering, so give the figure an unordered default
+    unordered = cli._FIGURES[kind]._replace(ordering="unordered")
     monkeypatch.setattr(montecarlo, "solve_1d", never)
-    rc = main([kind, "--ordering", "unordered", "--samples", "50", "--snr-db", "10",
+    monkeypatch.setitem(cli._FIGURES, kind, unordered)
+    rc = main([kind, "--samples", "50", "--snr-db", "10",
                "--wtilde2", "2", "--out", str(tmp_path / "x.csv")])
     assert rc == 3
     assert "swap-ordered" in capsys.readouterr().err
@@ -311,6 +372,15 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert message in err and f"at {ini} [sweep] {key}" in err
 
+    def test_readme_example_loads_for_every_subcommand(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        ini = tmp_path / "readme.ini"
+        ini.write_text(re.search(r"```ini\n(.*?)```", readme, re.S).group(1))
+        for kind in ("fig1", "fig2", "fig3", "solve", "validate"):
+            overrides = cli._load_config_file(str(ini), kind)
+            assert overrides and set(overrides) <= cli._READS[kind]
+            ExperimentConfig(kind=kind, **overrides)
+
     def test_missing_file(self, capsys):
         rc = main(["fig1", "--config", "/nonexistent/x.ini"])
         assert rc == 1
@@ -401,14 +471,23 @@ class TestMainEntry:
         (["fig1", "--mu", "-1"], "mu must be >= 0"),
         (["fig1", "--rho", "1"], "rho must be in [0, 1)"),
         (["solve", "--g1", "1", "--g2", "0.5", "--g3", "-1"], "g3 must be >= 0"),
-        (["fig3", "--alpha", "1.5", "--samples", "10", "--wtilde2", "2"],
-         "alpha must be in (0, 1)"),
-        (["solve", "--alpha", "1.5", "--g1", "1.5", "--g2", "0.5", "--g3", "0.8"],
-         "alpha must be in (0, 1)"),
-        (["fig1", "--grid", "1", "--samples", "10", "--snr-db", "0"],
-         "alpha grid needs at least 2 points"),
-        (["solve", "--samples", "-3", "--g1", "1.5", "--g2", "0.5", "--g3", "0.8"],
-         "sample_count must be >= 1"),
+        # non-finite values: none may reach an estimator or the solver
+        (["solve", "--mu", "inf", "--snr-db", "10", "--g1", "1.5", "--g2", "0.5",
+          "--g3", "0.8"], "mu must be finite, got inf"),
+        (["fig2", "--mu", "inf", "--snr-db", "10", "--samples", "20", "--wtilde2", "2"],
+         "mu must be finite, got inf"),
+        (["fig1", "--mu", "nan", "--samples", "10"], "mu must be finite, got nan"),
+        (["solve", "--snr-db", "inf", "--g1", "1.5", "--g2", "0.5", "--g3", "0.8"],
+         "avg_snr must be finite, got inf"),
+        (["fig3", "--snr-db", "inf", "--samples", "10", "--wtilde2", "2"],
+         "avg_snr must be finite, got inf"),
+        (["fig1", "--snr-db", "0:inf:5", "--samples", "10"], "bad SNR sweep spec '0:inf:5'"),
+        (["solve", "--snr-db", "4000", "--g1", "1.5", "--g2", "0.5", "--g3", "0.8"],
+         "SNR 4000.0 dB is out of range"),
+        (["solve", "--g1", "inf", "--g2", "0.5", "--g3", "0.8"], "g1 must be finite, got inf"),
+        (["fig2", "--wtilde2", "2,inf", "--samples", "10", "--snr-db", "10"],
+         "w2 must be finite, got inf"),
+        (["validate", "--seed", "-1"], "seed must be an unsigned 64-bit integer, got -1"),
     ])
     def test_config_domain_error_exits_one(self, argv, message, tmp_path, monkeypatch,
                                            capsys):
@@ -416,6 +495,35 @@ class TestMainEntry:
         out = tmp_path / "x.csv"
         assert main(argv + ["--out", str(out)]) == 1
         assert f"config error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "--samples", "5"],
+        ["validate", "--format", "csv"],
+        ["solve", "--seed", "3", "--g1", "1.5", "--g2", "0.5", "--g3", "0.8"],
+        ["fig1", "--workers", "2"],
+        ["fig3", "--alpha", "0.4"],
+        ["fig3", "--alpha", "1.5", "--samples", "10", "--wtilde2", "2"],
+        ["solve", "--alpha", "1.5", "--g1", "1.5", "--g2", "0.5", "--g3", "0.8"],
+        ["fig1", "--grid", "1", "--samples", "10", "--snr-db", "0"],
+        ["solve", "--samples", "-3", "--g1", "1.5", "--g2", "0.5", "--g3", "0.8"],
+    ], ids=lambda argv: " ".join(argv[:3]))
+    def test_unread_flag_rejected_before_any_work(self, argv, tmp_path, monkeypatch, capsys):
+        forbid_estimators(monkeypatch)
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert f"unrecognized arguments: {argv[1]}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["fig3", "--snr-db", "0:20:10", "--samples", "10", "--wtilde2", "2"],
+        ["solve", "--snr-db", "0:40:20", "--g1", "1.5", "--g2", "0.5", "--g3", "0.8"],
+    ], ids=lambda argv: argv[0])
+    def test_single_point_kind_rejects_snr_sweep(self, argv, tmp_path, monkeypatch, capsys):
+        forbid_estimators(monkeypatch)
+        out = tmp_path / "x.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert "invalid float value: '0:" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("kind, workers", [("fig3", "0"), ("fig2", "-4"), ("validate", "0")])

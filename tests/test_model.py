@@ -44,6 +44,12 @@ class TestTypes:
         with pytest.raises(DomainError):
             SystemParams(**base)
 
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("name", ["avg_snr", "mu", "var1", "var2", "var3", "w1", "w2"])
+    def test_system_params_rejects_non_finite(self, name, value):
+        with pytest.raises(DomainError, match=f"{name} must be"):
+            SystemParams(**{"avg_snr": 10.0, name: value})
+
     def test_weights_must_be_positive_not_just_w2(self):
         with pytest.raises(DomainError):
             SystemParams(avg_snr=1.0, w1=1.0, w2=0.0)
@@ -55,6 +61,14 @@ class TestTypes:
     @pytest.mark.parametrize("g", [(-0.1, 0, 0), (0, -1, 0), (0, 0, -1e-9)])
     def test_channel_rejects_negative_gains(self, g):
         with pytest.raises(DomainError):
+            ChannelRealization(*g)
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_channel_rejects_non_finite_gains(self, index, value):
+        g = [2.0, 1.0, 0.5]
+        g[index] = value
+        with pytest.raises(DomainError, match=f"g{index + 1} must be"):
             ChannelRealization(*g)
 
     def test_channel_ordered_flag(self):
