@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .analysis import (
     ErgodicReport,
     HighSnrSum,
-    RateSource,
     ergodic_rate_u1,
     ergodic_rate_u2,
     ergodic_weighted_sum,
@@ -31,7 +30,6 @@ from .model import (
     SystemParams,
     db_to_linear,
     harvested_energy,
-    linear_to_db,
     rates,
     sinr_mrc_at_u2,
     sinr_x1_at_u1,
@@ -42,7 +40,6 @@ from .montecarlo import (
     SamplerConfig,
     estimate_ergodic,
     estimate_optimized,
-    sample_channel,
 )
 from .optimizer import (
     AlphaGridSpec,

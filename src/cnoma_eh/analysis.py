@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
@@ -51,7 +50,6 @@ from .specfun import (
 )
 
 __all__ = [
-    "RateSource",
     "ErgodicReport",
     "HighSnrSum",
     "ergodic_rate_u1",
@@ -70,27 +68,19 @@ __all__ = [
 _HALF_LN2_INV = 1.0 / (2.0 * math.log(2.0))
 
 
-class RateSource(Enum):
-    ANALYTIC = "analytic"
-    HIGH_SNR = "high-snr"
-    MONTE_CARLO = "monte-carlo"
-
-
 @dataclass(frozen=True)
 class ErgodicReport:
     """Per-configuration ergodic rates in bits/s/Hz.
 
     ``quadrature_error`` is the outer-rule error estimate of c2_e for
-    analytic reports; ``sample_count`` and the ``*_se`` standard errors are
-    set for Monte Carlo reports.
+    analytic reports; the ``*_se`` standard errors are set for Monte Carlo
+    reports.
     """
 
     c1_e: float
     c2_e: float
     c_sum_e: float
-    source: RateSource
     quadrature_error: float | None = None
-    sample_count: int | None = None
     c1_se: float | None = None
     c2_se: float | None = None
     c_sum_se: float | None = None
@@ -265,7 +255,6 @@ def ergodic_weighted_sum(p: SystemParams, d: DesignPoint,
         c1_e=c1,
         c2_e=c2,
         c_sum_e=p.w1 * c1 + p.w2 * c2,
-        source=RateSource.ANALYTIC,
         quadrature_error=err,
     )
 

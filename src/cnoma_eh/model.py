@@ -38,18 +38,12 @@ __all__ = [
     "harvested_energy",
     "rates",
     "db_to_linear",
-    "linear_to_db",
 ]
 
 
 def db_to_linear(snr_db):
     """Convert an SNR from dB to a linear power ratio."""
     return 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0) if np.ndim(snr_db) else 10.0 ** (snr_db / 10.0)
-
-
-def linear_to_db(snr_linear):
-    """Convert a linear power ratio to dB."""
-    return 10.0 * (np.log10(snr_linear) if np.ndim(snr_linear) else math.log10(snr_linear))
 
 
 @dataclass(frozen=True)
@@ -93,13 +87,6 @@ class SystemParams:
         """Weight ratio w2 / w1."""
         return self.w2 / self.w1
 
-    @classmethod
-    def from_power(cls, tx_power: float, noise_power: float, **kwargs) -> "SystemParams":
-        """Build from explicit transmit and noise powers instead of their ratio."""
-        if not (tx_power > 0 and noise_power > 0):
-            raise DomainError("tx_power and noise_power must be > 0")
-        return cls(avg_snr=tx_power / noise_power, **kwargs)
-
 
 @dataclass(frozen=True)
 class ChannelRealization:
@@ -116,11 +103,6 @@ class ChannelRealization:
                 raise DomainError(f"{name} must be >= 0, got {g}")
             if not math.isfinite(g):
                 raise DomainError(f"{name} must be finite, got {g}")
-
-    @property
-    def ordered(self) -> bool:
-        """True when the strong-user gain strictly dominates: g1 > g2."""
-        return self.g1 > self.g2
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from .analysis import ErgodicReport, RateSource
+from .analysis import ErgodicReport
 from .errors import DomainError
 from .model import ChannelRealization, DesignPoint, SystemParams, _rate_tuple
 from .optimizer import AlphaGridSpec, solve_1d
@@ -32,7 +32,6 @@ from .optimizer import AlphaGridSpec, solve_1d
 __all__ = [
     "Ordering",
     "SamplerConfig",
-    "sample_channel",
     "sample_gains",
     "estimate_ergodic",
     "estimate_optimized",
@@ -81,16 +80,6 @@ def sample_gains(cfg: SamplerConfig, p: SystemParams, block_index: int, count: i
     return _gains_from_uniforms(_block_uniforms(cfg.seed, block_index, count), p, cfg.ordering)
 
 
-def sample_channel(cfg: SamplerConfig, p: SystemParams, stream_index: int) -> ChannelRealization:
-    """The single draw at ``stream_index``; identical to the batch path."""
-    if stream_index < 0:
-        raise DomainError("stream_index must be >= 0")
-    block, offset = divmod(stream_index, cfg.block_size)
-    u = _block_uniforms(cfg.seed, block, offset + 1)[offset : offset + 1]
-    g1, g2, g3 = _gains_from_uniforms(u, p, cfg.ordering)
-    return ChannelRealization(g1=float(g1[0]), g2=float(g2[0]), g3=float(g3[0]))
-
-
 def _blocks(cfg: SamplerConfig):
     full, rem = divmod(cfg.sample_count, cfg.block_size)
     for b in range(full):
@@ -125,12 +114,11 @@ def estimate_ergodic(cfg: SamplerConfig, p: SystemParams, d: DesignPoint) -> Erg
     ws_m, ws_se = _mean_se(n, sums[4], sums[5])
     return ErgodicReport(
         c1_e=c1_m, c2_e=c2_m, c_sum_e=ws_m,
-        source=RateSource.MONTE_CARLO,
-        sample_count=n, c1_se=c1_se, c2_se=c2_se, c_sum_se=ws_se,
+        c1_se=c1_se, c2_se=c2_se, c_sum_se=ws_se,
     )
 
 
-def _optimized_block(args) -> tuple[int, np.ndarray, int]:
+def _optimized_block(args) -> tuple[np.ndarray, int]:
     """Per-block partial sums for the optimized sweep (top level: picklable)."""
     cfg, p, grid, baseline, block_index, count = args
     g1, g2, g3 = sample_gains(cfg, p, block_index, count)
@@ -150,7 +138,7 @@ def _optimized_block(args) -> tuple[int, np.ndarray, int]:
         _, _, ws_fixed = _rate_tuple(p.avg_snr, p.mu, p.eta, g1, g2, g3,
                                      baseline.alpha, baseline.rho, p.w1, p.w2)
         sums[6:8] = _moments(ws_fixed[g1 != g2])
-    return block_index, sums, skipped
+    return sums, skipped
 
 
 def estimate_optimized(cfg: SamplerConfig, p: SystemParams,
@@ -172,16 +160,16 @@ def estimate_optimized(cfg: SamplerConfig, p: SystemParams,
         raise DomainError("optimized sweeps require swap-ordered draws (g1 >= g2)")
     grid = grid or AlphaGridSpec()
     jobs = [(cfg, p, grid, baseline, b, n) for b, n in _blocks(cfg)]
+    # both paths return the blocks in job order; no more processes than blocks
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             results = list(pool.map(_optimized_block, jobs, chunksize=1))
     else:
         results = [_optimized_block(j) for j in jobs]
-    results.sort(key=lambda r: r[0])
 
     totals = np.zeros(8)
     skipped = 0
-    for _, sums, skip in results:
+    for sums, skip in results:
         totals += sums
         skipped += skip
     n = cfg.sample_count - skipped

@@ -47,6 +47,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
+from typing import ClassVar
 
 import numpy as np
 
@@ -107,18 +108,15 @@ class SolverBranch(Enum):
 
 @dataclass(frozen=True)
 class AlphaGridSpec:
-    """Grid for the 1D search: n points on [margin, 1 - margin], optionally
-    refined by golden-section search to 1e-6 in alpha."""
+    """Grid for the 1D search: n points on [margin, 1 - margin].  The
+    incumbent is always refined by golden-section search to 1e-6 in alpha."""
 
     n: int = 1000
-    margin: float = 1e-4
-    refine: bool = True
+    margin: ClassVar[float] = 1e-4
 
     def __post_init__(self):
         if self.n < 2:
             raise DomainError("alpha grid needs at least 2 points")
-        if not 0 < self.margin < 0.5:
-            raise DomainError("alpha margin must be in (0, 0.5)")
 
 
 @dataclass(frozen=True)
@@ -330,22 +328,15 @@ def solve_1d(p: SystemParams, ch: ChannelRealization,
     alphas = np.linspace(grid.margin, 1.0 - grid.margin, grid.n)
     _, _, logf = _profile(p, ch, alphas)
     i = int(np.argmax(logf))  # first hit: smallest alpha wins ties
-    best_alpha = float(alphas[i])
-    best_logf = float(logf[i])
-    evaluations = grid.n
-
-    if grid.refine:
-        lo = float(alphas[max(i - 1, 0)])
-        hi = float(alphas[min(i + 1, grid.n - 1)])
-        a_ref, f_ref, n_ref = _golden_max(
-            lambda a: _profile(p, ch, a)[2], lo, hi, _REFINE_TOL
-        )
-        evaluations += n_ref
-        if f_ref > best_logf:
-            best_alpha, best_logf = a_ref, f_ref
+    lo = float(alphas[max(i - 1, 0)])
+    hi = float(alphas[min(i + 1, grid.n - 1)])
+    a_ref, f_ref, n_ref = _golden_max(
+        lambda a: _profile(p, ch, a)[2], lo, hi, _REFINE_TOL
+    )
+    best_alpha = a_ref if f_ref > float(logf[i]) else float(alphas[i])
 
     rho_star, branch, _ = _profile(p, ch, best_alpha)
-    evaluations += 1
+    evaluations = grid.n + n_ref + 1
     d = DesignPoint(alpha=best_alpha, rho=rho_star)
     return OptimizationOutcome(
         alpha_star=best_alpha,

@@ -69,12 +69,12 @@ def random_instances(seed: int, n: int):
     return out
 
 
-def check_solver_pool(seed=1001, n_instances=200,
-                      grid2d: optimizer.Grid2DSpec | None = None,
-                      margin=1e-4) -> list[CheckResult]:
-    """Solve each instance of the standard pool once and check the solution
-    against the 2D oracle, the rho bound and the decode margin."""
-    grid2d = grid2d or optimizer.Grid2DSpec(n_alpha=300, n_rho=300)
+def check_solver_pool(seed=1001) -> list[CheckResult]:
+    """Solve each of 200 instances of the standard pool once and check the
+    solution against the 2D oracle (within 1e-4), the rho bound and the
+    decode margin."""
+    n_instances, margin = 200, 1e-4
+    grid2d = optimizer.Grid2DSpec(n_alpha=300, n_rho=300)
     worst_gap = math.inf
     worst_rho = -math.inf
     worst_sinr = -math.inf
@@ -104,7 +104,8 @@ def check_solver_pool(seed=1001, n_instances=200,
     ]
 
 
-def check_root_crossing(seed=1002, n_pairs=1000) -> CheckResult:
+def check_root_crossing(seed=1002) -> CheckResult:
+    n_pairs = 1000
     rng = np.random.default_rng(seed)
     instances = random_instances(seed + 1, n_pairs)
     worst = 0.0
@@ -133,9 +134,9 @@ def _df_drho_numerator(d, e, t, pp, q, wtilde2, rho):
     return (d - e * t) * (pp + q * rho) + q * wtilde2 * (t - rho) * (d - e * rho)
 
 
-def check_stationarity(seed=1003, n_pairs=1000) -> CheckResult:
+def check_stationarity(seed=1003) -> CheckResult:
     rng = np.random.default_rng(seed)
-    instances = random_instances(seed + 1, n_pairs)
+    instances = random_instances(seed + 1, 1000)
     worst = 0.0
     tested = 0
     for p, ch in instances:
@@ -234,7 +235,8 @@ def check_density_normalization() -> CheckResult:
 _MC_DESIGN = DesignPoint(alpha=0.25, rho=0.3)
 
 
-def check_u1_analytic_vs_mc(seed=1004, samples=1_000_000) -> CheckResult:
+def check_u1_analytic_vs_mc(seed=1004) -> CheckResult:
+    samples = 1_000_000
     sampler = montecarlo.SamplerConfig(
         seed=seed, ordering=montecarlo.Ordering.UNORDERED, sample_count=samples
     )
@@ -248,12 +250,12 @@ def check_u1_analytic_vs_mc(seed=1004, samples=1_000_000) -> CheckResult:
                     f"max |closed form - MC| / SE at 0/10/20/30 dB, {samples} draws")
 
 
-def check_weak_user(seed=1005, samples=1_000_000) -> list[CheckResult]:
+def check_weak_user(seed=1005) -> list[CheckResult]:
     """The weak-user quadrature, evaluated once at each of 0, 20, 30 and
     40 dB: agreement with correlated Monte Carlo (0/20/30 dB), the high-SNR
     slope of the weighted sum and the saturation of c2 (30 -> 40 dB)."""
     sampler = montecarlo.SamplerConfig(
-        seed=seed, ordering=montecarlo.Ordering.UNORDERED, sample_count=samples
+        seed=seed, ordering=montecarlo.Ordering.UNORDERED, sample_count=1_000_000
     )
     params = {snr_db: SystemParams(avg_snr=db_to_linear(snr_db), mu=1.0, w1=1.0, w2=2.0)
               for snr_db in (0.0, 20.0, 30.0, 40.0)}
@@ -328,9 +330,9 @@ def check_fig2_gains(seed=1006, samples=100_000, workers=1) -> list[CheckResult]
     return results
 
 
-def check_optimized_dominance(seed=1007, samples=4000, workers=1,
-                              snr_db_values=(0, 5, 10, 15, 20, 25, 30, 35, 40),
-                              baselines=((0.25, 0.3), (0.5, 0.5), (0.1, 0.1))) -> CheckResult:
+def check_optimized_dominance(seed=1007, samples=4000, workers=1) -> CheckResult:
+    snr_db_values = (0, 5, 10, 15, 20, 25, 30, 35, 40)
+    baselines = ((0.25, 0.3), (0.5, 0.5), (0.1, 0.1))
     sampler = montecarlo.SamplerConfig(
         seed=seed, ordering=montecarlo.Ordering.SWAP_ORDERED, sample_count=samples
     )
@@ -351,15 +353,14 @@ def check_optimized_dominance(seed=1007, samples=4000, workers=1,
     )
 
 
-def check_fig3_trends(seed=1008, samples=100_000, workers=1,
-                      wtilde2_values=(1.5, 2.0, 3.0, 5.0, 7.0, 10.0)) -> list[CheckResult]:
+def check_fig3_trends(seed=1008, samples=100_000, workers=1) -> list[CheckResult]:
     sampler = montecarlo.SamplerConfig(
         seed=seed, ordering=montecarlo.Ordering.SWAP_ORDERED, sample_count=samples
     )
     points = [
         montecarlo.estimate_optimized(
             sampler, SystemParams(avg_snr=10.0, mu=1.0, w1=1.0, w2=wt2), workers=workers)
-        for wt2 in wtilde2_values
+        for wt2 in (1.5, 2.0, 3.0, 5.0, 7.0, 10.0)
     ]
 
     def pair_slack(a, b):
@@ -388,9 +389,11 @@ def check_fig3_trends(seed=1008, samples=100_000, workers=1,
     ]
 
 
-def check_determinism(seed=1009, samples=2000) -> CheckResult:
+def check_determinism(seed=1009) -> CheckResult:
     """run_fig2 twice with different worker counts must give identical CSVs
-    (timestamp line aside)."""
+    (timestamp line aside).  Blocks of 256 draws give each of the four
+    points 8 blocks, so the two workers split every point and the
+    block-order combination of their partial sums is compared."""
     import tempfile
     from pathlib import Path
 
@@ -402,7 +405,7 @@ def check_determinism(seed=1009, samples=2000) -> CheckResult:
         for workers in (1, 2):
             out = Path(tmp) / f"fig2_w{workers}.csv"
             cfg = cli.ExperimentConfig(
-                kind="fig2", seed=seed, samples=samples, workers=workers,
+                kind="fig2", seed=seed, samples=2000, block_size=256, workers=workers,
                 snr_db_values=(0.0, 10.0), wtilde2_values=(2.0, 5.0),
                 out=str(out),
             )

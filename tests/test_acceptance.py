@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from cnoma_eh import validation
-from cnoma_eh.optimizer import Grid2DSpec
 from cnoma_eh.specfun import bessel_k0, bessel_k1, gamma_upper_0
 
 SEED = 20260809
@@ -35,16 +34,13 @@ def by_name(results):
 @pytest.fixture(scope="module")
 def solver_pool():
     t0 = time.perf_counter()
-    results = validation.check_solver_pool(
-        seed=SEED, n_instances=200, grid2d=Grid2DSpec(n_alpha=300, n_rho=300),
-        margin=1e-4,
-    )
+    results = validation.check_solver_pool(seed=SEED)
     return by_name(results), time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def weak_user():
-    return by_name(validation.check_weak_user(seed=SEED + 4, samples=1_000_000))
+    return by_name(validation.check_weak_user(seed=SEED + 4))
 
 
 def test_01_solver_optimality_vs_2d_oracle(solver_pool):
@@ -60,8 +56,8 @@ def test_02_feasibility_at_solver_output(solver_pool):
 
 
 def test_03_root_correctness():
-    report(3, validation.check_root_crossing(seed=SEED + 1, n_pairs=1000))
-    report(3, validation.check_stationarity(seed=SEED + 2, n_pairs=1000))
+    report(3, validation.check_root_crossing(seed=SEED + 1))
+    report(3, validation.check_stationarity(seed=SEED + 2))
 
 
 def test_04_special_functions_vs_live_oracles():
@@ -94,7 +90,7 @@ def test_04_special_functions_vs_live_oracles():
 
 def test_05_u1_closed_form_vs_million_draw_mc():
     t0 = time.perf_counter()
-    res = validation.check_u1_analytic_vs_mc(seed=SEED + 3, samples=1_000_000)
+    res = validation.check_u1_analytic_vs_mc(seed=SEED + 3)
     elapsed = time.perf_counter() - t0
     report(5, res, extra=f" [{elapsed:.1f}s]")
     assert elapsed < 30.0
@@ -128,4 +124,4 @@ def test_09_fig3_trends():
 
 
 def test_10_worker_count_determinism():
-    report(10, validation.check_determinism(seed=SEED + 8, samples=2000))
+    report(10, validation.check_determinism(seed=SEED + 8))

@@ -405,8 +405,10 @@ class TestValidateCommand:
 
     def test_mutation_in_solver_is_caught(self, monkeypatch):
         # corrupting the denominator of the interior stationary point must
-        # trip the solver-vs-oracle check
-        clean = validation.check_solver_pool(seed=1001, n_instances=60)[0]
+        # trip the solver-vs-oracle check; the first 60 pool instances suffice
+        pool = validation.random_instances
+        monkeypatch.setattr(validation, "random_instances", lambda seed, n: pool(seed, 60))
+        clean = validation.check_solver_pool(seed=1001)[0]
         assert clean.name == "solver_optimality" and clean.passed
 
         # the shared stationary-root helper feeds the alpha grid, the
@@ -415,7 +417,7 @@ class TestValidateCommand:
             return (beta - xp.sqrt(xp.maximum(theta, 0.0))) / (2.0 * lead)
 
         monkeypatch.setattr(optimizer, "_stationary_root", corrupted)
-        mutated = validation.check_solver_pool(seed=1001, n_instances=60)[0]
+        mutated = validation.check_solver_pool(seed=1001)[0]
         assert not mutated.passed
 
     def test_run_all_computes_each_quantity_once(self, monkeypatch):
