@@ -43,7 +43,6 @@ from .montecarlo import (
 )
 from .optimizer import (
     AlphaGridSpec,
-    Grid2DSpec,
     OptimizationOutcome,
     SolverBranch,
     f_objective,

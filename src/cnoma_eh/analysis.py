@@ -134,7 +134,7 @@ def prob_y_exceeds(p: SystemParams, d: DesignPoint, z):
 
 def w1_cdf(p: SystemParams, d: DesignPoint, z):
     """CDF of the direct-link SINR at U2; saturates to 1 at (1-alpha)/alpha."""
-    z = np.maximum(z, 0.0)
+    z = np.maximum(_not_nan_z(z), 0.0)
     tail = _exp_tail((1.0 + p.mu) / (p.avg_snr * p.var2), z, 1.0 - d.alpha - d.alpha * z)
     return _float_or_array(np.where(z == 0.0, 0.0, 1.0 - tail))
 

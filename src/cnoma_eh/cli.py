@@ -33,9 +33,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, analysis, montecarlo, validation
-from .errors import CnomaError, ConfigError, DomainError, NumericalFailure
+from .errors import CnomaError, ConfigError, DomainError, InfeasibleChannel, NumericalFailure
 from .model import ChannelRealization, DesignPoint, SystemParams, db_to_linear
-from .optimizer import AlphaGridSpec, solve_1d
+from .optimizer import AlphaGridSpec, _require_ordered, solve_1d
 
 __all__ = ["ExperimentConfig", "run_fig1", "run_fig2", "run_fig3", "run_figure", "run_solve",
            "run_validate", "main"]
@@ -45,11 +45,12 @@ __all__ = ["ExperimentConfig", "run_fig1", "run_fig2", "run_fig3", "run_figure",
 class ExperimentConfig:
     """One experiment run.  ``kind`` names the subcommand, and ``_OPTIONS``
     says which of the other fields it reads; only those are checked and
-    recorded.  A figure kind fills unset ``samples``, ``ordering`` and
-    ``wtilde2_values`` with its defaults when the config is built, so
-    provenance records the values the run used.  Every object the run
-    builds from the config (system points, design point, sampler, solver
-    grid, channel) is built then too, before any work."""
+    recorded.  A figure kind fills unset ``samples`` and ``wtilde2_values``
+    with its defaults when the config is built, and sets its own
+    ``ordering`` (any other is an error), so provenance records the values
+    the run used.  Every object the run builds from the config (system
+    points, design point, sampler, solver grid, channel) is built then too,
+    before any work."""
 
     kind: str
     # system (weights w1/w2 apply to fig1 and solve; fig2/fig3 build w2
@@ -95,8 +96,10 @@ class ExperimentConfig:
         if fig is not None:
             if self.samples is None:
                 self.samples = fig.samples
-            if self.ordering is None:
-                self.ordering = fig.ordering
+            if self.ordering not in (None, fig.ordering):
+                raise ConfigError(f"{self.kind} draws {fig.ordering} gains, "
+                                  f"not {self.ordering!r}")
+            self.ordering = fig.ordering
             if fig.wtilde2 and self.wtilde2_values is None:
                 self.wtilde2_values = fig.wtilde2
             self.sampler()
@@ -134,11 +137,8 @@ class ExperimentConfig:
                 for wt in ratios for s in snrs]
 
     def sampler(self) -> montecarlo.SamplerConfig:
-        try:
-            ordering = montecarlo.Ordering(self.ordering)
-        except ValueError:
-            raise ConfigError(f"unknown ordering {self.ordering!r} (use unordered|swap)")
-        return _build(montecarlo.SamplerConfig, seed=self.seed, ordering=ordering,
+        return _build(montecarlo.SamplerConfig, seed=self.seed,
+                      ordering=montecarlo.Ordering(self.ordering),
                       sample_count=self.samples, block_size=self.block_size)
 
     def solver_grid(self) -> AlphaGridSpec:
@@ -150,7 +150,9 @@ class ExperimentConfig:
     def channel(self) -> ChannelRealization:
         if self.g1 is None or self.g2 is None or self.g3 is None:
             raise ConfigError("solve requires --g1, --g2 and --g3")
-        return _build(ChannelRealization, g1=self.g1, g2=self.g2, g3=self.g3)
+        ch = _build(ChannelRealization, g1=self.g1, g2=self.g2, g3=self.g3)
+        _require_ordered(ch)  # InfeasibleChannel: exit 1, as for any configured value
+        return ch
 
 
 def _build(cls, **fields):
@@ -421,7 +423,7 @@ _OPTIONS = (
     _Option("samples", ("sampler", "samples"), "--samples", int, _FIGS,
             "Monte Carlo draws per sweep point"),
     # each figure's ordering is its own (_Figure.ordering); Python callers
-    # may still pass one
+    # may pass only that one
     _Option("ordering", None, None, str, _FIGS),
     _Option("block_size", ("sampler", "block_size"), None, int, _FIGS),
     _Option("grid_n", ("solver", "grid"), "--grid", int, (*_OPTIMIZED, "solve"),
@@ -508,7 +510,7 @@ def main(argv=None) -> int:
         else:
             return run_validate(cfg)
         return 0
-    except ConfigError as exc:
+    except (ConfigError, InfeasibleChannel) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except NumericalFailure as exc:

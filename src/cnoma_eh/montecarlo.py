@@ -118,27 +118,26 @@ def estimate_ergodic(cfg: SamplerConfig, p: SystemParams, d: DesignPoint) -> Erg
     )
 
 
-def _optimized_block(args) -> tuple[np.ndarray, int]:
-    """Per-block partial sums for the optimized sweep (top level: picklable)."""
+def _optimized_block(args) -> tuple[dict[str, tuple[float, float]], int]:
+    """Per-block (sum, sum of squares) of each averaged quantity, keyed as in
+    ``estimate_optimized``'s point, and the skipped count (top level:
+    picklable)."""
     cfg, p, grid, baseline, block_index, count = args
     g1, g2, g3 = sample_gains(cfg, p, block_index, count)
-    sums = np.zeros(8)
-    skipped = 0
-    for i in range(count):
-        if g1[i] == g2[i]:
-            skipped += 1
-            continue
-        ch = ChannelRealization(g1=float(g1[i]), g2=float(g2[i]), g3=float(g3[i]))
-        out = solve_1d(p, ch, grid)
-        ws = out.rate_triple.weighted_sum
-        sums[0:6] += (ws, ws * ws,
-                      out.alpha_star, out.alpha_star * out.alpha_star,
-                      out.rho_star, out.rho_star * out.rho_star)
+    keep = g1 != g2
+    s1, s2 = np.zeros(3), np.zeros(3)
+    for x1, x2, x3 in zip(g1[keep].tolist(), g2[keep].tolist(), g3[keep].tolist()):
+        out = solve_1d(p, ChannelRealization(g1=x1, g2=x2, g3=x3), grid)
+        v = np.array((out.rate_triple.weighted_sum, out.alpha_star, out.rho_star))
+        s1 += v
+        s2 += v * v
+    sums = {name: (float(a), float(b))
+            for name, a, b in zip(("wsum_opt", "alpha_star", "rho_star"), s1, s2)}
     if baseline is not None:
         _, _, ws_fixed = _rate_tuple(p.avg_snr, p.mu, p.eta, g1, g2, g3,
                                      baseline.alpha, baseline.rho, p.w1, p.w2)
-        sums[6:8] = _moments(ws_fixed[g1 != g2])
-    return sums, skipped
+        sums["wsum_fixed"] = _moments(ws_fixed[keep])
+    return sums, count - int(keep.sum())
 
 
 def estimate_optimized(cfg: SamplerConfig, p: SystemParams,
@@ -160,35 +159,24 @@ def estimate_optimized(cfg: SamplerConfig, p: SystemParams,
         raise DomainError("optimized sweeps require swap-ordered draws (g1 >= g2)")
     grid = grid or AlphaGridSpec()
     jobs = [(cfg, p, grid, baseline, b, n) for b, n in _blocks(cfg)]
-    # both paths return the blocks in job order; no more processes than blocks
-    if workers > 1:
+    # both paths return the blocks in job order; a pool only for 2+ blocks,
+    # and no more processes than blocks
+    if workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
             results = list(pool.map(_optimized_block, jobs, chunksize=1))
     else:
         results = [_optimized_block(j) for j in jobs]
 
-    totals = np.zeros(8)
-    skipped = 0
-    for sums, skip in results:
-        totals += sums
-        skipped += skip
+    totals = {name: np.zeros(2) for name in results[0][0]}
+    for sums, _ in results:
+        for name, pair in sums.items():
+            totals[name] += pair
+    skipped = sum(skip for _, skip in results)
     n = cfg.sample_count - skipped
-    ws_m, ws_se = _mean_se(n, totals[0], totals[1])
-    a_m, a_se = _mean_se(n, totals[2], totals[3])
-    r_m, r_se = _mean_se(n, totals[4], totals[5])
-    point = {
-        "n": n,
-        "skipped": skipped,
-        "mean_wsum_opt": ws_m,
-        "se_wsum_opt": ws_se,
-        "mean_alpha_star": a_m,
-        "se_alpha_star": a_se,
-        "mean_rho_star": r_m,
-        "se_rho_star": r_se,
-    }
+    point = {"n": n, "skipped": skipped}
+    for name, (s1, s2) in totals.items():
+        point[f"mean_{name}"], point[f"se_{name}"] = _mean_se(n, s1, s2)
     if baseline is not None:
-        f_m, f_se = _mean_se(n, totals[6], totals[7])
-        point["mean_wsum_fixed"] = f_m
-        point["se_wsum_fixed"] = f_se
-        point["gain_percent"] = 100.0 * (ws_m - f_m) / f_m
+        f_m = point["mean_wsum_fixed"]
+        point["gain_percent"] = 100.0 * (point["mean_wsum_opt"] - f_m) / f_m
     return point

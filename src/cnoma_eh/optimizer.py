@@ -1,5 +1,11 @@
 """Per-realization weighted sum rate maximization over (alpha, rho).
 
+The problem: maximize w1*C1 + w2*C2 over alpha in [ALPHA_MIN, 1 - ALPHA_MIN]
+and rho in [0, _RHO_CAP].  The 1D grid, the w2 <= w1 corner and the 2D
+oracle all take alpha from that range.  The lower alpha bound is a real
+constraint: many optima sit on it, with the weighted sum still rising below
+it.
+
 At the optimum the weak user's rate is limited by U2's combiner, not by U1's
 decode step (otherwise lowering rho would raise both rates).  The problem is
 therefore equivalent to maximizing
@@ -70,8 +76,8 @@ from .model import (
 
 __all__ = [
     "SolverBranch",
+    "ALPHA_MIN",
     "AlphaGridSpec",
-    "Grid2DSpec",
     "OptimizationOutcome",
     "rho_tilde",
     "f_objective",
@@ -79,6 +85,10 @@ __all__ = [
     "solve_1d",
     "solve_2d_exhaustive",
 ]
+
+# Smallest power allocation any search takes; alpha runs over
+# [ALPHA_MIN, 1 - ALPHA_MIN].
+ALPHA_MIN = 1e-4
 
 # Largest rho the solver will ever return; keeps boundary solutions inside the
 # open constraint rho < 1 when the feasibility constraint never binds.
@@ -93,8 +103,8 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Width in alpha at which the golden-section refine stops.
 _REFINE_TOL = 1e-6
 
-# The 2D oracle's box: alpha on [margin, 1 - margin], rho on [0, rho_max].
-_GRID2D_ALPHA_MARGIN = 1e-4
+# Top of the 2D oracle's rho grid; short of _RHO_CAP until the solver's
+# rho -> 1 edge is mended (ROADMAP item 2).
 _GRID2D_RHO_MAX = 1.0 - 1e-6
 
 
@@ -108,28 +118,15 @@ class SolverBranch(Enum):
 
 @dataclass(frozen=True)
 class AlphaGridSpec:
-    """Grid for the 1D search: n points on [margin, 1 - margin].  The
+    """Grid for the 1D search: n points on [ALPHA_MIN, 1 - ALPHA_MIN].  The
     incumbent is always refined by golden-section search to 1e-6 in alpha."""
 
     n: int = 1000
-    margin: ClassVar[float] = 1e-4
+    margin: ClassVar[float] = ALPHA_MIN
 
     def __post_init__(self):
         if self.n < 2:
             raise DomainError("alpha grid needs at least 2 points")
-
-
-@dataclass(frozen=True)
-class Grid2DSpec:
-    """Exhaustive-search grid over alpha in [1e-4, 1 - 1e-4] and rho in
-    [0, 1 - 1e-6]."""
-
-    n_alpha: int = 300
-    n_rho: int = 300
-
-    def __post_init__(self):
-        if self.n_alpha < 2 or self.n_rho < 2:
-            raise DomainError("2D grid needs at least 2 points per axis")
 
 
 @dataclass(frozen=True)
@@ -307,14 +304,12 @@ def solve_1d(p: SystemParams, ch: ChannelRealization,
     """Weighted-sum-rate maximization by 1D search over alpha.
 
     For w2 <= w1 the optimum is the no-cooperation corner (all source power
-    on x1, no splitting); alpha sits at 1 - margin since the constraint set
-    is open at 1 and the supremum is only approached.  Otherwise evaluates
+    on x1, no splitting) at alpha = 1 - ALPHA_MIN.  Otherwise evaluates
     f(alpha, rho*(alpha)) on the grid and refines the incumbent bracket by
     golden section.
     """
-    grid = grid or AlphaGridSpec()
     if p.w2 <= p.w1:
-        d = DesignPoint(alpha=1.0 - grid.margin, rho=0.0)
+        d = DesignPoint(alpha=1.0 - ALPHA_MIN, rho=0.0)
         return OptimizationOutcome(
             alpha_star=d.alpha,
             rho_star=0.0,
@@ -324,8 +319,8 @@ def solve_1d(p: SystemParams, ch: ChannelRealization,
             evaluations=1,
         )
     _require_ordered(ch)
-
-    alphas = np.linspace(grid.margin, 1.0 - grid.margin, grid.n)
+    grid = grid or AlphaGridSpec()
+    alphas = np.linspace(ALPHA_MIN, 1.0 - ALPHA_MIN, grid.n)
     _, _, logf = _profile(p, ch, alphas)
     i = int(np.argmax(logf))  # first hit: smallest alpha wins ties
     lo = float(alphas[max(i - 1, 0)])
@@ -349,22 +344,24 @@ def solve_1d(p: SystemParams, ch: ChannelRealization,
 
 
 def solve_2d_exhaustive(p: SystemParams, ch: ChannelRealization,
-                        grid: Grid2DSpec | None = None) -> OptimizationOutcome:
-    """Grid argmax of the raw weighted sum rate over the (alpha, rho) box.
+                        n_alpha: int = 300, n_rho: int = 300) -> OptimizationOutcome:
+    """Grid argmax of the raw weighted sum rate over n_alpha x n_rho points
+    of alpha in [ALPHA_MIN, 1 - ALPHA_MIN] and rho in [0, 1 - 1e-6].
 
     Deliberately independent of the solver: evaluates w1*C1 + w2*C2 with the
     min{} inside C2 and no constraint reformulation.  Ties break toward the
     smallest alpha, then the smallest rho.
     """
-    grid = grid or Grid2DSpec()
-    alphas = np.linspace(_GRID2D_ALPHA_MARGIN, 1.0 - _GRID2D_ALPHA_MARGIN, grid.n_alpha)
-    rhos = np.linspace(0.0, _GRID2D_RHO_MAX, grid.n_rho)
+    if n_alpha < 2 or n_rho < 2:
+        raise DomainError("2D grid needs at least 2 points per axis")
+    alphas = np.linspace(ALPHA_MIN, 1.0 - ALPHA_MIN, n_alpha)
+    rhos = np.linspace(0.0, _GRID2D_RHO_MAX, n_rho)
     c1, c2, ws = _rate_tuple(
         p.avg_snr, p.mu, p.eta, ch.g1, ch.g2, ch.g3,
         alphas[:, None], rhos[None, :], p.w1, p.w2,
     )
     flat = int(np.argmax(ws))  # C order: first max is smallest alpha, then rho
-    i, j = divmod(flat, grid.n_rho)
+    i, j = divmod(flat, n_rho)
     d = DesignPoint(alpha=float(alphas[i]), rho=float(rhos[j]))
     return OptimizationOutcome(
         alpha_star=d.alpha,
@@ -374,5 +371,5 @@ def solve_2d_exhaustive(p: SystemParams, ch: ChannelRealization,
             c1=float(c1[i, j]), c2=float(c2[i, j]), weighted_sum=float(ws[i, j])
         ),
         branch=SolverBranch.GRID,
-        evaluations=grid.n_alpha * grid.n_rho,
+        evaluations=n_alpha * n_rho,
     )

@@ -73,14 +73,13 @@ def check_solver_pool(seed=1001) -> list[CheckResult]:
     """Solve each of 200 instances of the standard pool once and check the
     solution against the 2D oracle (within 1e-4), the rho bound and the
     decode margin."""
-    n_instances, margin = 200, 1e-4
-    grid2d = optimizer.Grid2DSpec(n_alpha=300, n_rho=300)
+    n_instances, n_grid, tol = 200, 300, 1e-4
     worst_gap = math.inf
     worst_rho = -math.inf
     worst_sinr = -math.inf
     for p, ch in random_instances(seed, n_instances):
         out = optimizer.solve_1d(p, ch)
-        ws_2d = optimizer.solve_2d_exhaustive(p, ch, grid2d).rate_triple.weighted_sum
+        ws_2d = optimizer.solve_2d_exhaustive(p, ch, n_grid, n_grid).rate_triple.weighted_sum
         worst_gap = min(worst_gap, out.rate_triple.weighted_sum - ws_2d)
         worst_rho = max(worst_rho, out.rho_star - optimizer.rho_tilde(p, ch, out.alpha_star))
         d = DesignPoint(alpha=out.alpha_star, rho=out.rho_star)
@@ -92,10 +91,10 @@ def check_solver_pool(seed=1001) -> list[CheckResult]:
         CheckResult(
             name="solver_optimality",
             value=worst_gap,
-            tolerance=-margin,
-            passed=worst_gap >= -margin,
+            tolerance=-tol,
+            passed=worst_gap >= -tol,
             detail=f"min(1D - 2D oracle) weighted sum over {n_instances} instances, "
-                   f"{grid2d.n_alpha}x{grid2d.n_rho} grid",
+                   f"{n_grid}x{n_grid} grid",
         ),
         _at_most("feasibility_rho_bound", worst_rho, 1e-12,
                  f"max(rho* - rho_tilde(alpha*)) over {n_instances} instances"),
@@ -112,10 +111,10 @@ def check_root_crossing(seed=1002) -> CheckResult:
     for p, ch in instances:
         alpha = float(rng.uniform(0.02, 0.98))
         rt = optimizer.rho_tilde(p, ch, alpha)
-        d = DesignPoint(alpha=alpha, rho=min(rt, 1.0 - 1e-9))
+        d = DesignPoint(alpha=alpha, rho=min(rt, optimizer._RHO_CAP))
         s_x2 = sinr_x2_at_u1(p, ch, d)
         s_mrc = sinr_mrc_at_u2(p, ch, d)
-        if rt < 1.0 - 1e-9:
+        if rt < optimizer._RHO_CAP:
             worst = max(worst, abs(s_x2 - s_mrc) / (1.0 + s_mrc))
         elif s_x2 < s_mrc:
             # a boundary within roundoff of 1 means the constraint never

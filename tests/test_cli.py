@@ -211,6 +211,17 @@ def test_default_run_records_resolved_defaults(kind, samples, ordering, wtilde2,
     assert {(s.sample_count, s.ordering.value) for s in samplers} == {(samples, ordering)}
 
 
+@pytest.mark.parametrize("kind, ordering", [
+    ("fig1", "swap"), ("fig2", "unordered"), ("fig3", "unordered"), ("fig1", "sorted"),
+])
+def test_figure_takes_only_its_own_ordering(kind, ordering):
+    # fig1's analytic columns assume unordered gains, fig2/fig3's solver swap-ordered
+    own = cli._FIGURES[kind].ordering
+    with pytest.raises(ConfigError, match=f"{kind} draws {own} gains"):
+        ExperimentConfig(kind=kind, ordering=ordering)
+    assert ExperimentConfig(kind=kind, ordering=own).sampler().ordering.value == own
+
+
 _SYSTEM = {"mu", "eta", "var1", "var2", "var3", "w1"}
 _SAMPLER = {"seed", "samples", "ordering", "block_size"}
 
@@ -490,6 +501,8 @@ class TestMainEntry:
         (["fig2", "--wtilde2", "2,inf", "--samples", "10", "--snr-db", "10"],
          "w2 must be finite, got inf"),
         (["validate", "--seed", "-1"], "seed must be an unsigned 64-bit integer, got -1"),
+        (["solve", "--g1", "0.5", "--g2", "1.5", "--g3", "0.8"], "requires g1 > g2"),
+        (["solve", "--g1", "1.5", "--g2", "1.5", "--g3", "0.8"], "requires g1 > g2"),
     ])
     def test_config_domain_error_exits_one(self, argv, message, tmp_path, monkeypatch,
                                            capsys):

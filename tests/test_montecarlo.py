@@ -206,12 +206,15 @@ class TestEstimateOptimized:
                 return map(fn, jobs)
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingExecutor)
-        cfg = SamplerConfig(seed=43, ordering=Ordering.SWAP_ORDERED,
-                            sample_count=150, block_size=64)
         p = params(10, w2=2.0)
-        many = estimate_optimized(cfg, p, baseline=BASE, workers=10**6)
-        assert made == [3]
-        assert many == estimate_optimized(cfg, p, baseline=BASE, workers=1)
+        # three blocks: one process per block; one block: the parent runs it
+        for sample_count, workers, pools in ((150, 10**6, [3]), (40, 2, [])):
+            made.clear()
+            cfg = SamplerConfig(seed=43, ordering=Ordering.SWAP_ORDERED,
+                                sample_count=sample_count, block_size=64)
+            point = estimate_optimized(cfg, p, baseline=BASE, workers=workers)
+            assert made == pools
+            assert point == estimate_optimized(cfg, p, baseline=BASE, workers=1)
 
     def test_coarser_grid_is_close(self):
         cfg = SamplerConfig(seed=39, ordering=Ordering.SWAP_ORDERED, sample_count=500)
