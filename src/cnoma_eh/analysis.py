@@ -70,20 +70,16 @@ _HALF_LN2_INV = 1.0 / (2.0 * math.log(2.0))
 
 @dataclass(frozen=True)
 class ErgodicReport:
-    """Per-configuration ergodic rates in bits/s/Hz.
-
-    ``quadrature_error`` is the outer-rule error estimate of c2_e for
-    analytic reports; the ``*_se`` standard errors are set for Monte Carlo
-    reports.
+    """Analytic ergodic rates in bits/s/Hz: closed-form c1_e, quadrature
+    c2_e, their weighted sum c_sum_e, and ``quadrature_error``, the
+    outer-rule error estimate of c2_e.  (Monte Carlo estimates are the
+    point dicts of ``montecarlo.estimate_ergodic``.)
     """
 
     c1_e: float
     c2_e: float
     c_sum_e: float
-    quadrature_error: float | None = None
-    c1_se: float | None = None
-    c2_se: float | None = None
-    c_sum_se: float | None = None
+    quadrature_error: float
 
 
 @dataclass(frozen=True)
@@ -219,18 +215,18 @@ def prob_w_exceeds(p: SystemParams, d: DesignPoint, z,
     return _float_or_array(out)
 
 
-def ergodic_rate_u2(p: SystemParams, d: DesignPoint,
-                    spec: QuadratureSpec | None = None):
+def ergodic_rate_u2(p: SystemParams, d: DesignPoint):
     """Ergodic rate of the weak user under the factored-tail approximation.
 
     Integrates Pr[Y > z] Pr[W > z] / (1 + z) over (0, (1-alpha)/alpha) and
     scales by 1 / (2 ln 2).  Each outer panel's 21 z nodes go to
     ``prob_w_exceeds`` in one call, whose convolution integrals share one
     inner panel tree; each z still meets the inner tolerance on its own, 10x
-    tighter than ``spec``.  Returns ``(rate, error_estimate)`` where the
-    estimate covers the outer quadrature.
+    tighter than the default ``QuadratureSpec`` of the outer rule.  Returns
+    ``(rate, error_estimate)`` where the estimate covers the outer
+    quadrature.
     """
-    spec = spec or QuadratureSpec()
+    spec = QuadratureSpec()
     inner_spec = replace(spec, rel_tol=spec.rel_tol * 0.1, abs_tol=spec.abs_tol * 0.1)
     zmax = (1.0 - d.alpha) / d.alpha
 
@@ -246,11 +242,10 @@ def ergodic_rate_u2(p: SystemParams, d: DesignPoint,
     return max(0.0, _HALF_LN2_INV * value), _HALF_LN2_INV * err
 
 
-def ergodic_weighted_sum(p: SystemParams, d: DesignPoint,
-                         spec: QuadratureSpec | None = None) -> ErgodicReport:
+def ergodic_weighted_sum(p: SystemParams, d: DesignPoint) -> ErgodicReport:
     """Analytic ergodic report: closed-form c1, quadrature c2, weighted sum."""
     c1 = ergodic_rate_u1(p, d)
-    c2, err = ergodic_rate_u2(p, d, spec)
+    c2, err = ergodic_rate_u2(p, d)
     return ErgodicReport(
         c1_e=c1,
         c2_e=c2,

@@ -229,9 +229,9 @@ def _fig1_rows(cfg: ExperimentConfig, sampler: montecarlo.SamplerConfig):
     for snr_db, _, p in cfg.system_points():
         mc = montecarlo.estimate_ergodic(sampler, p, d)
         an = analysis.ergodic_weighted_sum(p, d)
-        yield [float(snr_db), mc.c1_e, mc.c1_se, mc.c2_e, mc.c2_se, mc.c_sum_e, mc.c_sum_se,
-               an.c1_e, an.c2_e, an.c_sum_e, analysis.high_snr_u1(p, d),
-               analysis.high_snr_u2(p, d), an.quadrature_error]
+        yield [float(snr_db), mc["mean_c1"], mc["se_c1"], mc["mean_c2"], mc["se_c2"],
+               mc["mean_wsum"], mc["se_wsum"], an.c1_e, an.c2_e, an.c_sum_e,
+               analysis.high_snr_u1(p, d), analysis.high_snr_u2(p, d), an.quadrature_error]
 
 
 def _fig2_rows(cfg: ExperimentConfig, sampler: montecarlo.SamplerConfig):

@@ -43,7 +43,7 @@ __all__ = [
 
 def db_to_linear(snr_db):
     """Convert an SNR from dB to a linear power ratio."""
-    return 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0) if np.ndim(snr_db) else 10.0 ** (snr_db / 10.0)
+    return 10.0 ** (snr_db / 10.0)
 
 
 @dataclass(frozen=True)
@@ -183,15 +183,13 @@ def sinr_mrc_at_u2(p: SystemParams, ch: ChannelRealization, d: DesignPoint) -> f
     return float(_sinr_mrc(p.avg_snr, p.mu, p.eta, ch.g1, ch.g2, ch.g3, d.alpha, d.rho))
 
 
-def harvested_energy(p: SystemParams, ch: ChannelRealization, d: DesignPoint,
-                     slot_duration: float = 1.0) -> float:
-    """Energy harvested by U1 during phase 1, in noise-normalized power-time units.
+def harvested_energy(p: SystemParams, ch: ChannelRealization, d: DesignPoint) -> float:
+    """Energy harvested by U1 during a unit-length phase 1, in noise-normalized
+    power-time units.
 
-    slot_duration * eta * rho * avg_snr * g1
+    eta * rho * avg_snr * g1
     """
-    if not slot_duration > 0:
-        raise DomainError(f"slot_duration must be > 0, got {slot_duration}")
-    return slot_duration * p.eta * d.rho * p.avg_snr * ch.g1
+    return p.eta * d.rho * p.avg_snr * ch.g1
 
 
 def rates(p: SystemParams, ch: ChannelRealization, d: DesignPoint) -> RateTriple:

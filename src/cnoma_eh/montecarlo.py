@@ -24,7 +24,6 @@ from typing import Any
 
 import numpy as np
 
-from .analysis import ErgodicReport
 from .errors import DomainError
 from .model import ChannelRealization, DesignPoint, SystemParams, _rate_tuple
 from .optimizer import AlphaGridSpec, solve_1d
@@ -59,25 +58,17 @@ class SamplerConfig:
             raise DomainError("block_size must be >= 1")
 
 
-def _block_uniforms(seed: int, block_index: int, count: int) -> np.ndarray:
-    ss = np.random.SeedSequence([seed, block_index])
-    gen = np.random.Generator(np.random.Philox(ss))
-    return gen.random((count, 3))
-
-
-def _gains_from_uniforms(u: np.ndarray, p: SystemParams, ordering: Ordering):
+def sample_gains(cfg: SamplerConfig, p: SystemParams, block_index: int, count: int):
+    """Gain arrays for one block; deterministic in (seed, block_index)."""
+    ss = np.random.SeedSequence([cfg.seed, block_index])
+    u = np.random.Generator(np.random.Philox(ss)).random((count, 3))
     # inverse CDF keeps the per-draw uniform budget fixed (3 per draw)
     g1 = -p.var1 * np.log1p(-u[:, 0])
     g2 = -p.var2 * np.log1p(-u[:, 1])
     g3 = -p.var3 * np.log1p(-u[:, 2])
-    if ordering is Ordering.SWAP_ORDERED:
+    if cfg.ordering is Ordering.SWAP_ORDERED:
         g1, g2 = np.maximum(g1, g2), np.minimum(g1, g2)
     return g1, g2, g3
-
-
-def sample_gains(cfg: SamplerConfig, p: SystemParams, block_index: int, count: int):
-    """Gain arrays for one block; deterministic in (seed, block_index)."""
-    return _gains_from_uniforms(_block_uniforms(cfg.seed, block_index, count), p, cfg.ordering)
 
 
 def _blocks(cfg: SamplerConfig):
@@ -100,39 +91,68 @@ def _mean_se(n: int, s1: float, s2: float):
     return mean, math.sqrt(var / n)
 
 
-def estimate_ergodic(cfg: SamplerConfig, p: SystemParams, d: DesignPoint) -> ErgodicReport:
-    """Monte Carlo ergodic rates at a fixed design point, with standard errors."""
-    sums = np.zeros(6)
-    for block_index, count in _blocks(cfg):
-        g1, g2, g3 = sample_gains(cfg, p, block_index, count)
-        c1, c2, ws = _rate_tuple(p.avg_snr, p.mu, p.eta, g1, g2, g3,
-                                 d.alpha, d.rho, p.w1, p.w2)
-        sums += [*_moments(c1), *_moments(c2), *_moments(ws)]
-    n = cfg.sample_count
-    c1_m, c1_se = _mean_se(n, sums[0], sums[1])
-    c2_m, c2_se = _mean_se(n, sums[2], sums[3])
-    ws_m, ws_se = _mean_se(n, sums[4], sums[5])
-    return ErgodicReport(
-        c1_e=c1_m, c2_e=c2_m, c_sum_e=ws_m,
-        c1_se=c1_se, c2_se=c2_se, c_sum_se=ws_se,
-    )
+def _run_blocks(block, cfg: SamplerConfig, args: tuple, workers: int = 1) -> dict[str, Any]:
+    """Run ``block(cfg, *args, block_index, count)`` on every block; return
+    one point: ``n`` (draws kept), ``skipped``, and ``mean_<name>``,
+    ``se_<name>`` for each name a block sums.
+
+    A block returns ``({name: (sum, sum of squares)}, skipped)``.  These are
+    added in block order, so the point does not depend on ``workers``.
+    """
+    jobs = [(cfg, *args, b, count) for b, count in _blocks(cfg)]
+    # both paths return the blocks in job order; a pool only for 2+ blocks,
+    # and no more processes than blocks
+    if workers > 1 and len(jobs) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            results = list(pool.map(block, *zip(*jobs), chunksize=1))
+    else:
+        results = [block(*job) for job in jobs]
+
+    totals: dict[str, tuple[float, float]] = {}
+    for sums, _ in results:
+        for name, (s1, s2) in sums.items():
+            t1, t2 = totals.get(name, (0.0, 0.0))
+            totals[name] = (t1 + s1, t2 + s2)
+    skipped = sum(skip for _, skip in results)
+    n = cfg.sample_count - skipped
+    point = {"n": n, "skipped": skipped}
+    for name, (s1, s2) in totals.items():
+        point[f"mean_{name}"], point[f"se_{name}"] = _mean_se(n, s1, s2)
+    return point
 
 
-def _optimized_block(args) -> tuple[dict[str, tuple[float, float]], int]:
+def _ergodic_block(cfg: SamplerConfig, p: SystemParams, d: DesignPoint,
+                   block_index: int, count: int):
+    """Per-block (sum, sum of squares) of c1, c2 and the weighted sum at the
+    fixed design ``d``; no draw is skipped."""
+    g1, g2, g3 = sample_gains(cfg, p, block_index, count)
+    c1, c2, ws = _rate_tuple(p.avg_snr, p.mu, p.eta, g1, g2, g3,
+                             d.alpha, d.rho, p.w1, p.w2)
+    return {"c1": _moments(c1), "c2": _moments(c2), "wsum": _moments(ws)}, 0
+
+
+def estimate_ergodic(cfg: SamplerConfig, p: SystemParams, d: DesignPoint) -> dict[str, Any]:
+    """Monte Carlo ergodic rates at a fixed design point.
+
+    Returns the point ``n``, ``skipped`` (always 0), and ``mean_<name>`` and
+    ``se_<name>`` for ``c1``, ``c2`` and ``wsum`` (the weighted sum).
+    """
+    return _run_blocks(_ergodic_block, cfg, (p, d))
+
+
+def _optimized_block(cfg: SamplerConfig, p: SystemParams, grid: AlphaGridSpec,
+                     baseline: DesignPoint | None, block_index: int, count: int):
     """Per-block (sum, sum of squares) of each averaged quantity, keyed as in
-    ``estimate_optimized``'s point, and the skipped count (top level:
-    picklable)."""
-    cfg, p, grid, baseline, block_index, count = args
+    ``estimate_optimized``'s point, and the skipped count."""
     g1, g2, g3 = sample_gains(cfg, p, block_index, count)
     keep = g1 != g2
-    s1, s2 = np.zeros(3), np.zeros(3)
+    sums = {"wsum_opt": [0.0, 0.0], "alpha_star": [0.0, 0.0], "rho_star": [0.0, 0.0]}
     for x1, x2, x3 in zip(g1[keep].tolist(), g2[keep].tolist(), g3[keep].tolist()):
         out = solve_1d(p, ChannelRealization(g1=x1, g2=x2, g3=x3), grid)
-        v = np.array((out.rate_triple.weighted_sum, out.alpha_star, out.rho_star))
-        s1 += v
-        s2 += v * v
-    sums = {name: (float(a), float(b))
-            for name, a, b in zip(("wsum_opt", "alpha_star", "rho_star"), s1, s2)}
+        for pair, v in zip(sums.values(),
+                           (out.rate_triple.weighted_sum, out.alpha_star, out.rho_star)):
+            pair[0] += v
+            pair[1] += v * v
     if baseline is not None:
         _, _, ws_fixed = _rate_tuple(p.avg_snr, p.mu, p.eta, g1, g2, g3,
                                      baseline.alpha, baseline.rho, p.w1, p.w2)
@@ -157,25 +177,7 @@ def estimate_optimized(cfg: SamplerConfig, p: SystemParams,
         raise DomainError("optimized sweeps require w2 > w1")
     if cfg.ordering is not Ordering.SWAP_ORDERED:
         raise DomainError("optimized sweeps require swap-ordered draws (g1 >= g2)")
-    grid = grid or AlphaGridSpec()
-    jobs = [(cfg, p, grid, baseline, b, n) for b, n in _blocks(cfg)]
-    # both paths return the blocks in job order; a pool only for 2+ blocks,
-    # and no more processes than blocks
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            results = list(pool.map(_optimized_block, jobs, chunksize=1))
-    else:
-        results = [_optimized_block(j) for j in jobs]
-
-    totals = {name: np.zeros(2) for name in results[0][0]}
-    for sums, _ in results:
-        for name, pair in sums.items():
-            totals[name] += pair
-    skipped = sum(skip for _, skip in results)
-    n = cfg.sample_count - skipped
-    point = {"n": n, "skipped": skipped}
-    for name, (s1, s2) in totals.items():
-        point[f"mean_{name}"], point[f"se_{name}"] = _mean_se(n, s1, s2)
+    point = _run_blocks(_optimized_block, cfg, (p, grid or AlphaGridSpec(), baseline), workers)
     if baseline is not None:
         f_m = point["mean_wsum_fixed"]
         point["gain_percent"] = 100.0 * (point["mean_wsum_opt"] - f_m) / f_m

@@ -243,7 +243,7 @@ def check_u1_analytic_vs_mc(seed=1004) -> CheckResult:
     for snr_db in (0.0, 10.0, 20.0, 30.0):
         p = SystemParams(avg_snr=db_to_linear(snr_db), mu=1.0, w1=1.0, w2=2.0)
         rep = montecarlo.estimate_ergodic(sampler, p, _MC_DESIGN)
-        z = abs(analysis.ergodic_rate_u1(p, _MC_DESIGN) - rep.c1_e) / rep.c1_se
+        z = abs(analysis.ergodic_rate_u1(p, _MC_DESIGN) - rep["mean_c1"]) / rep["se_c1"]
         worst = max(worst, z)
     return _at_most("u1_analytic_vs_mc", worst, 3.0,
                     f"max |closed form - MC| / SE at 0/10/20/30 dB, {samples} draws")
@@ -262,7 +262,7 @@ def check_weak_user(seed=1005) -> list[CheckResult]:
 
     gaps = {}
     for snr_db in (0.0, 20.0, 30.0):
-        mc = montecarlo.estimate_ergodic(sampler, params[snr_db], _MC_DESIGN).c2_e
+        mc = montecarlo.estimate_ergodic(sampler, params[snr_db], _MC_DESIGN)["mean_c2"]
         gaps[snr_db] = abs(c2[snr_db] - mc) / mc
     worst_high = max(gaps[20.0], gaps[30.0])
     shrinking = gaps[30.0] < gaps[0.0]
@@ -340,7 +340,7 @@ def check_optimized_dominance(seed=1007, samples=4000, workers=1) -> CheckResult
         p = SystemParams(avg_snr=db_to_linear(snr_db), mu=1.0, w1=1.0, w2=2.0)
         pt = montecarlo.estimate_optimized(sampler, p, workers=workers)
         for alpha, rho in baselines:
-            fixed = montecarlo.estimate_ergodic(sampler, p, DesignPoint(alpha, rho)).c_sum_e
+            fixed = montecarlo.estimate_ergodic(sampler, p, DesignPoint(alpha, rho))["mean_wsum"]
             worst = min(worst, pt["mean_wsum_opt"] - fixed)
     return CheckResult(
         name="optimized_dominance",

@@ -286,7 +286,7 @@ class TestWeightedSum:
         p = params(10, w2=2.0)
         rep = ergodic_weighted_sum(p, BASE)
         assert rep.c_sum_e == pytest.approx(rep.c1_e + 2.0 * rep.c2_e, rel=1e-14)
-        assert rep.quadrature_error is not None and rep.quadrature_error >= 0.0
+        assert rep.quadrature_error >= 0.0
 
     def test_linearity_in_weights(self):
         p1 = params(10, w2=2.0)

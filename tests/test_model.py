@@ -136,20 +136,13 @@ class TestHarvestedEnergy:
 
     def test_hand_value(self):
         p, ch, d = make(avg_snr=10.0, eta=0.5, g=(0.3, 0.1, 0.0), alpha=0.5, rho=0.4)
-        assert harvested_energy(p, ch, d, slot_duration=2.0) == pytest.approx(1.2, rel=1e-15)
+        assert harvested_energy(p, ch, d) == pytest.approx(0.6, rel=1e-15)
 
-    def test_linear_in_rho_and_duration(self):
+    def test_linear_in_rho(self):
         p, ch, _ = make(eta=1.0, g=(1.0, 0.5, 0.0))
         e1 = harvested_energy(p, ch, DesignPoint(0.5, 0.25))
         e2 = harvested_energy(p, ch, DesignPoint(0.5, 0.5))
         assert e2 == pytest.approx(2 * e1, rel=1e-15)
-        assert harvested_energy(p, ch, DesignPoint(0.5, 0.25), slot_duration=3.0) \
-            == pytest.approx(3 * e1, rel=1e-15)
-
-    def test_rejects_nonpositive_duration(self):
-        p, ch, d = make()
-        with pytest.raises(DomainError):
-            harvested_energy(p, ch, d, slot_duration=0.0)
 
 
 class TestRates:

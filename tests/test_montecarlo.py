@@ -87,33 +87,42 @@ class TestEstimateErgodic:
         cfg = SamplerConfig(seed=21, ordering=Ordering.UNORDERED, sample_count=200_000)
         for snr_db in (0, 10, 20):
             p = params(snr_db)
-            rep = estimate_ergodic(cfg, p, BASE)
-            assert abs(ergodic_rate_u1(p, BASE) - rep.c1_e) <= 3 * rep.c1_se
+            pt = estimate_ergodic(cfg, p, BASE)
+            assert abs(ergodic_rate_u1(p, BASE) - pt["mean_c1"]) <= 3 * pt["se_c1"]
 
     def test_rates_vanish_at_tiny_snr(self):
         cfg = SamplerConfig(seed=23, ordering=Ordering.UNORDERED, sample_count=50_000)
         p = SystemParams(avg_snr=1e-9, mu=1.0)
-        rep = estimate_ergodic(cfg, p, BASE)
-        assert rep.c1_e < 1e-6 and rep.c2_e < 1e-6
+        pt = estimate_ergodic(cfg, p, BASE)
+        assert pt["mean_c1"] < 1e-6 and pt["mean_c2"] < 1e-6
 
     def test_weak_user_rate_saturates(self):
         cfg = SamplerConfig(seed=25, ordering=Ordering.UNORDERED, sample_count=200_000)
         r30 = estimate_ergodic(cfg, params(30), BASE)
         r40 = estimate_ergodic(cfg, params(40), BASE)
-        assert r40.c2_e - r30.c2_e < 0.05
+        assert r40["mean_c2"] - r30["mean_c2"] < 0.05
 
     def test_weighted_sum_column(self):
         cfg = SamplerConfig(seed=27, ordering=Ordering.UNORDERED, sample_count=20_000)
         p = params(10, w2=3.0)
-        rep = estimate_ergodic(cfg, p, BASE)
-        assert rep.c_sum_e == pytest.approx(rep.c1_e + 3.0 * rep.c2_e, rel=1e-12)
+        pt = estimate_ergodic(cfg, p, BASE)
+        assert pt["mean_wsum"] == pytest.approx(pt["mean_c1"] + 3.0 * pt["mean_c2"], rel=1e-12)
+
+    def test_point_layout(self):
+        # the same point format as estimate_optimized: every draw is kept
+        cfg = SamplerConfig(seed=27, ordering=Ordering.UNORDERED,
+                            sample_count=1000, block_size=300)
+        pt = estimate_ergodic(cfg, params(10), BASE)
+        assert list(pt) == ["n", "skipped", "mean_c1", "se_c1", "mean_c2", "se_c2",
+                            "mean_wsum", "se_wsum"]
+        assert pt["n"] == cfg.sample_count and pt["skipped"] == 0
 
     def test_standard_error_scales_inverse_sqrt(self):
         p = params(10)
         se = {}
         for n in (4000, 16000):
             cfg = SamplerConfig(seed=29, ordering=Ordering.UNORDERED, sample_count=n)
-            se[n] = estimate_ergodic(cfg, p, BASE).c1_se
+            se[n] = estimate_ergodic(cfg, p, BASE)["se_c1"]
         ratio = se[4000] / se[16000]
         assert ratio == pytest.approx(2.0, rel=0.2)
 
@@ -155,6 +164,17 @@ class TestEstimateOptimized:
                      for a, b, c in zip(g1, g2, g3) if a != b]
         assert pt["n"] == len(kept) and pt["skipped"] == 300 - len(kept) > 0
         assert pt["mean_wsum_fixed"] == pytest.approx(np.mean(kept), rel=1e-12)
+
+    def test_fixed_baseline_equals_ergodic_estimate(self):
+        # with no ties every draw is kept: the same blocks give the same sums
+        cfg = SamplerConfig(seed=45, ordering=Ordering.SWAP_ORDERED,
+                            sample_count=300, block_size=128)
+        p = params(10, w2=2.0)
+        pt = estimate_optimized(cfg, p, baseline=BASE)
+        ergodic = estimate_ergodic(cfg, p, BASE)
+        assert pt["skipped"] == 0 and ergodic["n"] == pt["n"] == 300
+        assert pt["mean_wsum_fixed"] == ergodic["mean_wsum"]
+        assert pt["se_wsum_fixed"] == ergodic["se_wsum"]
 
     def test_point_statistics(self):
         cfg = SamplerConfig(seed=33, ordering=Ordering.SWAP_ORDERED, sample_count=3000)
@@ -202,8 +222,8 @@ class TestEstimateOptimized:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs, chunksize=1):
-                return map(fn, jobs)
+            def map(self, fn, *iterables, chunksize=1):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingExecutor)
         p = params(10, w2=2.0)
