@@ -40,8 +40,13 @@ matters on [0, 1).  Case split per candidate alpha:
                                             "otherwise" rule above would pick
                                             the boundary here, which is wrong.
 
-The 1D search evaluates f(alpha, rho*(alpha)) on a uniform alpha grid and
-sharpens the incumbent with a golden-section pass on the bracketing interval.
+The 1D search evaluates log f(alpha, rho*(alpha)) on a uniform alpha grid
+(built once per grid size and cached read-only) and sharpens the incumbent
+with a golden-section pass on the bracketing interval.  One function,
+``_profile``, evaluates the profile for the grid (as arrays) and for the
+refine and the final rho* (as floats); the alpha-free constants of a draw
+(``_Draw``) are formed once per solve, and the branch taken is read only at
+alpha*.
 ``solve_2d_exhaustive`` is the independent benchmark: a plain grid argmax of
 the raw weighted sum (with the min{} in the weak user's rate), kept free of
 the reformulation on purpose.
@@ -49,11 +54,12 @@ the reformulation on purpose.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -150,95 +156,135 @@ def _check_alpha(alpha: float):
 
 
 # Float alphas take this math-backed stand-in for numpy in _profile: on a
-# 2-core VM with numpy 2.4, _profile costs about 65 us for a one-element alpha
-# array against 4 us for a float, and the golden-section refine makes about
-# 17 single-alpha calls per draw.
+# 2-core VM with numpy 2.4, _profile costs about 55 us for a one-element alpha
+# array against 3 us for a float, and a solve makes about 18 single-alpha
+# calls (the golden-section probes and the final rho*).  The refine stays on
+# math: numpy's log differs from libm's in the last bit on some inputs, so
+# moving it would change outcomes.
 _MATH = SimpleNamespace(
     sqrt=math.sqrt, log=math.log, maximum=max, minimum=min,
     where=lambda cond, a, b: a if cond else b, any=bool,
 )
 
-# Branch codes returned by _profile, indexing _BRANCHES.
-_INTERIOR, _LOWER, _BOUNDARY = 0, 1, 2
-_BRANCHES = (SolverBranch.INTERIOR, SolverBranch.LOWER, SolverBranch.BOUNDARY)
+
+class _Draw(NamedTuple):
+    """The alpha-free constants of the profile for one (params, channel)
+    pair, formed once per solve."""
+
+    snr: float
+    mu: float
+    g1: float
+    g2: float
+    t: float        # 1 + mu
+    q: float        # eta*snr*g1*g3 / (1 + mu)
+    wtilde2: float
+    half_q: float   # 0.5*q
+    q_w: float      # q*wtilde2
+    q_w_t: float    # q*wtilde2*t
+    w_minus: float  # wtilde2 - 1
+    w_plus: float   # wtilde2 + 1
 
 
-def _f_coeffs(p: SystemParams, ch: ChannelRealization, alpha):
-    """(d, e, t, p, q) of f_alpha; alpha is a float or an array."""
-    e = 1.0 + alpha * p.avg_snr * ch.g1
-    return (
-        e + p.mu,
-        e,
-        1.0 + p.mu,
-        1.0 + (1.0 - alpha) * p.avg_snr * ch.g2 / (alpha * p.avg_snr * ch.g2 + 1.0 + p.mu),
-        p.eta * p.avg_snr * ch.g1 * ch.g3 / (1.0 + p.mu),
-    )
+def _draw(p: SystemParams, ch: ChannelRealization) -> _Draw:
+    q = p.eta * p.avg_snr * ch.g1 * ch.g3 / (1.0 + p.mu)
+    w = p.wtilde2
+    t = 1.0 + p.mu
+    return _Draw(p.avg_snr, p.mu, ch.g1, ch.g2, t, q, w, 0.5 * q, q * w, q * w * t,
+                 w - 1.0, w + 1.0)
 
 
-def _boundary_terms(p: SystemParams, ch: ChannelRealization, alpha, d, e, pp, q):
-    """(a, b, c) of the feasibility quadratic a*rho^2 - b*rho + c."""
+@functools.lru_cache(maxsize=8)
+def _alpha_grid(n: int):
+    """The n-point alpha grid on [ALPHA_MIN, 1 - ALPHA_MIN] and 1 - alpha on
+    it, both read-only; built on the first solve at each n."""
+    alphas = np.linspace(ALPHA_MIN, 1.0 - ALPHA_MIN, n)
+    rest = 1.0 - alphas
+    alphas.setflags(write=False)
+    rest.setflags(write=False)
+    return alphas, rest
+
+
+def _coeffs(k: _Draw, alpha, rest):
+    """Everything f_alpha and its two quadratics need at alpha (a float or
+    an array, with rest = 1 - alpha):
+
+        d, e, pp                       f_alpha = (d - e rho)/(t - rho)*(pp + q rho)^wr
+        a, b, c                        feasibility quadratic a rho^2 - b rho + c
+        lead, beta, constant, theta    stationary quadratic lead rho^2 - 2 beta rho
+                                       + constant; its discriminant is 4 theta
+    """
+    snr, mu, g1, g2, t, q, _, half_q, q_w, q_w_t, w_minus, w_plus = k
+    a_snr = alpha * snr
+    r_snr = rest * snr
+    r_snr_g1 = r_snr * g1
+    e = 1.0 + a_snr * g1
+    d = e + mu
+    pp = 1.0 + r_snr * g2 / (a_snr * g2 + 1.0 + mu)
     direct = pp - 1.0
-    return (
-        q * e,
-        q * d - direct * e + (1.0 - alpha) * p.avg_snr * ch.g1,
-        (1.0 - alpha) * p.avg_snr * ch.g1 - direct * d,
-    )
+    lead = q_w * e
+    beta = half_q * d * w_minus + half_q * e * t * w_plus
+    constant = (d - e * t) * pp + q_w_t * d
+    return (d, e, pp,
+            q * e, q * d - direct * e + r_snr_g1, r_snr_g1 - direct * d,
+            lead, beta, constant, beta * beta - lead * constant)
 
 
 def _feasibility_root(xp, a, b, c):
-    """rho_tilde: the smaller root 2c / (b + sqrt(b^2 - 4ac)), capped at 1."""
+    """rho_tilde: the smaller root 2c / (b + sqrt(b^2 - 4ac)), capped at 1.
+    The guard's scale is formed only when some discriminant is negative: a
+    non-negative or NaN one can never trip it."""
     disc = b * b - 4.0 * a * c
-    scale = xp.maximum(abs(a), xp.maximum(abs(b), abs(c)))
-    if xp.any(disc < -_DISC_GUARD * scale * scale):
-        raise NumericalFailure("feasibility discriminant below roundoff guard")
+    if xp.any(disc < 0.0):
+        scale = xp.maximum(abs(a), xp.maximum(abs(b), abs(c)))
+        if xp.any(disc < -_DISC_GUARD * scale * scale):
+            raise NumericalFailure("feasibility discriminant below roundoff guard")
     return xp.minimum(2.0 * c / (b + xp.sqrt(xp.maximum(disc, 0.0))), 1.0)
-
-
-def _stationary_terms(q, wtilde2, d, e, t, pp):
-    """(lead, beta, constant, theta) of the stationary-point quadratic
-    lead*rho^2 - 2*beta*rho + constant; its discriminant is 4 theta."""
-    beta = 0.5 * q * d * (wtilde2 - 1.0) + 0.5 * q * e * t * (wtilde2 + 1.0)
-    constant = (d - e * t) * pp + q * wtilde2 * t * d
-    lead = q * wtilde2 * e
-    return lead, beta, constant, beta * beta - lead * constant
 
 
 def _stationary_root(xp, lead, beta, constant, theta):
     """rho_bar: the smaller stationary root, in whichever of its two forms
-    does not cancel."""
+    does not cancel.  The guard's scale is formed only when some theta is
+    negative."""
     if xp.any(lead == 0.0):
         raise DivisionDegenerate(
             "stationary-point quadratic degenerates when q * wtilde2 * e == 0"
         )
-    scale = xp.maximum(beta * beta, abs(lead * constant))
-    if xp.any(theta < -_DISC_GUARD * scale):
-        raise NumericalFailure("stationary-point discriminant below roundoff guard")
+    if xp.any(theta < 0.0):
+        scale = xp.maximum(beta * beta, abs(lead * constant))
+        if xp.any(theta < -_DISC_GUARD * scale):
+            raise NumericalFailure("stationary-point discriminant below roundoff guard")
     root = xp.sqrt(xp.maximum(theta, 0.0))
     positive = beta > 0.0
     return (xp.where(positive, constant, beta - root)
             / xp.where(positive, beta + root, lead))
 
 
-def _profile(p: SystemParams, ch: ChannelRealization, alpha):
-    """rho*(alpha), its branch code and log f(alpha, rho*(alpha)): the
-    profile the 1D search maximizes.  ``alpha`` is a float or an array
-    inside (0, 1); the channel must be ordered.  See the module docstring
-    for the case split."""
-    xp = np if isinstance(alpha, np.ndarray) else _MATH
-    d, e, t, pp, q = _f_coeffs(p, ch, alpha)
+def _profile(k: _Draw, alpha, rest, xp):
+    """rho*(alpha), the interior and lower masks of the case split, and
+    log f(alpha, rho*(alpha)): the profile the 1D search maximizes.
+    ``alpha`` is a float (xp = _MATH) or an array (xp = np) inside (0, 1),
+    with rest = 1 - alpha.  See the module docstring for the case split."""
+    d, e, pp, a, b, c, lead, beta, constant, theta = _coeffs(k, alpha, rest)
+    t, q = k.t, k.q
     if q == 0.0:
         # dead relay link: rho* = 0 at every alpha (never interior, always lower)
         interior, lower, rb, rt = alpha < 0.0, alpha > 0.0, 0.0, 0.0
     else:
-        rt = _feasibility_root(xp, *_boundary_terms(p, ch, alpha, d, e, pp, q))
-        lead, beta, constant, theta = _stationary_terms(q, p.wtilde2, d, e, t, pp)
+        rt = _feasibility_root(xp, a, b, c)
         rb = _stationary_root(xp, lead, beta, constant, theta)
-        interior = (theta > 0.0) & (rb > 0.0) & (rb < rt)
-        lower = (theta > 0.0) & (rb <= 0.0)
+        positive = theta > 0.0
+        interior = positive & (rb > 0.0) & (rb < rt)
+        lower = positive & (rb <= 0.0)
     rho = xp.where(interior, rb, xp.where(lower, 0.0, xp.minimum(rt, _RHO_CAP)))
-    branch = xp.where(interior, _INTERIOR, xp.where(lower, _LOWER, _BOUNDARY))
-    log_f = xp.log(d - e * rho) - xp.log(t - rho) + p.wtilde2 * xp.log(pp + q * rho)
-    return rho, branch, log_f
+    log_f = xp.log(d - e * rho) - xp.log(t - rho) + k.wtilde2 * xp.log(pp + q * rho)
+    return rho, interior, lower, log_f
+
+
+def _branch(interior, lower) -> SolverBranch:
+    """The case _profile took at one float alpha."""
+    if interior:
+        return SolverBranch.INTERIOR
+    return SolverBranch.LOWER if lower else SolverBranch.BOUNDARY
 
 
 def rho_tilde(p: SystemParams, ch: ChannelRealization, alpha: float) -> float:
@@ -252,8 +298,8 @@ def rho_tilde(p: SystemParams, ch: ChannelRealization, alpha: float) -> float:
     """
     _require_ordered(ch)
     _check_alpha(alpha)
-    d, e, _, pp, q = _f_coeffs(p, ch, alpha)
-    return _feasibility_root(_MATH, *_boundary_terms(p, ch, alpha, d, e, pp, q))
+    _, _, _, a, b, c, _, _, _, _ = _coeffs(_draw(p, ch), alpha, 1.0 - alpha)
+    return _feasibility_root(_MATH, a, b, c)
 
 
 def f_objective(p: SystemParams, ch: ChannelRealization, d: DesignPoint) -> float:
@@ -269,8 +315,8 @@ def optimal_rho_for_alpha(p: SystemParams, ch: ChannelRealization, alpha: float)
     """
     _require_ordered(ch)
     _check_alpha(alpha)
-    rho, branch, _ = _profile(p, ch, alpha)
-    return rho, _BRANCHES[branch]
+    rho, interior, lower, _ = _profile(_draw(p, ch), alpha, 1.0 - alpha, _MATH)
+    return rho, _branch(interior, lower)
 
 
 def _golden_max(g, lo: float, hi: float, tol: float):
@@ -320,17 +366,18 @@ def solve_1d(p: SystemParams, ch: ChannelRealization,
         )
     _require_ordered(ch)
     grid = grid or AlphaGridSpec()
-    alphas = np.linspace(ALPHA_MIN, 1.0 - ALPHA_MIN, grid.n)
-    _, _, logf = _profile(p, ch, alphas)
+    k = _draw(p, ch)
+    alphas, rest = _alpha_grid(grid.n)
+    logf = _profile(k, alphas, rest, np)[3]
     i = int(np.argmax(logf))  # first hit: smallest alpha wins ties
     lo = float(alphas[max(i - 1, 0)])
     hi = float(alphas[min(i + 1, grid.n - 1)])
     a_ref, f_ref, n_ref = _golden_max(
-        lambda a: _profile(p, ch, a)[2], lo, hi, _REFINE_TOL
+        lambda a: _profile(k, a, 1.0 - a, _MATH)[3], lo, hi, _REFINE_TOL
     )
     best_alpha = a_ref if f_ref > float(logf[i]) else float(alphas[i])
 
-    rho_star, branch, _ = _profile(p, ch, best_alpha)
+    rho_star, interior, lower, _ = _profile(k, best_alpha, 1.0 - best_alpha, _MATH)
     evaluations = grid.n + n_ref + 1
     d = DesignPoint(alpha=best_alpha, rho=rho_star)
     return OptimizationOutcome(
@@ -338,7 +385,7 @@ def solve_1d(p: SystemParams, ch: ChannelRealization,
         rho_star=rho_star,
         objective_f=f_objective(p, ch, d),
         rate_triple=rates(p, ch, d),
-        branch=_BRANCHES[branch],
+        branch=_branch(interior, lower),
         evaluations=evaluations,
     )
 

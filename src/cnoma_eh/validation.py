@@ -140,10 +140,10 @@ def check_stationarity(seed=1003) -> CheckResult:
     tested = 0
     for p, ch in instances:
         alpha = float(rng.uniform(0.02, 0.98))
-        d, e, t, pp, q = optimizer._f_coeffs(p, ch, alpha)
-        if q == 0.0:
+        k = optimizer._draw(p, ch)
+        if k.q == 0.0:
             continue
-        lead, beta, constant, theta = optimizer._stationary_terms(q, p.wtilde2, d, e, t, pp)
+        d, e, pp, _, _, _, lead, beta, constant, theta = optimizer._coeffs(k, alpha, 1.0 - alpha)
         if theta <= 0.0:
             continue
         rb = optimizer._stationary_root(optimizer._MATH, lead, beta, constant, theta)
@@ -153,7 +153,7 @@ def check_stationarity(seed=1003) -> CheckResult:
         # conditioning scale of evaluating the stationary quadratic at rb
         scale = lead * rb * rb + 2 * abs(beta) * rb + abs(constant)
         if scale > 0:
-            worst = max(worst, abs(_df_drho_numerator(d, e, t, pp, q, p.wtilde2, rb)) / scale)
+            worst = max(worst, abs(_df_drho_numerator(d, e, k.t, pp, k.q, p.wtilde2, rb)) / scale)
     return _at_most("stationarity_residual", worst, 1e-9,
                     f"|derivative numerator at rho_bar| / scale, {tested} interior cases")
 

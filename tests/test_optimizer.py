@@ -1,10 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from cnoma_eh.errors import DivisionDegenerate, DomainError, InfeasibleChannel
+from cnoma_eh.errors import (
+    DivisionDegenerate,
+    DomainError,
+    InfeasibleChannel,
+    NumericalFailure,
+)
 from cnoma_eh.model import (
     ChannelRealization,
     DesignPoint,
@@ -19,11 +25,12 @@ from cnoma_eh.optimizer import (
     ALPHA_MIN,
     AlphaGridSpec,
     SolverBranch,
-    _boundary_terms,
-    _f_coeffs,
+    _alpha_grid,
+    _coeffs,
+    _draw,
+    _feasibility_root,
     _profile,
     _stationary_root,
-    _stationary_terms,
     f_objective,
     optimal_rho_for_alpha,
     rho_tilde,
@@ -60,39 +67,49 @@ def log_f_alpha(coeffs, wtilde2, rho):
     return np.log(d - e * rho) - np.log(t - rho) + wtilde2 * np.log(pp + q * rho)
 
 
-def theta_beta(coeffs, wtilde2):
-    """(theta, beta) of the stationary-point quadratic, from the solver's
+def f_coeffs(p, ch, alpha):
+    """(d, e, t, pp, q) of f_alpha at a float alpha, from the solver's
     kernel."""
-    d, e, t, pp, q = coeffs
-    _, beta, _, theta = _stationary_terms(q, wtilde2, d, e, t, pp)
+    k = _draw(p, ch)
+    d, e, pp = _coeffs(k, alpha, 1.0 - alpha)[:3]
+    return d, e, k.t, pp, k.q
+
+
+def stationary_terms(p, ch, alpha):
+    """(lead, beta, constant, theta) of the stationary-point quadratic, from
+    the solver's kernel."""
+    return _coeffs(_draw(p, ch), alpha, 1.0 - alpha)[6:]
+
+
+def theta_beta(p, ch, alpha):
+    _, beta, _, theta = stationary_terms(p, ch, alpha)
     return theta, beta
 
 
-def rho_bar(coeffs, wtilde2):
+def rho_bar(p, ch, alpha):
     """The solver's smaller stationary root, on its float path."""
-    d, e, t, pp, q = coeffs
-    return _stationary_root(_MATH, *_stationary_terms(q, wtilde2, d, e, t, pp))
+    return _stationary_root(_MATH, *stationary_terms(p, ch, alpha))
 
 
 class TestInnerCoefficients:
     def test_hand_values(self):
         p = SystemParams(avg_snr=40.0, mu=1.0, eta=1.0, w1=1.0, w2=2.0)
         ch = ChannelRealization(g1=0.5, g2=0.1, g3=0.5)
-        d, e, t, _, q = _f_coeffs(p, ch, 0.25)
+        d, e, t, _, q = f_coeffs(p, ch, 0.25)
         assert (d, e, t) == (7.0, 6.0, 2.0)
         assert q == 5.0
 
     def test_mu_zero_collapses_d_to_e(self):
         p = SystemParams(avg_snr=10.0, mu=0.0)
         ch = ChannelRealization(g1=1.0, g2=0.3, g3=0.4)
-        d, e, t, _, _ = _f_coeffs(p, ch, 0.4)
+        d, e, t, _, _ = f_coeffs(p, ch, 0.4)
         assert d == e
         assert t == 1.0
 
     @given(p=system_params_strategy(), ch=ordered_channels(),
            alpha=st.floats(0.01, 0.99))
     def test_structural_invariants(self, p, ch, alpha):
-        d, e, t, pp, q = _f_coeffs(p, ch, alpha)
+        d, e, t, pp, q = f_coeffs(p, ch, alpha)
         assert d == pytest.approx(e + p.mu, rel=1e-15)
         assert t <= d
         assert pp >= 1.0
@@ -101,7 +118,7 @@ class TestInnerCoefficients:
     @given(p=system_params_strategy(), ch=ordered_channels(),
            alpha=st.floats(0.01, 0.99), rho=st.floats(0.0, 0.95))
     def test_f_alpha_matches_raw_sinr_objective(self, p, ch, alpha, rho):
-        d, e, t, pp, q = _f_coeffs(p, ch, alpha)
+        d, e, t, pp, q = f_coeffs(p, ch, alpha)
         f_raw = f_objective(p, ch, DesignPoint(alpha=alpha, rho=rho))
         f_coeff = (d - e * rho) / (t - rho) * (pp + q * rho) ** p.wtilde2
         assert f_coeff == pytest.approx(f_raw, rel=1e-12)
@@ -110,8 +127,7 @@ class TestInnerCoefficients:
 class TestBoundary:
     def test_coefficient_signs(self):
         for p, ch in random_instances(3, 50):
-            d, e, _, pp, q = _f_coeffs(p, ch, 0.4)
-            a, _, c = _boundary_terms(p, ch, 0.4, d, e, pp, q)
+            a, _, c = _coeffs(_draw(p, ch), 0.4, 0.6)[3:6]
             if p.eta > 0 and ch.g1 > 0 and ch.g3 > 0:
                 assert a > 0
             assert c > 0  # holds whenever g1 > g2
@@ -216,7 +232,7 @@ class TestDerivativeNumerator:
     def test_mu_zero_form(self):
         # with d = e and t = 1 the numerator reduces to q wr (1 - rho)(d - e rho) > 0
         p = SystemParams(avg_snr=10.0, mu=0.0, w1=1.0, w2=3.0)
-        coeffs = _f_coeffs(p, ChannelRealization(1.5, 0.5, 0.7), 0.4)
+        coeffs = f_coeffs(p, ChannelRealization(1.5, 0.5, 0.7), 0.4)
         d, e, _, _, q = coeffs
         for rho in (0.0, 0.3, 0.9):
             expected = q * 3.0 * (1 - rho) * (d - e * rho)
@@ -226,7 +242,7 @@ class TestDerivativeNumerator:
     def test_dead_relay_form(self):
         # q = 0: numerator = (d - e t) p = -mu alpha snr g1 p <= 0
         p = SystemParams(avg_snr=10.0, mu=0.8, w1=1.0, w2=2.0)
-        coeffs = _f_coeffs(p, ChannelRealization(1.5, 0.5, 0.0), 0.4)
+        coeffs = f_coeffs(p, ChannelRealization(1.5, 0.5, 0.0), 0.4)
         _, _, _, pp, q = coeffs
         assert q == 0.0
         expected = -(0.8 * 0.4 * 10.0 * 1.5) * pp
@@ -238,7 +254,7 @@ class TestDerivativeNumerator:
         for p, ch in random_instances(41, 100):
             alpha = float(rng.uniform(0.05, 0.95))
             rho = float(rng.uniform(0.0, 0.9))
-            coeffs = _f_coeffs(p, ch, alpha)
+            coeffs = f_coeffs(p, ch, alpha)
             d, _, t, pp, q = coeffs
             num = _df_drho_numerator(*coeffs, p.wtilde2, rho)
             h = 1e-7
@@ -252,16 +268,15 @@ class TestDerivativeNumerator:
 class TestThetaBeta:
     def test_dead_relay(self):
         p = SystemParams(avg_snr=10.0, mu=1.0)
-        coeffs = _f_coeffs(p, ChannelRealization(1.0, 0.5, 0.0), 0.5)
-        theta, beta = theta_beta(coeffs, 2.0)
+        theta, beta = theta_beta(p, ChannelRealization(1.0, 0.5, 0.0), 0.5)
         assert beta == 0.0
         assert theta == 0.0
 
     def test_equal_weights_beta(self):
-        p = SystemParams(avg_snr=10.0, mu=0.7)
-        coeffs = _f_coeffs(p, ChannelRealization(1.3, 0.4, 0.9), 0.35)
-        _, e, t, _, q = coeffs
-        _, beta = theta_beta(coeffs, 1.0)
+        p = SystemParams(avg_snr=10.0, mu=0.7, w2=1.0)
+        ch = ChannelRealization(1.3, 0.4, 0.9)
+        _, e, t, _, q = f_coeffs(p, ch, 0.35)
+        _, beta = theta_beta(p, ch, 0.35)
         assert beta == pytest.approx(q * e * t, rel=1e-14)
 
     def test_discriminant_matches_polynomial_fit(self):
@@ -272,7 +287,7 @@ class TestThetaBeta:
         with mp.workdps(50):
             for p, ch in random_instances(47, 100):
                 alpha = float(rng.uniform(0.05, 0.95))
-                coeffs = _f_coeffs(p, ch, alpha)
+                coeffs = f_coeffs(p, ch, alpha)
                 if coeffs[4] == 0.0:
                     continue
                 wr = mp.mpf(p.wtilde2)
@@ -285,7 +300,7 @@ class TestThetaBeta:
                 a_fit = (n_p + n_m) / 2 - n_0
                 b_fit = (n_p - n_m) / 2
                 disc_fit = b_fit * b_fit - 4 * a_fit * n_0
-                theta, beta = theta_beta(coeffs, p.wtilde2)
+                theta, beta = theta_beta(p, ch, alpha)
                 fd, fe, ft, fp, fq = coeffs
                 constant = (fd - fe * ft) * fp + fq * p.wtilde2 * ft * fd
                 scale = 4.0 * max(beta * beta, abs(fq * p.wtilde2 * fe * constant))
@@ -297,20 +312,19 @@ class TestRhoBar:
         rng = np.random.default_rng(seed)
         for p, ch in random_instances(seed, n):
             alpha = float(rng.uniform(0.05, 0.95))
-            coeffs = _f_coeffs(p, ch, alpha)
+            coeffs = f_coeffs(p, ch, alpha)
             if coeffs[4] == 0.0:
                 continue
-            theta, _ = theta_beta(coeffs, p.wtilde2)
+            theta, _ = theta_beta(p, ch, alpha)
             if theta <= 0.0:
                 continue
-            rb = rho_bar(coeffs, p.wtilde2)
+            rb = rho_bar(p, ch, alpha)
             yield p, ch, alpha, coeffs, rb
 
     def test_degenerate_division(self):
         p = SystemParams(avg_snr=10.0, mu=1.0)
-        coeffs = _f_coeffs(p, ChannelRealization(1.0, 0.5, 0.0), 0.5)
         with pytest.raises(DivisionDegenerate):
-            rho_bar(coeffs, 2.0)
+            rho_bar(p, ChannelRealization(1.0, 0.5, 0.0), 0.5)
 
     def test_stationary_point_of_derivative(self):
         found = 0
@@ -320,7 +334,7 @@ class TestRhoBar:
             found += 1
             # conditioning scale of evaluating the quadratic at rb
             d, e, t, pp, q = coeffs
-            theta, beta = theta_beta(coeffs, p.wtilde2)
+            theta, beta = theta_beta(p, ch, alpha)
             constant = (d - e * t) * pp + q * p.wtilde2 * t * d
             scale = q * p.wtilde2 * e * rb * rb + 2 * abs(beta) * rb + abs(constant)
             assert abs(_df_drho_numerator(*coeffs, p.wtilde2, rb)) <= 1e-9 * scale
@@ -339,14 +353,15 @@ class TestRhoBar:
     def test_bounded_by_t_for_growing_weight_ratio(self):
         p0 = SystemParams(avg_snr=30.0, mu=1.0)
         ch = ChannelRealization(g1=1.2, g2=0.4, g3=0.8)
-        coeffs = _f_coeffs(p0, ch, 0.3)
+        coeffs = f_coeffs(p0, ch, 0.3)
         t = coeffs[2]
         grid = np.linspace(0.0, 0.999999, 10_000)
         for wr in (1.5, 3.0, 10.0, 1e2, 1e4):
-            theta, _ = theta_beta(coeffs, wr)
+            p = dataclasses.replace(p0, w2=wr)  # w1 = 1, so wtilde2 = wr
+            theta, _ = theta_beta(p, ch, 0.3)
             if theta <= 0:
                 continue
-            rb = rho_bar(coeffs, wr)
+            rb = rho_bar(p, ch, 0.3)
             assert rb <= t + 1e-12
             if 0 < rb < 1:  # fine-grid argmax agrees with the closed form
                 best = grid[np.argmax(log_f_alpha(coeffs, wr, grid))]
@@ -360,7 +375,7 @@ class TestRhoPolicy:
         rho, branch = optimal_rho_for_alpha(p, ch, 0.4)
         assert rho == 0.0
         assert branch is SolverBranch.LOWER
-        coeffs = _f_coeffs(p, ch, 0.4)
+        coeffs = f_coeffs(p, ch, 0.4)
         grid = np.linspace(0.0, rho_tilde(p, ch, 0.4), 10_000)
         vals = log_f_alpha(coeffs, p.wtilde2, grid)
         assert vals[0] == pytest.approx(float(np.max(vals)), rel=1e-12)
@@ -377,7 +392,7 @@ class TestRhoPolicy:
         for p, ch in random_instances(67, 300):
             alpha = float(rng.uniform(0.05, 0.95))
             rho, _ = optimal_rho_for_alpha(p, ch, alpha)
-            coeffs = _f_coeffs(p, ch, alpha)
+            coeffs = f_coeffs(p, ch, alpha)
             rt = min(rho_tilde(p, ch, alpha), 1.0 - 1e-9)
             grid = np.linspace(0.0, rt, 10_000)
             best = float(np.max(log_f_alpha(coeffs, p.wtilde2, grid)))
@@ -390,7 +405,7 @@ class TestRhoPolicy:
         rng = np.random.default_rng(71)
         for p, ch in random_instances(73, 120):
             alpha = float(rng.uniform(0.05, 0.95))
-            coeffs = _f_coeffs(p, ch, alpha)
+            coeffs = f_coeffs(p, ch, alpha)
             grid = np.linspace(0.0, 1.0 - 1e-6, 10_000)
             vals = log_f_alpha(coeffs, p.wtilde2, grid)
             diffs = np.diff(vals)
@@ -399,8 +414,8 @@ class TestRhoPolicy:
             if coeffs[4] == 0.0:
                 assert changes == 0 and (len(signs) == 0 or signs[0] <= 0)
                 continue
-            theta, _ = theta_beta(coeffs, p.wtilde2)
-            rb = rho_bar(coeffs, p.wtilde2) if theta > 0 else None
+            theta, _ = theta_beta(p, ch, alpha)
+            rb = rho_bar(p, ch, alpha) if theta > 0 else None
             if theta > 0 and rb is not None and 1e-4 < rb < 1 - 1e-4:
                 assert changes <= 1
                 if changes == 1:
@@ -420,15 +435,17 @@ class TestProfile:
         pool = random_instances(97, 150)
         pool += [(p, ChannelRealization(ch.g1, ch.g2, 0.0)) for p, ch in pool[:20]]
         assert any(p.mu == 0.0 for p, _ in pool)
-        codes = set()
+        cases = set()
         for p, ch in pool:
-            rho, branch, log_f = _profile(p, ch, alphas)
-            for k, alpha in enumerate(alphas):
-                r, b, lf = _profile(p, ch, float(alpha))
-                assert r == rho[k] and b == branch[k]
-                assert lf == pytest.approx(log_f[k], rel=1e-14, abs=0.0)
-                codes.add(b)
-        assert codes == {0, 1, 2}  # interior, lower and boundary all reached
+            k = _draw(p, ch)
+            rho, interior, lower, log_f = _profile(k, alphas, 1.0 - alphas, np)
+            for j, alpha in enumerate(alphas.tolist()):
+                r, i, lo, lf = _profile(k, alpha, 1.0 - alpha, _MATH)
+                assert r == rho[j] and i == interior[j] and lo == lower[j]
+                assert lf == pytest.approx(log_f[j], rel=1e-14, abs=0.0)
+                cases.add((bool(i), bool(lo)))
+        # interior, lower and boundary all reached
+        assert cases == {(True, False), (False, True), (False, False)}
 
 
 class TestSolve1D:
@@ -493,7 +510,7 @@ class TestSolve1D:
         assert grid.margin == ALPHA_MIN  # the name the benchmark's tracer reads
         alphas = np.linspace(grid.margin, 1.0 - grid.margin, grid.n)
         for p, ch in random_instances(89, 30):
-            rho, _, logf = _profile(p, ch, alphas)
+            rho, _, _, logf = _profile(_draw(p, ch), alphas, 1.0 - alphas, np)
             i = int(np.argmax(logf))
             on_grid = rates(p, ch, DesignPoint(float(alphas[i]), float(rho[i]))).weighted_sum
             assert solve_1d(p, ch, grid).rate_triple.weighted_sum >= on_grid - 1e-12
@@ -535,3 +552,152 @@ class TestSolve2D:
         out = solve_2d_exhaustive(p, ch, 40, 40)
         assert out.rho_star == 0.0
         assert out.branch is SolverBranch.GRID
+
+
+# solve_1d outcomes frozen bit for bit: (alpha_star, rho_star, objective_f,
+# c1, c2, weighted_sum) as float.hex, then the branch and the evaluation
+# count.  Keys 0-11 are random_instances(1001, 12); the named draws are in
+# _FROZEN_DRAWS.  A change that moves any of these bits changes the figures.
+_FROZEN_OUTCOMES = {
+    0: ('0x1.23b03e2ba2efcp-9', '0x1.ffffff7a0ec2cp-1', '0x1.64fc97bee3868p+74', '0x1.54dfc46a1e881p-2', '0x1.d868c969b7510p+1', '0x1.29eb3d6ae6cfbp+5', 'INTERIOR', 1019),
+    1: ('0x1.a36e2eb1c432dp-14', '0x1.d039b63c6bb39p-2', '0x1.77bee1c3417a4p+1', '0x1.afaac84daeb04p-15', '0x1.8db2ce3b3176bp-2', '0x1.8db98ce652ad7p-1', 'BOUNDARY', 1018),
+    2: ('0x1.a36e2eb1c432dp-14', '0x1.4a5244f846f9cp-3', '0x1.200c8d93410b8p+9', '0x1.0cc3ec83c2012p-14', '0x1.d581949c60f33p-2', '0x1.257209a5a91bcp+2', 'BOUNDARY', 1018),
+    3: ('0x1.70ee617006316p-1', '0x1.8594e1fe6aaaep-2', '0x1.0373813cf1d37p+2', '0x1.65b5f5e372f90p-1', '0x1.3e784df030496p-3', '0x1.02790e6dc58eep+0', 'BOUNDARY', 1019),
+    4: ('0x1.a36e2eb1c432dp-14', '0x1.4560f54727289p-2', '0x1.16ea9c513c7fap+18', '0x1.ace134742a450p-11', '0x1.cfecb00437ffdp+0', '0x1.21faa18774d09p+3', 'BOUNDARY', 1018),
+    5: ('0x1.a36e2eb1c432dp-14', '0x1.38436f07bd20ep-2', '0x1.c4a67bffca11bp+6', '0x1.a759dacd8c39cp-10', '0x1.22f1eb166928fp+1', '0x1.b49fcbdcf76eep+1', 'BOUNDARY', 1018),
+    6: ('0x1.a36e2eb1c432dp-14', '0x1.3fb2b5407e1d0p-1', '0x1.02a9e54eaf9efp+5', '0x1.627a08c6c1efbp-12', '0x1.40e99803b9717p+0', '0x1.40f4abd3ffa78p+1', 'BOUNDARY', 1018),
+    7: ('0x1.a36e2eb1c432dp-14', '0x1.4e54342019f80p-2', '0x1.f5918a3de5a17p+11', '0x1.42030209d404dp-12', '0x1.326c8d6e4d347p+0', '0x1.7f0cb8d5e8a8ep+2', 'BOUNDARY', 1018),
+    8: ('0x1.a36e2eb1c432dp-14', '0x1.fc33086d82bfap-3', '0x1.04c5d9e8d0064p+20', '0x1.c70c105ed5591p-13', '0x1.0055e784504a3p+0', '0x1.406d287174bb9p+3', 'BOUNDARY', 1018),
+    9: ('0x1.a36e2eb1c432dp-14', '0x1.950ac3d344dc1p-2', '0x1.fa0a3f2d011f4p+100', '0x1.529ec968af2c7p-4', '0x1.429de9e965527p+2', '0x1.93eeb3c872feap+5', 'BOUNDARY', 1018),
+    10: ('0x1.a780a881f290cp-10', '0x1.fffffff768fa1p-1', '0x1.9eda1c4fc7c4ap+13', '0x1.106d07166c89bp-3', '0x1.adc5ef655c19dp+1', '0x1.b649579e0f7e2p+2', 'BOUNDARY', 1019),
+    11: ('0x1.a36e2eb1c432dp-14', '0x1.509f95279c9bdp-3', '0x1.159acb300b808p+45', '0x1.37cac28a517eap-5', '0x1.2042cadf6ae7ep+2', '0x1.68ef62f88acaap+4', 'BOUNDARY', 1018),
+    'solve_cli': ('0x1.a36e2eb1c432dp-14', '0x1.d6d14aa0d995cp-2', '0x1.39728e958b52dp+5', '0x1.8dd6ece137bbbp-12', '0x1.52a5016beb89cp+0', '0x1.52b1702352938p+1', 'BOUNDARY', 1018),
+    'mu_zero': ('0x1.a36e2eb1c432dp-14', '0x1.7a9d88b1422a3p-1', '0x1.11f792d949fa0p+11', '0x1.c58f7f542366fp-11', '0x1.d96f5049339ecp+0', '0x1.6321a8b2e1583p+2', 'BOUNDARY', 1018),
+    'dead_relay': ('0x1.1111055a4ecccp-3', '0x0.0p+0', '0x1.b8fffffffff2fp+3', '0x1.fffff0281924ap-2', '0x1.646eee1a760d8p-1', '0x1.e46eea247c56ap+0', 'LOWER', 1019),
+    'alpha_floor': ('0x1.a36e2eb1c432dp-14', '0x1.a57f598c308bbp-1', '0x1.9adb037179fa6p+101', '0x1.64491f578b3e3p-4', '0x1.44d3c7855ccacp+2', '0x1.96baddf65fc31p+5', 'BOUNDARY', 1018),
+    'rho_cap': ('0x1.ebd5757b24d0bp-3', '0x1.fffffff768fa1p-1', '0x1.dcc837e3936e5p+4', '0x1.9bb9e7ae59e78p-1', '0x1.a4fa0c17f64bdp-1', '0x1.396b7ff7919fcp+1', 'BOUNDARY', 1019),
+    'grid_200': ('0x1.a36e2eb1c432dp-14', '0x1.c6653ca816fd3p-2', '0x1.3d56f753f46c0p+14', '0x1.f143f26a2a56ep-10', '0x1.3132541915b3cp+1', '0x1.c9ea9264c7304p+2', 'BOUNDARY', 221),
+    'trivial': ('0x1.fff2e48e8a71ep-1', '0x0.0p+0', '0x1.0ffc57bfd603bp+3', '0x1.8b2dcf99eb49fp+0', '0x1.b03caaa2e4a35p-15', '0x1.8b2f7fd695ecdp+1', 'TRIVIAL', 1),
+}
+
+_EDGE_GAINS = tuple(float.fromhex(h) for h in (
+    '0x1.b4d3c687ff11dp-1', '0x1.d525f4d24b322p-4', '0x1.5a8d2eec37acbp-3'))
+
+# name: (SystemParams fields, (g1, g2, g3), grid points)
+_FROZEN_DRAWS = {
+    'solve_cli': (dict(avg_snr=10.0), (1.5, 0.5, 0.8), 1000),  # cnoma-eh solve's example
+    'mu_zero': (dict(avg_snr=10.0, mu=0.0, w2=3.0), (1.2, 0.4, 0.9), 1000),
+    'dead_relay': (dict(avg_snr=10.0, mu=1.0, w2=2.0), (1.5, 0.5, 0.0), 1000),  # q == 0
+    'alpha_floor': (dict(avg_snr=1e4, mu=1.0, w2=10.0), _EDGE_GAINS, 1000),  # 40 dB, alpha* = ALPHA_MIN
+    'rho_cap': (dict(avg_snr=10.0, mu=0.0, w2=2.0), _EDGE_GAINS, 1000),  # rho* = _RHO_CAP
+    'grid_200': (dict(avg_snr=25.0, mu=0.5, w2=3.0), (2.0, 0.6, 1.1), 200),
+    'trivial': (dict(avg_snr=10.0, w1=2.0, w2=1.0), (1.5, 0.5, 0.8), 1000),
+}
+
+
+def _frozen_row(out):
+    r = out.rate_triple
+    floats = (out.alpha_star, out.rho_star, out.objective_f, r.c1, r.c2, r.weighted_sum)
+    return tuple(x.hex() for x in floats) + (out.branch.name, out.evaluations)
+
+
+class TestFrozenOutcomes:
+    def test_solve_1d_outcomes_bit_for_bit(self):
+        got = {i: _frozen_row(solve_1d(p, ch))
+               for i, (p, ch) in enumerate(random_instances(1001, 12))}
+        for name, (fields, gains, n) in _FROZEN_DRAWS.items():
+            out = solve_1d(SystemParams(**fields), ChannelRealization(*gains), AlphaGridSpec(n=n))
+            got[name] = _frozen_row(out)
+        assert got == _FROZEN_OUTCOMES
+
+    def test_frozen_draws_reach_their_edges(self):
+        floor = solve_1d(SystemParams(**_FROZEN_DRAWS['alpha_floor'][0]),
+                         ChannelRealization(*_EDGE_GAINS))
+        assert floor.alpha_star == ALPHA_MIN
+        cap = solve_1d(SystemParams(**_FROZEN_DRAWS['rho_cap'][0]),
+                       ChannelRealization(*_EDGE_GAINS))
+        assert cap.rho_star == 1.0 - 1e-9
+
+
+class TestDiscriminantGuards:
+    # b^2 - 4ac = 16 (1 - 1e-12)^2 - 16, about -3e-11: roundoff next to a
+    # tangency, far inside the guard of 1e-8 * scale^2 = 1.6e-7
+    TANGENT = (4.0, 4.0 * (1.0 - 1e-12), 1.0)
+    BAD = (1.0, 1.0, 1.0)  # b^2 - 4ac = -3
+
+    def test_feasibility_roundoff_is_clamped(self):
+        a, b, c = self.TANGENT
+        assert b * b - 4.0 * a * c < 0.0
+        assert _feasibility_root(_MATH, a, b, c) == 2.0 * c / b
+        arr = _feasibility_root(np, *(np.array([x, x]) for x in self.TANGENT))
+        assert arr.tolist() == [2.0 * c / b] * 2
+
+    def test_feasibility_below_guard_raises(self):
+        with pytest.raises(NumericalFailure):
+            _feasibility_root(_MATH, *self.BAD)
+        with pytest.raises(NumericalFailure):
+            _feasibility_root(np, *(np.array([x]) for x in self.BAD))
+
+    def test_feasibility_one_bad_row_raises(self):
+        good = (2.0, 5.0, 1.0)
+        rows = np.array([good, self.TANGENT, self.BAD, good]).T
+        with pytest.raises(NumericalFailure):
+            _feasibility_root(np, *rows)
+        assert _feasibility_root(np, *rows[:, [0, 1, 3]]).shape == (3,)
+
+    def test_feasibility_nan_never_trips_the_guard(self):
+        assert math.isnan(_feasibility_root(_MATH, math.nan, 1.0, 1.0))
+
+    # theta = 1 - (1 + 1e-12): roundoff against a guard of 1e-8
+    S_TANGENT = (1.0, 1.0, 1.0 + 1e-12, 1.0 - (1.0 + 1e-12))
+    S_BAD = (1.0, 0.0, 1.0, -1.0)  # lead, beta, constant, theta
+
+    def test_stationary_roundoff_is_clamped(self):
+        lead, beta, constant, theta = self.S_TANGENT
+        assert theta < 0.0
+        assert _stationary_root(_MATH, *self.S_TANGENT) == constant / beta
+        arr = _stationary_root(np, *(np.array([x, x]) for x in self.S_TANGENT))
+        assert arr.tolist() == [constant / beta] * 2
+
+    def test_stationary_below_guard_raises(self):
+        with pytest.raises(NumericalFailure):
+            _stationary_root(_MATH, *self.S_BAD)
+        with pytest.raises(NumericalFailure):
+            _stationary_root(np, *(np.array([x]) for x in self.S_BAD))
+
+    def test_stationary_one_bad_row_raises(self):
+        good = (1.0, 2.0, 1.0, 3.0)
+        rows = np.array([good, self.S_TANGENT, self.S_BAD, good]).T
+        with pytest.raises(NumericalFailure):
+            _stationary_root(np, *rows)
+        assert _stationary_root(np, *rows[:, [0, 1, 3]]).shape == (3,)
+
+    def test_stationary_zero_lead_raises_on_the_array_path(self):
+        good = (1.0, 2.0, 1.0, 3.0)
+        rows = np.array([good, (0.0, 2.0, 1.0, 4.0)]).T
+        with pytest.raises(DivisionDegenerate):
+            _stationary_root(np, *rows)
+
+
+class TestAlphaGridCache:
+    def test_grid_is_linspace_bit_for_bit_and_read_only(self):
+        for n in (2, 200, 1000):
+            alphas, rest = _alpha_grid(n)
+            ref = np.linspace(ALPHA_MIN, 1.0 - ALPHA_MIN, n)
+            assert alphas.tobytes() == ref.tobytes()
+            assert rest.tobytes() == (1.0 - ref).tobytes()
+            for arr in (alphas, rest):
+                with pytest.raises(ValueError):
+                    arr[0] = 0.5
+
+    def test_outcomes_do_not_depend_on_cache_state(self):
+        pool = random_instances(1001, 6)
+        sizes = (200, 1000, 200)
+        _alpha_grid.cache_clear()
+        warm = [[solve_1d(p, ch, AlphaGridSpec(n=n)) for p, ch in pool] for n in sizes]
+        fresh = []
+        for n in sizes:
+            _alpha_grid.cache_clear()
+            fresh.append([solve_1d(p, ch, AlphaGridSpec(n=n)) for p, ch in pool])
+        assert warm == fresh
+        assert warm[0] == warm[2]
