@@ -178,11 +178,11 @@ class _Draw(NamedTuple):
     t: float        # 1 + mu
     q: float        # eta*snr*g1*g3 / (1 + mu)
     wtilde2: float
-    half_q: float   # 0.5*q
-    q_w: float      # q*wtilde2
-    q_w_t: float    # q*wtilde2*t
-    w_minus: float  # wtilde2 - 1
-    w_plus: float   # wtilde2 + 1
+    half_q: float
+    q_w: float
+    q_w_t: float
+    w_minus: float
+    w_plus: float
 
 
 def _draw(p: SystemParams, ch: ChannelRealization) -> _Draw:
