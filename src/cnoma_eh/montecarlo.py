@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import ChannelRealization, DesignPoint, SystemParams, _rate_tuple
-from .optimizer import AlphaGridSpec, solve_1d
+from .optimizer import AlphaGridSpec, _grid_incumbents, solve_1d
 
 __all__ = [
     "Ordering",
@@ -146,9 +146,13 @@ def _optimized_block(cfg: SamplerConfig, p: SystemParams, grid: AlphaGridSpec,
     ``estimate_optimized``'s point, and the skipped count."""
     g1, g2, g3 = sample_gains(cfg, p, block_index, count)
     keep = g1 != g2
+    k1, k2, k3 = g1[keep], g2[keep], g3[keep]
+    index, top = _grid_incumbents(p, k1, k2, k3, grid.n)
     sums = {"wsum_opt": [0.0, 0.0], "alpha_star": [0.0, 0.0], "rho_star": [0.0, 0.0]}
-    for x1, x2, x3 in zip(g1[keep].tolist(), g2[keep].tolist(), g3[keep].tolist()):
-        out = solve_1d(p, ChannelRealization(g1=x1, g2=x2, g3=x3), grid)
+    for x1, x2, x3, i, f in zip(k1.tolist(), k2.tolist(), k3.tolist(),
+                                index.tolist(), top.tolist()):
+        # one solve_1d call per kept draw: benchmark/tracing.py counts them
+        out = solve_1d(p, ChannelRealization(g1=x1, g2=x2, g3=x3), grid, incumbent=(i, f))
         for pair, v in zip(sums.values(),
                            (out.rate_triple.weighted_sum, out.alpha_star, out.rho_star)):
             pair[0] += v

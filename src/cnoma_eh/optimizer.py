@@ -46,7 +46,12 @@ with a golden-section pass on the bracketing interval.  One function,
 ``_profile``, evaluates the profile for the grid (as arrays) and for the
 refine and the final rho* (as floats); the alpha-free constants of a draw
 (``_Draw``) are formed once per solve, and the branch taken is read only at
-alpha*.
+alpha*.  The grid stage, ``_grid_argmax``, takes one draw's constants as
+floats or a chunk's as (rows, 1) columns.  A Monte Carlo block runs it once
+per chunk of its draws (``_grid_incumbents``) and passes each draw's
+incumbent to ``solve_1d``, which refines that draw alone.  Every entry of a
+chunk's (rows x n) profile takes the float operations of its draw alone, so
+outcomes do not depend on the chunk.
 ``solve_2d_exhaustive`` is the independent benchmark: a plain grid argmax of
 the raw weighted sum (with the min{} in the weak user's rate), kept free of
 the reformulation on purpose.
@@ -109,8 +114,15 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Width in alpha at which the golden-section refine stops.
 _REFINE_TOL = 1e-6
 
+# Cells of one grid-stage chunk: rows = max(1, _GRID_CELLS // n) draws share
+# each (rows x n) profile.  At n = 1000 on a 2-core VM with numpy 2.4, the
+# grid stage per draw at 4 rows took 0.65 of its time for one draw alone;
+# 2 rows and 8 or 16 rows were slower than 4.  The profile holds about 16
+# temporaries of rows x n floats at once, 0.5 MB at 4 rows.
+_GRID_CELLS = 4096
+
 # Top of the 2D oracle's rho grid; short of _RHO_CAP until the solver's
-# rho -> 1 edge is mended (ROADMAP item 2).
+# rho -> 1 edge is mended (ROADMAP item 3).
 _GRID2D_RHO_MAX = 1.0 - 1e-6
 
 
@@ -158,18 +170,21 @@ def _check_alpha(alpha: float):
 # Float alphas take this math-backed stand-in for numpy in _profile: on a
 # 2-core VM with numpy 2.4, _profile costs about 55 us for a one-element alpha
 # array against 3 us for a float, and a solve makes about 18 single-alpha
-# calls (the golden-section probes and the final rho*).  The refine stays on
-# math: numpy's log differs from libm's in the last bit on some inputs, so
-# moving it would change outcomes.
+# calls (the golden-section probes and the final rho*).  Only the grid stage
+# takes numpy, once per solve or once per chunk of a Monte Carlo block.  The
+# refine stays on math: numpy's log differs from libm's in the last bit on
+# some inputs, so moving it, or batching it across draws in numpy, would
+# change outcomes.
 _MATH = SimpleNamespace(
     sqrt=math.sqrt, log=math.log, maximum=max, minimum=min,
-    where=lambda cond, a, b: a if cond else b, any=bool,
+    where=lambda cond, a, b: a if cond else b, any=bool, count_nonzero=bool,
 )
 
 
 class _Draw(NamedTuple):
     """The alpha-free constants of the profile for one (params, channel)
-    pair, formed once per solve."""
+    pair as floats, formed once per solve, or for a chunk of draws as
+    (rows, 1) columns, one draw per row."""
 
     snr: float
     mu: float
@@ -185,11 +200,11 @@ class _Draw(NamedTuple):
     w_plus: float
 
 
-def _draw(p: SystemParams, ch: ChannelRealization) -> _Draw:
-    q = p.eta * p.avg_snr * ch.g1 * ch.g3 / (1.0 + p.mu)
+def _draw(p: SystemParams, g1, g2, g3) -> _Draw:
+    q = p.eta * p.avg_snr * g1 * g3 / (1.0 + p.mu)
     w = p.wtilde2
     t = 1.0 + p.mu
-    return _Draw(p.avg_snr, p.mu, ch.g1, ch.g2, t, q, w, 0.5 * q, q * w, q * w * t,
+    return _Draw(p.avg_snr, p.mu, g1, g2, t, q, w, 0.5 * q, q * w, q * w * t,
                  w - 1.0, w + 1.0)
 
 
@@ -266,8 +281,9 @@ def _profile(k: _Draw, alpha, rest, xp):
     with rest = 1 - alpha.  See the module docstring for the case split."""
     d, e, pp, a, b, c, lead, beta, constant, theta = _coeffs(k, alpha, rest)
     t, q = k.t, k.q
-    if q == 0.0:
-        # dead relay link: rho* = 0 at every alpha (never interior, always lower)
+    if not xp.count_nonzero(q):
+        # dead relay link (in every row): rho* = 0 at every alpha (never
+        # interior, always lower)
         interior, lower, rb, rt = alpha < 0.0, alpha > 0.0, 0.0, 0.0
     else:
         rt = _feasibility_root(xp, a, b, c)
@@ -298,7 +314,8 @@ def rho_tilde(p: SystemParams, ch: ChannelRealization, alpha: float) -> float:
     """
     _require_ordered(ch)
     _check_alpha(alpha)
-    _, _, _, a, b, c, _, _, _, _ = _coeffs(_draw(p, ch), alpha, 1.0 - alpha)
+    k = _draw(p, ch.g1, ch.g2, ch.g3)
+    _, _, _, a, b, c, _, _, _, _ = _coeffs(k, alpha, 1.0 - alpha)
     return _feasibility_root(_MATH, a, b, c)
 
 
@@ -315,7 +332,8 @@ def optimal_rho_for_alpha(p: SystemParams, ch: ChannelRealization, alpha: float)
     """
     _require_ordered(ch)
     _check_alpha(alpha)
-    rho, interior, lower, _ = _profile(_draw(p, ch), alpha, 1.0 - alpha, _MATH)
+    k = _draw(p, ch.g1, ch.g2, ch.g3)
+    rho, interior, lower, _ = _profile(k, alpha, 1.0 - alpha, _MATH)
     return rho, _branch(interior, lower)
 
 
@@ -345,14 +363,51 @@ def _golden_max(g, lo: float, hi: float, tol: float):
     return d, fd, evals
 
 
+def _grid_argmax(k: _Draw, n: int):
+    """The grid stage: the first-hit argmax index of log f on the n-point
+    alpha grid (the smallest alpha wins ties) and log f there.  ``k`` holds
+    one draw's constants as floats, or a chunk's as (rows, 1) columns with
+    q == 0 in every row or in none; the profile is then (rows x n) and each
+    row gets the same float operations, and so the same bits, as its draw
+    alone."""
+    alphas, rest = _alpha_grid(n)
+    logf = _profile(k, alphas, rest, np)[3]
+    return logf.argmax(axis=-1), logf.max(axis=-1)
+
+
+def _grid_incumbents(p: SystemParams, g1, g2, g3, n: int):
+    """``_grid_argmax`` for each draw of equal-length gain arrays, in chunks
+    of rows = max(1, _GRID_CELLS // n) draws; returns the index and log f
+    arrays.  A chunk that mixes dead-relay draws (q == 0) with live ones is
+    split in two, since the dead ones take the rho* = 0 case."""
+    rows = max(1, _GRID_CELLS // n)
+    index = np.empty(len(g1), dtype=np.intp)
+    top = np.empty(len(g1))
+    for lo in range(0, len(g1), rows):
+        s = slice(lo, lo + rows)
+        k = _draw(p, g1[s, None], g2[s, None], g3[s, None])
+        if 0 < np.count_nonzero(k.q) < len(k.q):
+            dead = k.q[:, 0] == 0.0
+            for part in (dead, ~dead):
+                sub = _draw(p, g1[s][part, None], g2[s][part, None], g3[s][part, None])
+                index[s][part], top[s][part] = _grid_argmax(sub, n)
+        else:
+            index[s], top[s] = _grid_argmax(k, n)
+    return index, top
+
+
 def solve_1d(p: SystemParams, ch: ChannelRealization,
-             grid: AlphaGridSpec | None = None) -> OptimizationOutcome:
+             grid: AlphaGridSpec | None = None, *,
+             incumbent: tuple[int, float] | None = None) -> OptimizationOutcome:
     """Weighted-sum-rate maximization by 1D search over alpha.
 
     For w2 <= w1 the optimum is the no-cooperation corner (all source power
     on x1, no splitting) at alpha = 1 - ALPHA_MIN.  Otherwise evaluates
     f(alpha, rho*(alpha)) on the grid and refines the incumbent bracket by
-    golden section.
+    golden section.  ``incumbent`` is this draw's grid stage result (index,
+    log f) when the caller has run it already, as the Monte Carlo blocks do
+    with ``_grid_incumbents``; without it ``_grid_argmax`` runs on this draw
+    alone.
     """
     if p.w2 <= p.w1:
         d = DesignPoint(alpha=1.0 - ALPHA_MIN, rho=0.0)
@@ -365,20 +420,19 @@ def solve_1d(p: SystemParams, ch: ChannelRealization,
             evaluations=1,
         )
     _require_ordered(ch)
-    grid = grid or AlphaGridSpec()
-    k = _draw(p, ch)
-    alphas, rest = _alpha_grid(grid.n)
-    logf = _profile(k, alphas, rest, np)[3]
-    i = int(np.argmax(logf))  # first hit: smallest alpha wins ties
+    n = (grid or AlphaGridSpec()).n
+    k = _draw(p, ch.g1, ch.g2, ch.g3)
+    i, f_grid = _grid_argmax(k, n) if incumbent is None else incumbent
+    alphas = _alpha_grid(n)[0]
     lo = float(alphas[max(i - 1, 0)])
-    hi = float(alphas[min(i + 1, grid.n - 1)])
+    hi = float(alphas[min(i + 1, n - 1)])
     a_ref, f_ref, n_ref = _golden_max(
         lambda a: _profile(k, a, 1.0 - a, _MATH)[3], lo, hi, _REFINE_TOL
     )
-    best_alpha = a_ref if f_ref > float(logf[i]) else float(alphas[i])
+    best_alpha = a_ref if f_ref > f_grid else float(alphas[i])
 
     rho_star, interior, lower, _ = _profile(k, best_alpha, 1.0 - best_alpha, _MATH)
-    evaluations = grid.n + n_ref + 1
+    evaluations = n + n_ref + 1
     d = DesignPoint(alpha=best_alpha, rho=rho_star)
     return OptimizationOutcome(
         alpha_star=best_alpha,

@@ -140,7 +140,7 @@ def check_stationarity(seed=1003) -> CheckResult:
     tested = 0
     for p, ch in instances:
         alpha = float(rng.uniform(0.02, 0.98))
-        k = optimizer._draw(p, ch)
+        k = optimizer._draw(p, ch.g1, ch.g2, ch.g3)
         if k.q == 0.0:
             continue
         d, e, pp, _, _, _, lead, beta, constant, theta = optimizer._coeffs(k, alpha, 1.0 - alpha)

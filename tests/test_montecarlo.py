@@ -23,6 +23,19 @@ def params(snr_db, w2=2.0, mu=1.0):
     return SystemParams(avg_snr=10.0 ** (snr_db / 10.0), mu=mu, w1=1.0, w2=w2)
 
 
+def ties_and_dead_relays(real):
+    """``sample_gains`` with g1 == g2 on every 14th draw (skipped: 37 of a
+    40-draw block are kept) and g3 = 0 on every 9th from the 6th (dead relay
+    links among live ones in a grid chunk)."""
+    def gains(cfg, p, block_index, count):
+        g1, g2, g3 = real(cfg, p, block_index, count)
+        g2, g3 = g2.copy(), g3.copy()
+        g2[::14] = g1[::14]
+        g3[5::9] = 0.0
+        return g1, g2, g3
+    return gains
+
+
 class TestSampler:
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -175,6 +188,65 @@ class TestEstimateOptimized:
         assert pt["skipped"] == 0 and ergodic["n"] == pt["n"] == 300
         assert pt["mean_wsum_fixed"] == ergodic["mean_wsum"]
         assert pt["se_wsum_fixed"] == ergodic["se_wsum"]
+
+    @pytest.mark.parametrize("n", [1000, 200])  # 4 and 20 draws per grid chunk
+    @pytest.mark.parametrize("snr_db, mu", [(0.0, 0.0), (0.0, 1.0), (40.0, 0.0), (40.0, 1.0)])
+    def test_block_sums_equal_a_plain_solve_loop(self, monkeypatch, n, snr_db, mu):
+        gains = ties_and_dead_relays(montecarlo.sample_gains)
+        monkeypatch.setattr(montecarlo, "sample_gains", gains)
+        cfg = SamplerConfig(seed=47, ordering=Ordering.SWAP_ORDERED,
+                            sample_count=80, block_size=40)
+        p = params(snr_db, w2=3.0, mu=mu)
+        grid = AlphaGridSpec(n=n)
+        pt = estimate_optimized(cfg, p, grid)
+        # each kept draw solved alone, summed in draw order per block, and the
+        # block sums added in block order
+        totals = {"wsum_opt": [0.0, 0.0], "alpha_star": [0.0, 0.0], "rho_star": [0.0, 0.0]}
+        kept = dead = 0
+        for block_index in (0, 1):
+            sums = {name: [0.0, 0.0] for name in totals}
+            for x1, x2, x3 in zip(*(g.tolist() for g in gains(cfg, p, block_index, 40))):
+                if x1 == x2:
+                    continue
+                kept, dead = kept + 1, dead + (x3 == 0.0)
+                out = solve_1d(p, ChannelRealization(x1, x2, x3), grid)
+                for name, v in zip(sums, (out.rate_triple.weighted_sum, out.alpha_star,
+                                          out.rho_star)):
+                    sums[name][0] += v
+                    sums[name][1] += v * v
+            for name, (s1, s2) in sums.items():
+                totals[name][0] += s1
+                totals[name][1] += s2
+        assert kept == pt["n"] == 74 and pt["skipped"] == 6 and dead > 0
+        for name, (s1, s2) in totals.items():
+            mean, se = montecarlo._mean_se(kept, s1, s2)
+            assert pt[f"mean_{name}"] == mean and pt[f"se_{name}"] == se
+
+    def test_one_solve_1d_call_per_kept_draw(self, monkeypatch):
+        # benchmark/tracing.py wraps montecarlo.solve_1d, counts one solve per
+        # call and reads the grid from the third positional argument
+        calls = []
+        real = montecarlo.solve_1d
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        gains = ties_and_dead_relays(montecarlo.sample_gains)
+        monkeypatch.setattr(montecarlo, "sample_gains", gains)
+        monkeypatch.setattr(montecarlo, "solve_1d", counting)
+        cfg = SamplerConfig(seed=49, ordering=Ordering.SWAP_ORDERED,
+                            sample_count=100, block_size=40)
+        p = params(10, w2=2.0)
+        grid = AlphaGridSpec(n=200)
+        pt = estimate_optimized(cfg, p, grid)
+        drawn = []
+        for block_index, count in ((0, 40), (1, 40), (2, 20)):
+            drawn += [x for x in zip(*(g.tolist() for g in gains(cfg, p, block_index, count)))
+                      if x[0] != x[1]]
+        assert len(calls) == pt["n"] == len(drawn) and pt["skipped"] > 0
+        assert [(ch.g1, ch.g2, ch.g3) for _, ch, _ in calls] == drawn
+        assert all(args[2] is grid for args in calls)
 
     def test_point_statistics(self):
         cfg = SamplerConfig(seed=33, ordering=Ordering.SWAP_ORDERED, sample_count=3000)

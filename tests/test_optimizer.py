@@ -1,10 +1,12 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cnoma_eh import optimizer
 from cnoma_eh.errors import (
     DivisionDegenerate,
     DomainError,
@@ -29,6 +31,8 @@ from cnoma_eh.optimizer import (
     _coeffs,
     _draw,
     _feasibility_root,
+    _grid_argmax,
+    _grid_incumbents,
     _profile,
     _stationary_root,
     f_objective,
@@ -70,7 +74,7 @@ def log_f_alpha(coeffs, wtilde2, rho):
 def f_coeffs(p, ch, alpha):
     """(d, e, t, pp, q) of f_alpha at a float alpha, from the solver's
     kernel."""
-    k = _draw(p, ch)
+    k = _draw(p, ch.g1, ch.g2, ch.g3)
     d, e, pp = _coeffs(k, alpha, 1.0 - alpha)[:3]
     return d, e, k.t, pp, k.q
 
@@ -78,7 +82,7 @@ def f_coeffs(p, ch, alpha):
 def stationary_terms(p, ch, alpha):
     """(lead, beta, constant, theta) of the stationary-point quadratic, from
     the solver's kernel."""
-    return _coeffs(_draw(p, ch), alpha, 1.0 - alpha)[6:]
+    return _coeffs(_draw(p, ch.g1, ch.g2, ch.g3), alpha, 1.0 - alpha)[6:]
 
 
 def theta_beta(p, ch, alpha):
@@ -127,7 +131,7 @@ class TestInnerCoefficients:
 class TestBoundary:
     def test_coefficient_signs(self):
         for p, ch in random_instances(3, 50):
-            a, _, c = _coeffs(_draw(p, ch), 0.4, 0.6)[3:6]
+            a, _, c = _coeffs(_draw(p, ch.g1, ch.g2, ch.g3), 0.4, 0.6)[3:6]
             if p.eta > 0 and ch.g1 > 0 and ch.g3 > 0:
                 assert a > 0
             assert c > 0  # holds whenever g1 > g2
@@ -437,7 +441,7 @@ class TestProfile:
         assert any(p.mu == 0.0 for p, _ in pool)
         cases = set()
         for p, ch in pool:
-            k = _draw(p, ch)
+            k = _draw(p, ch.g1, ch.g2, ch.g3)
             rho, interior, lower, log_f = _profile(k, alphas, 1.0 - alphas, np)
             for j, alpha in enumerate(alphas.tolist()):
                 r, i, lo, lf = _profile(k, alpha, 1.0 - alpha, _MATH)
@@ -510,7 +514,7 @@ class TestSolve1D:
         assert grid.margin == ALPHA_MIN  # the name the benchmark's tracer reads
         alphas = np.linspace(grid.margin, 1.0 - grid.margin, grid.n)
         for p, ch in random_instances(89, 30):
-            rho, _, _, logf = _profile(_draw(p, ch), alphas, 1.0 - alphas, np)
+            rho, _, _, logf = _profile(_draw(p, ch.g1, ch.g2, ch.g3), alphas, 1.0 - alphas, np)
             i = int(np.argmax(logf))
             on_grid = rates(p, ch, DesignPoint(float(alphas[i]), float(rho[i]))).weighted_sum
             assert solve_1d(p, ch, grid).rate_triple.weighted_sum >= on_grid - 1e-12
@@ -677,6 +681,57 @@ class TestDiscriminantGuards:
         rows = np.array([good, (0.0, 2.0, 1.0, 4.0)]).T
         with pytest.raises(DivisionDegenerate):
             _stationary_root(np, *rows)
+
+
+class TestGridChunks:
+    """The grid stage on (rows x n) chunks: each row as its draw alone, and
+    the guards as on one draw."""
+
+    P = SystemParams(avg_snr=10.0, mu=1.0, w1=1.0, w2=2.0)
+    G1 = np.array([1.5, 1.7, 2.5, 1.9, 2.1, 1.2])
+    G2 = np.full(6, 0.5)
+
+    def test_dead_relay_rows_take_the_lower_case_inside_a_chunk(self):
+        g3 = np.array([0.8, 0.0, 0.7, 0.0, 0.9, 0.0])
+        dead = g3 == 0.0
+        for n in (1000, 200):  # 4 and 20 rows per chunk
+            # mixed chunks, then chunks of dead rows only
+            for rows in (slice(None), dead):
+                g1, g2, g3r = self.G1[rows], self.G2[rows], g3[rows]
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # no DivisionDegenerate, no warning
+                    index, top = _grid_incumbents(self.P, g1, g2, g3r, n)
+                alone = [_grid_argmax(_draw(self.P, *x), n)
+                         for x in zip(g1.tolist(), g2.tolist(), g3r.tolist())]
+                assert index.tolist() == [int(i) for i, _ in alone]
+                assert top.tolist() == [float(f) for _, f in alone]
+
+    @pytest.mark.parametrize("slots, values", [
+        ((3, 4, 5), TestDiscriminantGuards.BAD),      # feasibility a, b, c
+        ((6, 7, 8, 9), TestDiscriminantGuards.S_BAD),  # lead, beta, constant, theta
+    ])
+    def test_one_bad_row_raises_as_its_draw_alone(self, monkeypatch, slots, values):
+        real = optimizer._coeffs
+
+        def corrupted(k, alpha, rest):
+            # the draw with g1 == 2.5 gets coefficients below the guard
+            out = list(real(k, alpha, rest))
+            bad = np.equal(k.g1, 2.5)
+            for slot, value in zip(slots, values):
+                out[slot] = np.where(bad, value, out[slot])
+            return tuple(out)
+
+        monkeypatch.setattr(optimizer, "_coeffs", corrupted)
+        g3 = np.full(6, 0.8)
+        with pytest.raises(NumericalFailure) as alone:
+            solve_1d(self.P, ChannelRealization(2.5, 0.5, 0.8))
+        for n in (1000, 200):
+            with pytest.raises(NumericalFailure) as chunk:
+                _grid_incumbents(self.P, self.G1, self.G2, g3, n)
+            assert str(chunk.value) == str(alone.value)
+        good = self.G1 != 2.5
+        index, _ = _grid_incumbents(self.P, self.G1[good], self.G2[good], g3[good], 1000)
+        assert index.shape == (5,)
 
 
 class TestAlphaGridCache:
