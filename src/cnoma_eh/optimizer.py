@@ -43,15 +43,17 @@ matters on [0, 1).  Case split per candidate alpha:
 The 1D search evaluates log f(alpha, rho*(alpha)) on a uniform alpha grid
 (built once per grid size and cached read-only) and sharpens the incumbent
 with a golden-section pass on the bracketing interval.  One function,
-``_profile``, evaluates the profile for the grid (as arrays) and for the
-refine and the final rho* (as floats); the alpha-free constants of a draw
-(``_Draw``) are formed once per solve, and the branch taken is read only at
-alpha*.  The grid stage, ``_grid_argmax``, takes one draw's constants as
-floats or a chunk's as (rows, 1) columns.  A Monte Carlo block runs it once
-per chunk of its draws (``_grid_incumbents``) and passes each draw's
-incumbent to ``solve_1d``, which refines that draw alone.  Every entry of a
-chunk's (rows x n) profile takes the float operations of its draw alone, so
-outcomes do not depend on the chunk.
+``_profile``, evaluates the profile everywhere; the namespace it is given
+says how.  ``_search`` runs the search for a set of draws: the grid stage
+(``_grid_argmax``) on (rows x n) chunks, then the refine (``_golden_rows``)
+on slices of up to ``_REFINE_ROWS`` draws in lock-step, each draw stopping
+after the probes it would take alone.  numpy does every add, multiply,
+divide and sqrt (IEEE-exact, as on floats) and the refine takes its logs per
+element from ``math.log`` (``_LIBM``), so each draw gets the bits it gets
+alone and outcomes do not depend on the block.  ``solve_1d`` is a batch of
+one: it runs ``_search`` on its draw unless given that draw's result, then
+takes rho*, the branch and the rates at alpha* on floats (``_MATH``); the
+branch is read only there.
 ``solve_2d_exhaustive`` is the independent benchmark: a plain grid argmax of
 the raw weighted sum (with the min{} in the weak user's rate), kept free of
 the reformulation on purpose.
@@ -114,6 +116,12 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Width in alpha at which the golden-section refine stops.
 _REFINE_TOL = 1e-6
 
+# Draws of one refine slice.  Per draw, the lock-step refine on a 2-core VM
+# with numpy 2.4 took 75-124 us at 16 rows, 12-14 us at 256, 8-10 us at 1024
+# and 7-8 us at 8192, while its tracemalloc peak grew with the slice: 92 KB,
+# 348 KB and 2.7 MB.
+_REFINE_ROWS = 1024
+
 # Cells of one grid-stage chunk: rows = max(1, _GRID_CELLS // n) draws share
 # each (rows x n) profile.  At n = 1000 on a 2-core VM with numpy 2.4, the
 # grid stage per draw at 4 rows took 0.65 of its time for one draw alone;
@@ -167,17 +175,25 @@ def _check_alpha(alpha: float):
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
 
 
-# Float alphas take this math-backed stand-in for numpy in _profile: on a
-# 2-core VM with numpy 2.4, _profile costs about 55 us for a one-element alpha
-# array against 3 us for a float, and a solve makes about 18 single-alpha
-# calls (the golden-section probes and the final rho*).  Only the grid stage
-# takes numpy, once per solve or once per chunk of a Monte Carlo block.  The
-# refine stays on math: numpy's log differs from libm's in the last bit on
-# some inputs, so moving it, or batching it across draws in numpy, would
-# change outcomes.
+# The namespaces _profile evaluates on.  _MATH takes one float alpha: the
+# final rho* and branch of a solve, rho_tilde, optimal_rho_for_alpha and
+# validation.check_stationarity, where _profile costs about 3 us against
+# 55 us for a one-element array.  _NUMPY is the grid stage's.  _LIBM is the
+# refine's: numpy arithmetic on (rows,) arrays with each log from math.log,
+# since numpy's log differs from libm's in the last bit on some inputs.  So
+# a row of _LIBM gets the bits _MATH gives its draw alone.  The array
+# namespaces take ndarray.any, which costs half of np.any's dispatch.
 _MATH = SimpleNamespace(
     sqrt=math.sqrt, log=math.log, maximum=max, minimum=min,
     where=lambda cond, a, b: a if cond else b, any=bool, count_nonzero=bool,
+)
+_NUMPY = SimpleNamespace(
+    sqrt=np.sqrt, log=np.log, maximum=np.maximum, minimum=np.minimum,
+    where=np.where, any=np.ndarray.any, count_nonzero=np.count_nonzero,
+)
+_LIBM = SimpleNamespace(
+    **{**vars(_NUMPY),
+       "log": lambda x: np.fromiter(map(math.log, x.tolist()), float, x.size)},
 )
 
 
@@ -206,6 +222,12 @@ def _draw(p: SystemParams, g1, g2, g3) -> _Draw:
     t = 1.0 + p.mu
     return _Draw(p.avg_snr, p.mu, g1, g2, t, q, w, 0.5 * q, q * w, q * w * t,
                  w - 1.0, w + 1.0)
+
+
+def _take(k: _Draw, rows) -> _Draw:
+    """The draws of array constants ``k`` at ``rows``, any numpy index:
+    ``(s, None)`` makes (rows, 1) columns of slice s."""
+    return _Draw(*(v[rows] if isinstance(v, np.ndarray) else v for v in k))
 
 
 @functools.lru_cache(maxsize=8)
@@ -277,8 +299,9 @@ def _stationary_root(xp, lead, beta, constant, theta):
 def _profile(k: _Draw, alpha, rest, xp):
     """rho*(alpha), the interior and lower masks of the case split, and
     log f(alpha, rho*(alpha)): the profile the 1D search maximizes.
-    ``alpha`` is a float (xp = _MATH) or an array (xp = np) inside (0, 1),
-    with rest = 1 - alpha.  See the module docstring for the case split."""
+    ``alpha`` is a float (xp = _MATH) or an array (xp = _NUMPY or _LIBM)
+    inside (0, 1), with rest = 1 - alpha.  See the module docstring for the
+    case split."""
     d, e, pp, a, b, c, lead, beta, constant, theta = _coeffs(k, alpha, rest)
     t, q = k.t, k.q
     if not xp.count_nonzero(q):
@@ -337,77 +360,112 @@ def optimal_rho_for_alpha(p: SystemParams, ch: ChannelRealization, alpha: float)
     return rho, _branch(interior, lower)
 
 
-def _golden_max(g, lo: float, hi: float, tol: float):
-    """Golden-section maximization of g on [lo, hi]; ties keep the left probe
-    so results are deterministic.  Returns (x_best, g_best, evaluations)."""
-    a, b = lo, hi
-    if b - a <= tol:
-        mid = 0.5 * (a + b)
-        return mid, g(mid), 1
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = g(c), g(d)
-    evals = 2
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = g(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = g(d)
-        evals += 1
-    if fc >= fd:
-        return c, fc, evals
-    return d, fd, evals
-
-
 def _grid_argmax(k: _Draw, n: int):
     """The grid stage: the first-hit argmax index of log f on the n-point
     alpha grid (the smallest alpha wins ties) and log f there.  ``k`` holds
-    one draw's constants as floats, or a chunk's as (rows, 1) columns with
-    q == 0 in every row or in none; the profile is then (rows x n) and each
-    row gets the same float operations, and so the same bits, as its draw
-    alone."""
+    a chunk's constants as (rows, 1) columns with q == 0 in every row or in
+    none; the profile is then (rows x n) and each row gets the same float
+    operations, and so the same bits, as its draw alone."""
     alphas, rest = _alpha_grid(n)
-    logf = _profile(k, alphas, rest, np)[3]
+    logf = _profile(k, alphas, rest, _NUMPY)[3]
     return logf.argmax(axis=-1), logf.max(axis=-1)
 
 
-def _grid_incumbents(p: SystemParams, g1, g2, g3, n: int):
-    """``_grid_argmax`` for each draw of equal-length gain arrays, in chunks
-    of rows = max(1, _GRID_CELLS // n) draws; returns the index and log f
-    arrays.  A chunk that mixes dead-relay draws (q == 0) with live ones is
-    split in two, since the dead ones take the rho* = 0 case."""
-    rows = max(1, _GRID_CELLS // n)
-    index = np.empty(len(g1), dtype=np.intp)
-    top = np.empty(len(g1))
-    for lo in range(0, len(g1), rows):
-        s = slice(lo, lo + rows)
-        k = _draw(p, g1[s, None], g2[s, None], g3[s, None])
-        if 0 < np.count_nonzero(k.q) < len(k.q):
-            dead = k.q[:, 0] == 0.0
-            for part in (dead, ~dead):
-                sub = _draw(p, g1[s][part, None], g2[s][part, None], g3[s][part, None])
-                index[s][part], top[s][part] = _grid_argmax(sub, n)
-        else:
-            index[s], top[s] = _grid_argmax(k, n)
-    return index, top
+def _golden_rows(k: _Draw, lo, hi, x0, f0):
+    """Golden-section maximization of each row's profile on [lo, hi], all
+    rows in lock-step.  ``k`` holds the rows' constants as (rows,) arrays,
+    with q == 0 in every row or in none.  Each row takes the probes, the tie
+    rule (the left probe wins ties) and the stop of the section on its own:
+    a row stops once its bracket is no wider than _REFINE_TOL, and a bracket
+    that starts that narrow takes one probe at its midpoint.  Returns per
+    row alpha*, the best probe where it beats the incumbent (x0, f0)
+    strictly and x0 otherwise, and the number of probes."""
+    def g(kk, x):
+        return _profile(kk, x, 1.0 - x, _LIBM)[3]
+
+    x_ref, f_ref = np.empty(len(lo)), np.empty(len(lo))
+    probes = np.empty(len(lo), dtype=np.intp)
+    narrow = (hi - lo) <= _REFINE_TOL
+    if narrow.any():
+        mid = 0.5 * (lo[narrow] + hi[narrow])
+        x_ref[narrow], f_ref[narrow], probes[narrow] = mid, g(_take(k, narrow), mid), 1
+    live = np.flatnonzero(~narrow)
+    k = _take(k, live)
+    a, b = lo[live], hi[live]
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = g(k, c), g(k, d)
+    count = 2
+    while live.size:
+        go = (b - a) > _REFINE_TOL
+        if not go.all():
+            stop = ~go
+            left = fc[stop] >= fd[stop]
+            rows = live[stop]
+            x_ref[rows] = np.where(left, c[stop], d[stop])
+            f_ref[rows] = np.where(left, fc[stop], fd[stop])
+            probes[rows] = count
+            live, a, b, c, d, fc, fd = (v[go] for v in (live, a, b, c, d, fc, fd))
+            if not live.size:
+                break
+            k = _take(k, go)
+        left = fc >= fd
+        b = np.where(left, d, b)
+        a = np.where(left, a, c)
+        x = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
+        fx = g(k, x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+        count += 1
+    return np.where(f_ref > f0, x_ref, x0), probes
+
+
+def _search(p: SystemParams, g1, g2, g3, n: int):
+    """The 1D search for each draw of equal-length gain arrays: returns the
+    alpha* and evaluation count (grid points plus refine probes) arrays.
+    The draws are split once into dead-relay (q == 0, which take the
+    rho* = 0 case) and live sets.  Each set runs the grid stage in chunks of
+    max(1, _GRID_CELLS // n) draws, then the refine in slices of at most
+    _REFINE_ROWS draws, on each draw's grid bracket: one grid step either
+    side of its incumbent, inside the grid."""
+    alphas = _alpha_grid(n)[0]
+    chunk = max(1, _GRID_CELLS // n)
+    alpha_star = np.empty(len(g1))
+    evaluations = np.empty(len(g1), dtype=np.intp)
+    dead = _draw(p, g1, g2, g3).q == 0.0
+    for part in (np.flatnonzero(dead), np.flatnonzero(~dead)):
+        gains = g1[part], g2[part], g3[part]
+        index = np.empty(part.size, dtype=np.intp)
+        top = np.empty(part.size)
+        for lo in range(0, part.size, chunk):
+            s = slice(lo, lo + chunk)
+            index[s], top[s] = _grid_argmax(_draw(p, *(g[s, None] for g in gains)), n)
+        for lo in range(0, part.size, _REFINE_ROWS):
+            s = slice(lo, lo + _REFINE_ROWS)
+            i = index[s]
+            alpha_star[part[s]], probes = _golden_rows(
+                _draw(p, *(g[s] for g in gains)), alphas[np.maximum(i - 1, 0)],
+                alphas[np.minimum(i + 1, n - 1)], alphas[i], top[s])
+            evaluations[part[s]] = n + probes
+    return alpha_star, evaluations
 
 
 def solve_1d(p: SystemParams, ch: ChannelRealization,
              grid: AlphaGridSpec | None = None, *,
-             incumbent: tuple[int, float] | None = None) -> OptimizationOutcome:
+             incumbent: tuple[float, int] | None = None) -> OptimizationOutcome:
     """Weighted-sum-rate maximization by 1D search over alpha.
 
     For w2 <= w1 the optimum is the no-cooperation corner (all source power
     on x1, no splitting) at alpha = 1 - ALPHA_MIN.  Otherwise evaluates
     f(alpha, rho*(alpha)) on the grid and refines the incumbent bracket by
-    golden section.  ``incumbent`` is this draw's grid stage result (index,
-    log f) when the caller has run it already, as the Monte Carlo blocks do
-    with ``_grid_incumbents``; without it ``_grid_argmax`` runs on this draw
-    alone.
+    golden section (``_search``), then takes rho*, the branch and the rates
+    at alpha*.  ``incumbent`` is this draw's search result (alpha*,
+    evaluations) when the caller has run ``_search`` already, as the Monte
+    Carlo blocks do for all their draws at once; without it ``_search`` runs
+    on this draw alone.  Alone, a solve costs about 1.8 ms on a 2-core VM
+    with numpy 2.4, mostly numpy's per-call cost on one-row arrays of the
+    refine; in a 1024-draw block the search costs about 90 us per draw and
+    the rest of the solve 11-18 us.
     """
     if p.w2 <= p.w1:
         d = DesignPoint(alpha=1.0 - ALPHA_MIN, rho=0.0)
@@ -420,19 +478,14 @@ def solve_1d(p: SystemParams, ch: ChannelRealization,
             evaluations=1,
         )
     _require_ordered(ch)
-    n = (grid or AlphaGridSpec()).n
-    k = _draw(p, ch.g1, ch.g2, ch.g3)
-    i, f_grid = _grid_argmax(k, n) if incumbent is None else incumbent
-    alphas = _alpha_grid(n)[0]
-    lo = float(alphas[max(i - 1, 0)])
-    hi = float(alphas[min(i + 1, n - 1)])
-    a_ref, f_ref, n_ref = _golden_max(
-        lambda a: _profile(k, a, 1.0 - a, _MATH)[3], lo, hi, _REFINE_TOL
-    )
-    best_alpha = a_ref if f_ref > f_grid else float(alphas[i])
+    if incumbent is None:
+        n = (grid or AlphaGridSpec()).n
+        alpha_star, evaluations = _search(p, *(np.array([g]) for g in (ch.g1, ch.g2, ch.g3)), n)
+        incumbent = float(alpha_star[0]), int(evaluations[0])
+    best_alpha, evaluations = incumbent
 
+    k = _draw(p, ch.g1, ch.g2, ch.g3)
     rho_star, interior, lower, _ = _profile(k, best_alpha, 1.0 - best_alpha, _MATH)
-    evaluations = n + n_ref + 1
     d = DesignPoint(alpha=best_alpha, rho=rho_star)
     return OptimizationOutcome(
         alpha_star=best_alpha,
@@ -440,7 +493,7 @@ def solve_1d(p: SystemParams, ch: ChannelRealization,
         objective_f=f_objective(p, ch, d),
         rate_triple=rates(p, ch, d),
         branch=_branch(interior, lower),
-        evaluations=evaluations,
+        evaluations=evaluations + 1,
     )
 
 

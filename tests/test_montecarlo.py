@@ -229,7 +229,7 @@ class TestEstimateOptimized:
         real = montecarlo.solve_1d
 
         def counting(*args, **kwargs):
-            calls.append(args)
+            calls.append((args, kwargs))
             return real(*args, **kwargs)
 
         gains = ties_and_dead_relays(montecarlo.sample_gains)
@@ -245,8 +245,13 @@ class TestEstimateOptimized:
             drawn += [x for x in zip(*(g.tolist() for g in gains(cfg, p, block_index, count)))
                       if x[0] != x[1]]
         assert len(calls) == pt["n"] == len(drawn) and pt["skipped"] > 0
-        assert [(ch.g1, ch.g2, ch.g3) for _, ch, _ in calls] == drawn
-        assert all(args[2] is grid for args in calls)
+        assert [(ch.g1, ch.g2, ch.g3) for (_, ch, _), _ in calls] == drawn
+        assert all(args[2] is grid for args, _ in calls)
+        # each call gets its draw's (alpha*, evaluations) from the block's search
+        for (_, ch, _), kwargs in calls:
+            alone = real(p, ch, grid)
+            assert kwargs["incumbent"] == (alone.alpha_star, alone.evaluations - 1)
+            assert type(kwargs["incumbent"][0]) is float and type(kwargs["incumbent"][1]) is int
 
     def test_point_statistics(self):
         cfg = SamplerConfig(seed=33, ordering=Ordering.SWAP_ORDERED, sample_count=3000)

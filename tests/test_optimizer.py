@@ -23,7 +23,11 @@ from cnoma_eh.model import (
 )
 from cnoma_eh.optimizer import (
     _GRID2D_RHO_MAX,
+    _INVPHI,
+    _LIBM,
     _MATH,
+    _NUMPY,
+    _REFINE_TOL,
     ALPHA_MIN,
     AlphaGridSpec,
     SolverBranch,
@@ -31,10 +35,12 @@ from cnoma_eh.optimizer import (
     _coeffs,
     _draw,
     _feasibility_root,
+    _golden_rows,
     _grid_argmax,
-    _grid_incumbents,
     _profile,
+    _search,
     _stationary_root,
+    _take,
     f_objective,
     optimal_rho_for_alpha,
     rho_tilde,
@@ -93,6 +99,49 @@ def theta_beta(p, ch, alpha):
 def rho_bar(p, ch, alpha):
     """The solver's smaller stationary root, on its float path."""
     return _stationary_root(_MATH, *stationary_terms(p, ch, alpha))
+
+
+def golden_max(g, lo, hi, tol):
+    """The scalar golden-section search the lock-step refine must reproduce:
+    maximizes g on [lo, hi]; ties keep the left probe.  Returns (x_best,
+    g_best, evaluations)."""
+    a, b = lo, hi
+    if b - a <= tol:
+        mid = 0.5 * (a + b)
+        return mid, g(mid), 1
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc, fd = g(c), g(d)
+    evals = 2
+    while (b - a) > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _INVPHI * (b - a)
+            fc = g(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _INVPHI * (b - a)
+            fd = g(d)
+        evals += 1
+    if fc >= fd:
+        return c, fc, evals
+    return d, fd, evals
+
+
+def float_profile(k):
+    return lambda a: _profile(k, a, 1.0 - a, _MATH)[3]
+
+
+def scalar_search(p, g1, g2, g3, n):
+    """One draw's 1D search on floats: the grid stage, then the scalar
+    golden section on the incumbent's bracket.  Returns (alpha*,
+    evaluations, incumbent index)."""
+    k = _draw(p, g1, g2, g3)
+    i, f_grid = _grid_argmax(k, n)
+    alphas = _alpha_grid(n)[0]
+    lo, hi = float(alphas[max(i - 1, 0)]), float(alphas[min(i + 1, n - 1)])
+    a_ref, f_ref, n_ref = golden_max(float_profile(k), lo, hi, _REFINE_TOL)
+    return (a_ref if f_ref > f_grid else float(alphas[i])), n + n_ref, int(i)
 
 
 class TestInnerCoefficients:
@@ -442,7 +491,7 @@ class TestProfile:
         cases = set()
         for p, ch in pool:
             k = _draw(p, ch.g1, ch.g2, ch.g3)
-            rho, interior, lower, log_f = _profile(k, alphas, 1.0 - alphas, np)
+            rho, interior, lower, log_f = _profile(k, alphas, 1.0 - alphas, _NUMPY)
             for j, alpha in enumerate(alphas.tolist()):
                 r, i, lo, lf = _profile(k, alpha, 1.0 - alpha, _MATH)
                 assert r == rho[j] and i == interior[j] and lo == lower[j]
@@ -450,6 +499,22 @@ class TestProfile:
                 cases.add((bool(i), bool(lo)))
         # interior, lower and boundary all reached
         assert cases == {(True, False), (False, True), (False, False)}
+
+    def test_libm_rows_take_the_bits_of_each_draw_alone(self):
+        # the refine's path: one alpha per row, (rows,) constants, numpy
+        # arithmetic with libm logs
+        pool = random_instances(97, 150)
+        rng = np.random.default_rng(3)
+        for mu in (0.0, 1.0):
+            draws = [(p, ch) for p, ch in pool if p.mu == mu][:40]
+            p = draws[0][0]
+            g1, g2, g3 = (np.array(x) for x in zip(*((ch.g1, ch.g2, ch.g3) for _, ch in draws)))
+            alpha = rng.uniform(ALPHA_MIN, 1.0 - ALPHA_MIN, len(g1))
+            rows = _profile(_draw(p, g1, g2, g3), alpha, 1.0 - alpha, _LIBM)
+            for j, a in enumerate(alpha.tolist()):
+                alone = _profile(_draw(p, *(float(g[j]) for g in (g1, g2, g3))),
+                                 a, 1.0 - a, _MATH)
+                assert [float(x[j]) for x in rows] == [float(x) for x in alone]
 
 
 class TestSolve1D:
@@ -514,7 +579,8 @@ class TestSolve1D:
         assert grid.margin == ALPHA_MIN  # the name the benchmark's tracer reads
         alphas = np.linspace(grid.margin, 1.0 - grid.margin, grid.n)
         for p, ch in random_instances(89, 30):
-            rho, _, _, logf = _profile(_draw(p, ch.g1, ch.g2, ch.g3), alphas, 1.0 - alphas, np)
+            k = _draw(p, ch.g1, ch.g2, ch.g3)
+            rho, _, _, logf = _profile(k, alphas, 1.0 - alphas, _NUMPY)
             i = int(np.argmax(logf))
             on_grid = rates(p, ch, DesignPoint(float(alphas[i]), float(rho[i]))).weighted_sum
             assert solve_1d(p, ch, grid).rate_triple.weighted_sum >= on_grid - 1e-12
@@ -633,21 +699,21 @@ class TestDiscriminantGuards:
         a, b, c = self.TANGENT
         assert b * b - 4.0 * a * c < 0.0
         assert _feasibility_root(_MATH, a, b, c) == 2.0 * c / b
-        arr = _feasibility_root(np, *(np.array([x, x]) for x in self.TANGENT))
+        arr = _feasibility_root(_NUMPY, *(np.array([x, x]) for x in self.TANGENT))
         assert arr.tolist() == [2.0 * c / b] * 2
 
     def test_feasibility_below_guard_raises(self):
         with pytest.raises(NumericalFailure):
             _feasibility_root(_MATH, *self.BAD)
         with pytest.raises(NumericalFailure):
-            _feasibility_root(np, *(np.array([x]) for x in self.BAD))
+            _feasibility_root(_NUMPY, *(np.array([x]) for x in self.BAD))
 
     def test_feasibility_one_bad_row_raises(self):
         good = (2.0, 5.0, 1.0)
         rows = np.array([good, self.TANGENT, self.BAD, good]).T
         with pytest.raises(NumericalFailure):
-            _feasibility_root(np, *rows)
-        assert _feasibility_root(np, *rows[:, [0, 1, 3]]).shape == (3,)
+            _feasibility_root(_NUMPY, *rows)
+        assert _feasibility_root(_NUMPY, *rows[:, [0, 1, 3]]).shape == (3,)
 
     def test_feasibility_nan_never_trips_the_guard(self):
         assert math.isnan(_feasibility_root(_MATH, math.nan, 1.0, 1.0))
@@ -660,32 +726,107 @@ class TestDiscriminantGuards:
         lead, beta, constant, theta = self.S_TANGENT
         assert theta < 0.0
         assert _stationary_root(_MATH, *self.S_TANGENT) == constant / beta
-        arr = _stationary_root(np, *(np.array([x, x]) for x in self.S_TANGENT))
+        arr = _stationary_root(_NUMPY, *(np.array([x, x]) for x in self.S_TANGENT))
         assert arr.tolist() == [constant / beta] * 2
 
     def test_stationary_below_guard_raises(self):
         with pytest.raises(NumericalFailure):
             _stationary_root(_MATH, *self.S_BAD)
         with pytest.raises(NumericalFailure):
-            _stationary_root(np, *(np.array([x]) for x in self.S_BAD))
+            _stationary_root(_NUMPY, *(np.array([x]) for x in self.S_BAD))
 
     def test_stationary_one_bad_row_raises(self):
         good = (1.0, 2.0, 1.0, 3.0)
         rows = np.array([good, self.S_TANGENT, self.S_BAD, good]).T
         with pytest.raises(NumericalFailure):
-            _stationary_root(np, *rows)
-        assert _stationary_root(np, *rows[:, [0, 1, 3]]).shape == (3,)
+            _stationary_root(_NUMPY, *rows)
+        assert _stationary_root(_NUMPY, *rows[:, [0, 1, 3]]).shape == (3,)
 
     def test_stationary_zero_lead_raises_on_the_array_path(self):
         good = (1.0, 2.0, 1.0, 3.0)
         rows = np.array([good, (0.0, 2.0, 1.0, 4.0)]).T
         with pytest.raises(DivisionDegenerate):
-            _stationary_root(np, *rows)
+            _stationary_root(_NUMPY, *rows)
+
+
+class TestLibmLog:
+    def test_bitwise_equal_to_math_log(self):
+        rng = np.random.default_rng(17)
+        x = np.concatenate([10.0 ** rng.uniform(-300.0, 300.0, 100_000),
+                            rng.uniform(0.5, 2.0, 100_000)])
+        got = _LIBM.log(x)
+        want = np.array([math.log(v) for v in x.tolist()])
+        assert got.tobytes() == want.tobytes()
+        # numpy's own log differs in the last bit on some of these
+        assert np.log(x).tobytes() != want.tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_zero_or_negative_raises_math_domain_error(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning instead
+            with pytest.raises(ValueError) as got:
+                _LIBM.log(np.array([2.0, bad, 3.0]))
+        with pytest.raises(ValueError) as alone:
+            math.log(bad)
+        assert str(got.value) == str(alone.value)
+
+
+class TestLockStepRefine:
+    """The refine on rows in lock-step against the scalar golden section."""
+
+    @pytest.mark.parametrize("n", [1000, 200])
+    def test_search_matches_the_scalar_reference(self, n):
+        gains = [(ch.g1, ch.g2, ch.g3) for _, ch in random_instances(1001, 40)]
+        gains += [(g1, g2, 0.0) for g1, g2, _ in gains[::4]]  # dead relay rows inside
+        g1, g2, g3 = (np.array(x) for x in zip(*gains))
+        mixed = 0
+        for snr_db in (0.0, 20.0, 40.0):
+            for mu in (0.0, 1.0):
+                p = SystemParams(avg_snr=10.0 ** (snr_db / 10.0), mu=mu, w1=1.0, w2=3.0)
+                alpha, evaluations = _search(p, g1, g2, g3, n)
+                want = [scalar_search(p, *x, n) for x in gains]
+                assert alpha.tolist() == [a for a, _, _ in want]
+                assert evaluations.tolist() == [e for _, e, _ in want]
+                # edge brackets are one grid step wide and stop a probe
+                # earlier than interior ones in the same refine call
+                edge = {i in (0, n - 1) for _, _, i in want[:40]}
+                mixed += edge == {True, False}
+        assert mixed > 0
+
+    def test_narrow_brackets_and_ties_match_the_scalar_reference(self):
+        p = SystemParams(avg_snr=100.0, mu=1.0, w1=1.0, w2=3.0)
+        live = _draw(p, np.array([1.5, 2.5, 0.9, 1.2]), np.array([0.5, 0.4, 0.3, 1.1]),
+                     np.array([0.8, 1.7, 0.2, 0.6]))
+        # g1 = g2 = 0: a dead relay with log f = 0 at every alpha, so every
+        # comparison of two probes is a tie
+        flat = _draw(p, np.zeros(4), np.zeros(4), np.ones(4))
+        lo = np.array([0.1, 0.3, 0.5, 0.25])
+        # widths: below tol (two rows), far above it, just above it
+        hi = lo + np.array([0.5 * _REFINE_TOL, _REFINE_TOL, 2e-3, 1.5 * _REFINE_TOL])
+        for k in (live, flat):
+            # an incumbent every probe beats, so alpha* is the refine's own
+            alpha, probes = _golden_rows(k, lo, hi, np.full(4, 0.5), np.full(4, -np.inf))
+            want = [golden_max(float_profile(_take(k, j)), lo[j], hi[j], _REFINE_TOL)
+                    for j in range(4)]
+            assert alpha.tolist() == [x for x, _, _ in want]
+            assert probes.tolist() == [e for _, _, e in want]
+            assert probes.tolist()[:2] == [1, 1] and len(set(probes.tolist())) == 3
+        # the left probe wins ties: the flat rows end at the left of the bracket
+        assert (alpha - lo < 0.5 * (hi - lo))[2:].all()
+
+    def test_incumbent_kept_unless_beaten_strictly(self):
+        p = SystemParams(avg_snr=10.0, mu=1.0, w1=1.0, w2=2.0)
+        flat = _draw(p, np.zeros(2), np.zeros(2), np.ones(2))
+        lo, hi = np.array([0.2, 0.4]), np.array([0.2 + 1e-3, 0.4 + 1e-3])
+        x0 = np.array([0.7, 0.9])
+        # log f = 0 everywhere: equal to an incumbent of 0, below one of 1
+        alpha, _ = _golden_rows(flat, lo, hi, x0, np.array([0.0, -1.0]))
+        assert alpha[0] == 0.7 and lo[1] < alpha[1] < hi[1]
 
 
 class TestGridChunks:
-    """The grid stage on (rows x n) chunks: each row as its draw alone, and
-    the guards as on one draw."""
+    """``_search`` on blocks, which it splits into grid chunks and refine
+    slices: each row as its draw alone, and the guards as on one draw."""
 
     P = SystemParams(avg_snr=10.0, mu=1.0, w1=1.0, w2=2.0)
     G1 = np.array([1.5, 1.7, 2.5, 1.9, 2.1, 1.2])
@@ -694,17 +835,20 @@ class TestGridChunks:
     def test_dead_relay_rows_take_the_lower_case_inside_a_chunk(self):
         g3 = np.array([0.8, 0.0, 0.7, 0.0, 0.9, 0.0])
         dead = g3 == 0.0
-        for n in (1000, 200):  # 4 and 20 rows per chunk
-            # mixed chunks, then chunks of dead rows only
+        for n in (1000, 200):  # 4 and 20 rows per grid chunk
+            # mixed blocks, then blocks of dead rows only
             for rows in (slice(None), dead):
                 g1, g2, g3r = self.G1[rows], self.G2[rows], g3[rows]
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")  # no DivisionDegenerate, no warning
-                    index, top = _grid_incumbents(self.P, g1, g2, g3r, n)
-                alone = [_grid_argmax(_draw(self.P, *x), n)
+                    alpha, evaluations = _search(self.P, g1, g2, g3r, n)
+                alone = [_search(self.P, *(np.array([v]) for v in x), n)
                          for x in zip(g1.tolist(), g2.tolist(), g3r.tolist())]
-                assert index.tolist() == [int(i) for i, _ in alone]
-                assert top.tolist() == [float(f) for _, f in alone]
+                assert alpha.tolist() == [float(a[0]) for a, _ in alone]
+                assert evaluations.tolist() == [int(e[0]) for _, e in alone]
+                want = [scalar_search(self.P, *x, n)[:2]
+                        for x in zip(g1.tolist(), g2.tolist(), g3r.tolist())]
+                assert list(zip(alpha.tolist(), evaluations.tolist())) == want
 
     @pytest.mark.parametrize("slots, values", [
         ((3, 4, 5), TestDiscriminantGuards.BAD),      # feasibility a, b, c
@@ -712,26 +856,32 @@ class TestGridChunks:
     ])
     def test_one_bad_row_raises_as_its_draw_alone(self, monkeypatch, slots, values):
         real = optimizer._coeffs
+        # the grid stage holds a chunk's constants as (rows, 1) columns, the
+        # refine a slice's as (rows,) arrays; the bad row trips one of them
+        stage = {"ndim": 0}
 
         def corrupted(k, alpha, rest):
             # the draw with g1 == 2.5 gets coefficients below the guard
             out = list(real(k, alpha, rest))
-            bad = np.equal(k.g1, 2.5)
-            for slot, value in zip(slots, values):
-                out[slot] = np.where(bad, value, out[slot])
+            if np.ndim(k.g1) == stage["ndim"]:
+                bad = np.equal(k.g1, 2.5)
+                for slot, value in zip(slots, values):
+                    out[slot] = np.where(bad, value, out[slot])
             return tuple(out)
 
         monkeypatch.setattr(optimizer, "_coeffs", corrupted)
         g3 = np.full(6, 0.8)
-        with pytest.raises(NumericalFailure) as alone:
-            solve_1d(self.P, ChannelRealization(2.5, 0.5, 0.8))
-        for n in (1000, 200):
-            with pytest.raises(NumericalFailure) as chunk:
-                _grid_incumbents(self.P, self.G1, self.G2, g3, n)
-            assert str(chunk.value) == str(alone.value)
-        good = self.G1 != 2.5
-        index, _ = _grid_incumbents(self.P, self.G1[good], self.G2[good], g3[good], 1000)
-        assert index.shape == (5,)
+        for stage["ndim"], where in ((2, "_grid_argmax"), (1, "_golden_rows")):
+            with pytest.raises(NumericalFailure) as alone:
+                solve_1d(self.P, ChannelRealization(2.5, 0.5, 0.8))
+            for n in (1000, 200):
+                with pytest.raises(NumericalFailure) as block:
+                    _search(self.P, self.G1, self.G2, g3, n)
+                assert str(block.value) == str(alone.value)
+                assert where in [entry.name for entry in block.traceback]
+            good = self.G1 != 2.5
+            alpha, _ = _search(self.P, self.G1[good], self.G2[good], g3[good], 1000)
+            assert alpha.shape == (5,)
 
 
 class TestAlphaGridCache:
