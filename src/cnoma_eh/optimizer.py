@@ -225,9 +225,12 @@ def _draw(p: SystemParams, g1, g2, g3) -> _Draw:
 
 
 def _take(k: _Draw, rows) -> _Draw:
-    """The draws of array constants ``k`` at ``rows``, any numpy index:
-    ``(s, None)`` makes (rows, 1) columns of slice s."""
-    return _Draw(*(v[rows] if isinstance(v, np.ndarray) else v for v in k))
+    """The draws of array constants ``k`` at ``rows``, any numpy index."""
+    # from a list, not a generator: a tuple built from a generator is
+    # resized to its length, and once freed it joins CPython's free list of
+    # 12-tuples, which nothing here draws from; that list would grow by one
+    # per call up to 2,000 entries (240 KB)
+    return _Draw._make([v[rows] if isinstance(v, np.ndarray) else v for v in k])
 
 
 @functools.lru_cache(maxsize=8)
@@ -434,17 +437,17 @@ def _search(p: SystemParams, g1, g2, g3, n: int):
     evaluations = np.empty(len(g1), dtype=np.intp)
     dead = _draw(p, g1, g2, g3).q == 0.0
     for part in (np.flatnonzero(dead), np.flatnonzero(~dead)):
-        gains = g1[part], g2[part], g3[part]
+        h1, h2, h3 = g1[part], g2[part], g3[part]
         index = np.empty(part.size, dtype=np.intp)
         top = np.empty(part.size)
         for lo in range(0, part.size, chunk):
             s = slice(lo, lo + chunk)
-            index[s], top[s] = _grid_argmax(_draw(p, *(g[s, None] for g in gains)), n)
+            index[s], top[s] = _grid_argmax(_draw(p, h1[s, None], h2[s, None], h3[s, None]), n)
         for lo in range(0, part.size, _REFINE_ROWS):
             s = slice(lo, lo + _REFINE_ROWS)
             i = index[s]
             alpha_star[part[s]], probes = _golden_rows(
-                _draw(p, *(g[s] for g in gains)), alphas[np.maximum(i - 1, 0)],
+                _draw(p, h1[s], h2[s], h3[s]), alphas[np.maximum(i - 1, 0)],
                 alphas[np.minimum(i + 1, n - 1)], alphas[i], top[s])
             evaluations[part[s]] = n + probes
     return alpha_star, evaluations
@@ -480,7 +483,8 @@ def solve_1d(p: SystemParams, ch: ChannelRealization,
     _require_ordered(ch)
     if incumbent is None:
         n = (grid or AlphaGridSpec()).n
-        alpha_star, evaluations = _search(p, *(np.array([g]) for g in (ch.g1, ch.g2, ch.g3)), n)
+        alpha_star, evaluations = _search(
+            p, np.array([ch.g1]), np.array([ch.g2]), np.array([ch.g3]), n)
         incumbent = float(alpha_star[0]), int(evaluations[0])
     best_alpha, evaluations = incumbent
 

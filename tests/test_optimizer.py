@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -882,6 +884,28 @@ class TestGridChunks:
             good = self.G1 != 2.5
             alpha, _ = _search(self.P, self.G1[good], self.G2[good], g3[good], 1000)
             assert alpha.shape == (5,)
+
+
+class TestTake:
+    def test_rows_of_every_array_field(self):
+        k = _draw(TestGridChunks.P, TestGridChunks.G1, TestGridChunks.G2, np.full(6, 0.8))
+        sub = _take(k, np.array([4, 1]))
+        for field, whole, part in zip(k._fields, k, sub):
+            if isinstance(whole, np.ndarray):
+                assert part.tolist() == whole[[4, 1]].tolist(), field
+            else:
+                assert part is whole, field
+        assert _take(k, (slice(0, 3), None)).q.shape == (3, 1)
+
+    def test_leaves_no_tuples_behind(self):
+        # a _Draw built from a generator left one resized 12-tuple on
+        # CPython's tuple free list per call, up to 2,000 of them
+        k = _draw(TestGridChunks.P, TestGridChunks.G1, TestGridChunks.G2, np.full(6, 0.8))
+        gc.collect()  # a full collection empties the free lists
+        before = sys.getallocatedblocks()
+        for _ in range(300):
+            _take(k, slice(0, 4))
+        assert sys.getallocatedblocks() - before < 100
 
 
 class TestAlphaGridCache:
