@@ -5,11 +5,9 @@ __version__ = "0.1.0"
 
 from .analysis import (
     ErgodicReport,
-    HighSnrSum,
     ergodic_rate_u1,
     ergodic_rate_u2,
     ergodic_weighted_sum,
-    high_snr_sum,
     high_snr_u1,
     high_snr_u2,
 )
@@ -29,7 +27,6 @@ from .model import (
     RateTriple,
     SystemParams,
     db_to_linear,
-    harvested_energy,
     rates,
     sinr_mrc_at_u2,
     sinr_x1_at_u1,
@@ -56,7 +53,6 @@ from .specfun import (
     QuadratureSpec,
     bessel_k0,
     bessel_k1,
-    gamma_upper_0,
     gamma_upper_0_scaled,
     integrate,
     integrate_semi_infinite,

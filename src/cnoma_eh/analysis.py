@@ -51,18 +51,15 @@ from .specfun import (
 
 __all__ = [
     "ErgodicReport",
-    "HighSnrSum",
     "ergodic_rate_u1",
     "prob_y_exceeds",
     "prob_w_exceeds",
     "w1_cdf",
     "w2_density",
-    "w2_cdf",
     "ergodic_rate_u2",
     "ergodic_weighted_sum",
     "high_snr_u1",
     "high_snr_u2",
-    "high_snr_sum",
 ]
 
 _HALF_LN2_INV = 1.0 / (2.0 * math.log(2.0))
@@ -80,14 +77,6 @@ class ErgodicReport:
     c2_e: float
     c_sum_e: float
     quadrature_error: float
-
-
-@dataclass(frozen=True)
-class HighSnrSum:
-    """High-SNR weighted sum: the two-term form and its leading term."""
-
-    two_term: float
-    leading: float
 
 
 def _k_factor(p: SystemParams, d: DesignPoint) -> float:
@@ -151,11 +140,6 @@ def w2_density(p: SystemParams, d: DesignPoint, z):
     if pos.any():
         out[pos] = 2.0 * lam * bessel_k0(2.0 * np.sqrt(lam * z[pos]))
     return _float_or_array(out)
-
-
-def w2_cdf(p: SystemParams, d: DesignPoint, z):
-    """CDF of the relay-branch SINR, 1 - 2 sqrt(lam z) K1(2 sqrt(lam z))."""
-    return _float_or_array(1.0 - _w2_survival(p, d, _not_nan_z(z)))
 
 
 def _w2_survival(p: SystemParams, d: DesignPoint, z: np.ndarray) -> np.ndarray:
@@ -265,13 +249,3 @@ def high_snr_u2(p: SystemParams, d: DesignPoint) -> float:
     """Saturation level of the weak-user ergodic rate:
     (1/2) log2(1 + (1-alpha)/alpha)."""
     return 0.5 * math.log2(1.0 + (1.0 - d.alpha) / d.alpha)
-
-
-def high_snr_sum(p: SystemParams, d: DesignPoint) -> HighSnrSum:
-    """High-SNR weighted sum: (w1/2) log2(snr) + (w2/2) log2(1/alpha), and
-    the leading term alone."""
-    leading = 0.5 * p.w1 * math.log2(p.avg_snr)
-    return HighSnrSum(
-        two_term=leading + 0.5 * p.w2 * math.log2(1.0 / d.alpha),
-        leading=leading,
-    )

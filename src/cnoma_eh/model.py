@@ -35,7 +35,6 @@ __all__ = [
     "sinr_x1_at_u1",
     "sinr_x2_at_u1",
     "sinr_mrc_at_u2",
-    "harvested_energy",
     "rates",
     "db_to_linear",
 ]
@@ -181,15 +180,6 @@ def sinr_mrc_at_u2(p: SystemParams, ch: ChannelRealization, d: DesignPoint) -> f
       + rho * eta * avg_snr * g1 * g3 / (1 + mu)
     """
     return float(_sinr_mrc(p.avg_snr, p.mu, p.eta, ch.g1, ch.g2, ch.g3, d.alpha, d.rho))
-
-
-def harvested_energy(p: SystemParams, ch: ChannelRealization, d: DesignPoint) -> float:
-    """Energy harvested by U1 during a unit-length phase 1, in noise-normalized
-    power-time units.
-
-    eta * rho * avg_snr * g1
-    """
-    return p.eta * d.rho * p.avg_snr * ch.g1
 
 
 def rates(p: SystemParams, ch: ChannelRealization, d: DesignPoint) -> RateTriple:

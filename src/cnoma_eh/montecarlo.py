@@ -147,12 +147,12 @@ def _optimized_block(cfg: SamplerConfig, p: SystemParams, grid: AlphaGridSpec,
     g1, g2, g3 = sample_gains(cfg, p, block_index, count)
     keep = g1 != g2
     k1, k2, k3 = g1[keep], g2[keep], g3[keep]
-    alpha_star, evaluations = _search(p, k1, k2, k3, grid.n)
+    solved = _search(p, k1, k2, k3, grid.n)
     sums = {"wsum_opt": [0.0, 0.0], "alpha_star": [0.0, 0.0], "rho_star": [0.0, 0.0]}
-    for x1, x2, x3, a, e in zip(k1.tolist(), k2.tolist(), k3.tolist(),
-                                alpha_star.tolist(), evaluations.tolist()):
+    for x1, x2, x3, *row in zip(k1.tolist(), k2.tolist(), k3.tolist(),
+                                *(v.tolist() for v in solved)):
         # one solve_1d call per kept draw: benchmark/tracing.py counts them
-        out = solve_1d(p, ChannelRealization(g1=x1, g2=x2, g3=x3), grid, incumbent=(a, e))
+        out = solve_1d(p, ChannelRealization(g1=x1, g2=x2, g3=x3), grid, row=row)
         for pair, v in zip(sums.values(),
                            (out.rate_triple.weighted_sum, out.alpha_star, out.rho_star)):
             pair[0] += v

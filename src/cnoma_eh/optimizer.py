@@ -42,18 +42,18 @@ matters on [0, 1).  Case split per candidate alpha:
 
 The 1D search evaluates log f(alpha, rho*(alpha)) on a uniform alpha grid
 (built once per grid size and cached read-only) and sharpens the incumbent
-with a golden-section pass on the bracketing interval.  One function,
-``_profile``, evaluates the profile everywhere; the namespace it is given
-says how.  ``_search`` runs the search for a set of draws: the grid stage
-(``_grid_argmax``) on (rows x n) chunks, then the refine (``_golden_rows``)
-on slices of up to ``_REFINE_ROWS`` draws in lock-step, each draw stopping
-after the probes it would take alone.  numpy does every add, multiply,
-divide and sqrt (IEEE-exact, as on floats) and the refine takes its logs per
-element from ``math.log`` (``_LIBM``), so each draw gets the bits it gets
-alone and outcomes do not depend on the block.  ``solve_1d`` is a batch of
-one: it runs ``_search`` on its draw unless given that draw's result, then
-takes rho*, the branch and the rates at alpha* on floats (``_MATH``); the
-branch is read only there.
+with a golden-section pass on the bracketing interval.  One array function,
+``_profile``, evaluates the profile everywhere; the only choice it takes is
+the log.  ``_search`` runs the search for a set of draws: the grid stage
+(``_grid_argmax``, numpy's log) on (rows x n) chunks, then the refine
+(``_golden_rows``) on slices of up to ``_REFINE_ROWS`` draws in lock-step,
+each draw stopping after the probes it would take alone, and one last
+profile at each draw's alpha* for rho* and the branch.  numpy does every
+add, multiply, divide and sqrt (IEEE-exact, so a row gets the bits its draw
+gets alone) and the refine and the last profile take their logs per element
+from ``math.log`` (``_libm_log``), so outcomes do not depend on the block.
+``solve_1d`` packs one draw's row of that result; alone it is a batch of
+one.
 ``solve_2d_exhaustive`` is the independent benchmark: a plain grid argmax of
 the raw weighted sum (with the min{} in the weak user's rate), kept free of
 the reformulation on purpose.
@@ -65,7 +65,6 @@ import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from types import SimpleNamespace
 from typing import ClassVar, NamedTuple
 
 import numpy as np
@@ -175,32 +174,18 @@ def _check_alpha(alpha: float):
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
 
 
-# The namespaces _profile evaluates on.  _MATH takes one float alpha: the
-# final rho* and branch of a solve, rho_tilde, optimal_rho_for_alpha and
-# validation.check_stationarity, where _profile costs about 3 us against
-# 55 us for a one-element array.  _NUMPY is the grid stage's.  _LIBM is the
-# refine's: numpy arithmetic on (rows,) arrays with each log from math.log,
-# since numpy's log differs from libm's in the last bit on some inputs.  So
-# a row of _LIBM gets the bits _MATH gives its draw alone.  The array
-# namespaces take ndarray.any, which costs half of np.any's dispatch.
-_MATH = SimpleNamespace(
-    sqrt=math.sqrt, log=math.log, maximum=max, minimum=min,
-    where=lambda cond, a, b: a if cond else b, any=bool, count_nonzero=bool,
-)
-_NUMPY = SimpleNamespace(
-    sqrt=np.sqrt, log=np.log, maximum=np.maximum, minimum=np.minimum,
-    where=np.where, any=np.ndarray.any, count_nonzero=np.count_nonzero,
-)
-_LIBM = SimpleNamespace(
-    **{**vars(_NUMPY),
-       "log": lambda x: np.fromiter(map(math.log, x.tolist()), float, x.size)},
-)
+def _libm_log(x):
+    """math.log of each element of a 1-D array: numpy's log differs from
+    libm's in the last bit on some inputs, and the refine's probes and the
+    final rho* keep libm's bits.  A zero or negative element raises
+    ValueError, as math.log does."""
+    return np.fromiter(map(math.log, x.tolist()), float, x.size)
 
 
 class _Draw(NamedTuple):
     """The alpha-free constants of the profile for one (params, channel)
-    pair as floats, formed once per solve, or for a chunk of draws as
-    (rows, 1) columns, one draw per row."""
+    pair as floats, or for a set of draws as (rows,) arrays (the refine) or
+    (rows, 1) columns (the grid stage), one draw per row."""
 
     snr: float
     mu: float
@@ -269,61 +254,62 @@ def _coeffs(k: _Draw, alpha, rest):
             lead, beta, constant, beta * beta - lead * constant)
 
 
-def _feasibility_root(xp, a, b, c):
+def _feasibility_root(a, b, c):
     """rho_tilde: the smaller root 2c / (b + sqrt(b^2 - 4ac)), capped at 1.
     The guard's scale is formed only when some discriminant is negative: a
     non-negative or NaN one can never trip it."""
     disc = b * b - 4.0 * a * c
-    if xp.any(disc < 0.0):
-        scale = xp.maximum(abs(a), xp.maximum(abs(b), abs(c)))
-        if xp.any(disc < -_DISC_GUARD * scale * scale):
+    if (disc < 0.0).any():
+        scale = np.maximum(abs(a), np.maximum(abs(b), abs(c)))
+        if (disc < -_DISC_GUARD * scale * scale).any():
             raise NumericalFailure("feasibility discriminant below roundoff guard")
-    return xp.minimum(2.0 * c / (b + xp.sqrt(xp.maximum(disc, 0.0))), 1.0)
+    return np.minimum(2.0 * c / (b + np.sqrt(np.maximum(disc, 0.0))), 1.0)
 
 
-def _stationary_root(xp, lead, beta, constant, theta):
+def _stationary_root(lead, beta, constant, theta):
     """rho_bar: the smaller stationary root, in whichever of its two forms
     does not cancel.  The guard's scale is formed only when some theta is
     negative."""
-    if xp.any(lead == 0.0):
+    if (lead == 0.0).any():
         raise DivisionDegenerate(
             "stationary-point quadratic degenerates when q * wtilde2 * e == 0"
         )
-    if xp.any(theta < 0.0):
-        scale = xp.maximum(beta * beta, abs(lead * constant))
-        if xp.any(theta < -_DISC_GUARD * scale):
+    if (theta < 0.0).any():
+        scale = np.maximum(beta * beta, abs(lead * constant))
+        if (theta < -_DISC_GUARD * scale).any():
             raise NumericalFailure("stationary-point discriminant below roundoff guard")
-    root = xp.sqrt(xp.maximum(theta, 0.0))
+    root = np.sqrt(np.maximum(theta, 0.0))
     positive = beta > 0.0
-    return (xp.where(positive, constant, beta - root)
-            / xp.where(positive, beta + root, lead))
+    return (np.where(positive, constant, beta - root)
+            / np.where(positive, beta + root, lead))
 
 
-def _profile(k: _Draw, alpha, rest, xp):
+def _profile(k: _Draw, alpha, rest, log=np.log):
     """rho*(alpha), the interior and lower masks of the case split, and
     log f(alpha, rho*(alpha)): the profile the 1D search maximizes.
-    ``alpha`` is a float (xp = _MATH) or an array (xp = _NUMPY or _LIBM)
-    inside (0, 1), with rest = 1 - alpha.  See the module docstring for the
-    case split."""
+    ``alpha`` is an array inside (0, 1) that broadcasts against the
+    constants in ``k``, with rest = 1 - alpha; ``log`` is np.log (the grid
+    stage) or _libm_log (the refine and the final rho*).  See the module
+    docstring for the case split."""
     d, e, pp, a, b, c, lead, beta, constant, theta = _coeffs(k, alpha, rest)
     t, q = k.t, k.q
-    if not xp.count_nonzero(q):
+    if not np.count_nonzero(q):
         # dead relay link (in every row): rho* = 0 at every alpha (never
         # interior, always lower)
         interior, lower, rb, rt = alpha < 0.0, alpha > 0.0, 0.0, 0.0
     else:
-        rt = _feasibility_root(xp, a, b, c)
-        rb = _stationary_root(xp, lead, beta, constant, theta)
+        rt = _feasibility_root(a, b, c)
+        rb = _stationary_root(lead, beta, constant, theta)
         positive = theta > 0.0
         interior = positive & (rb > 0.0) & (rb < rt)
         lower = positive & (rb <= 0.0)
-    rho = xp.where(interior, rb, xp.where(lower, 0.0, xp.minimum(rt, _RHO_CAP)))
-    log_f = xp.log(d - e * rho) - xp.log(t - rho) + k.wtilde2 * xp.log(pp + q * rho)
+    rho = np.where(interior, rb, np.where(lower, 0.0, np.minimum(rt, _RHO_CAP)))
+    log_f = log(d - e * rho) - log(t - rho) + k.wtilde2 * log(pp + q * rho)
     return rho, interior, lower, log_f
 
 
-def _branch(interior, lower) -> SolverBranch:
-    """The case _profile took at one float alpha."""
+def _branch(interior: bool, lower: bool) -> SolverBranch:
+    """The case _profile took at one alpha."""
     if interior:
         return SolverBranch.INTERIOR
     return SolverBranch.LOWER if lower else SolverBranch.BOUNDARY
@@ -340,9 +326,9 @@ def rho_tilde(p: SystemParams, ch: ChannelRealization, alpha: float) -> float:
     """
     _require_ordered(ch)
     _check_alpha(alpha)
-    k = _draw(p, ch.g1, ch.g2, ch.g3)
-    _, _, _, a, b, c, _, _, _, _ = _coeffs(k, alpha, 1.0 - alpha)
-    return _feasibility_root(_MATH, a, b, c)
+    x = np.array([alpha])
+    a, b, c = _coeffs(_draw(p, ch.g1, ch.g2, ch.g3), x, 1.0 - x)[3:6]
+    return _feasibility_root(a, b, c).item()
 
 
 def f_objective(p: SystemParams, ch: ChannelRealization, d: DesignPoint) -> float:
@@ -358,9 +344,9 @@ def optimal_rho_for_alpha(p: SystemParams, ch: ChannelRealization, alpha: float)
     """
     _require_ordered(ch)
     _check_alpha(alpha)
-    k = _draw(p, ch.g1, ch.g2, ch.g3)
-    rho, interior, lower, _ = _profile(k, alpha, 1.0 - alpha, _MATH)
-    return rho, _branch(interior, lower)
+    x = np.array([alpha])
+    rho, interior, lower, _ = _profile(_draw(p, ch.g1, ch.g2, ch.g3), x, 1.0 - x, _libm_log)
+    return rho.item(), _branch(interior.item(), lower.item())
 
 
 def _grid_argmax(k: _Draw, n: int):
@@ -370,7 +356,7 @@ def _grid_argmax(k: _Draw, n: int):
     none; the profile is then (rows x n) and each row gets the same float
     operations, and so the same bits, as its draw alone."""
     alphas, rest = _alpha_grid(n)
-    logf = _profile(k, alphas, rest, _NUMPY)[3]
+    logf = _profile(k, alphas, rest)[3]
     return logf.argmax(axis=-1), logf.max(axis=-1)
 
 
@@ -384,7 +370,7 @@ def _golden_rows(k: _Draw, lo, hi, x0, f0):
     row alpha*, the best probe where it beats the incumbent (x0, f0)
     strictly and x0 otherwise, and the number of probes."""
     def g(kk, x):
-        return _profile(kk, x, 1.0 - x, _LIBM)[3]
+        return _profile(kk, x, 1.0 - x, _libm_log)[3]
 
     x_ref, f_ref = np.empty(len(lo)), np.empty(len(lo))
     probes = np.empty(len(lo), dtype=np.intp)
@@ -425,15 +411,18 @@ def _golden_rows(k: _Draw, lo, hi, x0, f0):
 
 def _search(p: SystemParams, g1, g2, g3, n: int):
     """The 1D search for each draw of equal-length gain arrays: returns the
-    alpha* and evaluation count (grid points plus refine probes) arrays.
-    The draws are split once into dead-relay (q == 0, which take the
-    rho* = 0 case) and live sets.  Each set runs the grid stage in chunks of
-    max(1, _GRID_CELLS // n) draws, then the refine in slices of at most
-    _REFINE_ROWS draws, on each draw's grid bracket: one grid step either
-    side of its incumbent, inside the grid."""
+    arrays alpha*, rho*, the interior and lower masks of the case taken at
+    alpha*, and the evaluation count (grid points, refine probes and the
+    profile at alpha*).  The draws are split once into dead-relay (q == 0,
+    which take the rho* = 0 case) and live sets.  Each set runs the grid
+    stage in chunks of max(1, _GRID_CELLS // n) draws, then the refine in
+    slices of at most _REFINE_ROWS draws, on each draw's grid bracket: one
+    grid step either side of its incumbent, inside the grid.  Each slice
+    ends with one profile at its draws' alpha*."""
     alphas = _alpha_grid(n)[0]
     chunk = max(1, _GRID_CELLS // n)
-    alpha_star = np.empty(len(g1))
+    alpha_star, rho_star = np.empty(len(g1)), np.empty(len(g1))
+    interior, lower = np.empty(len(g1), dtype=bool), np.empty(len(g1), dtype=bool)
     evaluations = np.empty(len(g1), dtype=np.intp)
     dead = _draw(p, g1, g2, g3).q == 0.0
     for part in (np.flatnonzero(dead), np.flatnonzero(~dead)):
@@ -445,30 +434,31 @@ def _search(p: SystemParams, g1, g2, g3, n: int):
             index[s], top[s] = _grid_argmax(_draw(p, h1[s, None], h2[s, None], h3[s, None]), n)
         for lo in range(0, part.size, _REFINE_ROWS):
             s = slice(lo, lo + _REFINE_ROWS)
-            i = index[s]
-            alpha_star[part[s]], probes = _golden_rows(
-                _draw(p, h1[s], h2[s], h3[s]), alphas[np.maximum(i - 1, 0)],
-                alphas[np.minimum(i + 1, n - 1)], alphas[i], top[s])
-            evaluations[part[s]] = n + probes
-    return alpha_star, evaluations
+            i, rows = index[s], part[s]
+            k = _draw(p, h1[s], h2[s], h3[s])
+            a, probes = _golden_rows(k, alphas[np.maximum(i - 1, 0)],
+                                     alphas[np.minimum(i + 1, n - 1)], alphas[i], top[s])
+            alpha_star[rows] = a
+            rho_star[rows], interior[rows], lower[rows], _ = _profile(k, a, 1.0 - a, _libm_log)
+            evaluations[rows] = n + probes + 1
+    return alpha_star, rho_star, interior, lower, evaluations
 
 
 def solve_1d(p: SystemParams, ch: ChannelRealization,
              grid: AlphaGridSpec | None = None, *,
-             incumbent: tuple[float, int] | None = None) -> OptimizationOutcome:
+             row: list | None = None) -> OptimizationOutcome:
     """Weighted-sum-rate maximization by 1D search over alpha.
 
     For w2 <= w1 the optimum is the no-cooperation corner (all source power
     on x1, no splitting) at alpha = 1 - ALPHA_MIN.  Otherwise evaluates
-    f(alpha, rho*(alpha)) on the grid and refines the incumbent bracket by
-    golden section (``_search``), then takes rho*, the branch and the rates
-    at alpha*.  ``incumbent`` is this draw's search result (alpha*,
-    evaluations) when the caller has run ``_search`` already, as the Monte
-    Carlo blocks do for all their draws at once; without it ``_search`` runs
-    on this draw alone.  Alone, a solve costs about 1.8 ms on a 2-core VM
-    with numpy 2.4, mostly numpy's per-call cost on one-row arrays of the
-    refine; in a 1024-draw block the search costs about 90 us per draw and
-    the rest of the solve 11-18 us.
+    f(alpha, rho*(alpha)) on the grid, refines the incumbent bracket by
+    golden section and takes rho* and the branch at alpha* (``_search``),
+    then the rates there.  ``row`` is this draw's (alpha*, rho*, interior,
+    lower, evaluations) from ``_search``, as Python scalars, when the caller
+    has run it already, as the Monte Carlo blocks do for all their draws at
+    once; without it ``_search`` runs on this draw alone.  Alone, a solve
+    costs 1.5-2.5 ms on a 2-core VM with numpy 2.4, mostly numpy's per-call
+    cost on the one-row arrays of the refine.
     """
     if p.w2 <= p.w1:
         d = DesignPoint(alpha=1.0 - ALPHA_MIN, rho=0.0)
@@ -481,23 +471,19 @@ def solve_1d(p: SystemParams, ch: ChannelRealization,
             evaluations=1,
         )
     _require_ordered(ch)
-    if incumbent is None:
+    if row is None:
         n = (grid or AlphaGridSpec()).n
-        alpha_star, evaluations = _search(
-            p, np.array([ch.g1]), np.array([ch.g2]), np.array([ch.g3]), n)
-        incumbent = float(alpha_star[0]), int(evaluations[0])
-    best_alpha, evaluations = incumbent
-
-    k = _draw(p, ch.g1, ch.g2, ch.g3)
-    rho_star, interior, lower, _ = _profile(k, best_alpha, 1.0 - best_alpha, _MATH)
-    d = DesignPoint(alpha=best_alpha, rho=rho_star)
+        solved = _search(p, np.array([ch.g1]), np.array([ch.g2]), np.array([ch.g3]), n)
+        row = [v.item() for v in solved]
+    alpha_star, rho_star, interior, lower, evaluations = row
+    d = DesignPoint(alpha=alpha_star, rho=rho_star)
     return OptimizationOutcome(
-        alpha_star=best_alpha,
+        alpha_star=alpha_star,
         rho_star=rho_star,
         objective_f=f_objective(p, ch, d),
         rate_triple=rates(p, ch, d),
         branch=_branch(interior, lower),
-        evaluations=evaluations + 1,
+        evaluations=evaluations,
     )
 
 

@@ -3,10 +3,10 @@
 Everything the ergodic-rate analysis needs is implemented here without any
 runtime special-function dependency:
 
-* ``gamma_upper_0``: the upper incomplete gamma function at zero order,
-  Gamma(0, x) = integral_x^inf exp(-t)/t dt (equal to the exponential
-  integral E1).  Alternating series for x <= 1, modified-Lentz continued
-  fraction for x > 1.
+* ``gamma_upper_0_scaled``: exp(x) times the upper incomplete gamma
+  function at zero order, Gamma(0, x) = integral_x^inf exp(-t)/t dt (equal
+  to the exponential integral E1).  Alternating series for x <= 1,
+  modified-Lentz continued fraction for x > 1.
 * ``bessel_k0`` / ``bessel_k1``: modified Bessel functions of the second
   kind, for a float or elementwise for an array.  A fixed 16-term ascending
   series in y = x^2/4 for x <= 2; for x > 2 a Chebyshev expansion of
@@ -39,7 +39,6 @@ from .errors import DomainError, NonFiniteSample, ToleranceNotMet
 __all__ = [
     "EULER_GAMMA",
     "QuadratureSpec",
-    "gamma_upper_0",
     "gamma_upper_0_scaled",
     "bessel_k0",
     "bessel_k1",
@@ -88,15 +87,6 @@ def _gamma0_series(x: float) -> float:
         if abs(term) < _SERIES_EPS * (abs(total) + 1e-300):
             break
     return total
-
-
-def gamma_upper_0(x: float) -> float:
-    """Gamma(0, x) for x > 0, relative accuracy ~1e-14 on [1e-8, 700]."""
-    if not x > 0:
-        raise DomainError(f"gamma_upper_0 requires x > 0, got {x}")
-    if x <= 1.0:
-        return _gamma0_series(x)
-    return math.exp(-x) * _gamma0_cf(x)
 
 
 def gamma_upper_0_scaled(x: float) -> float:

@@ -5,6 +5,7 @@ from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from cnoma_eh import analysis, cli, montecarlo, optimizer, validation
@@ -424,8 +425,8 @@ class TestValidateCommand:
 
         # the shared stationary-root helper feeds the alpha grid, the
         # golden-section refine and the final rho*
-        def corrupted(xp, lead, beta, constant, theta):
-            return (beta - xp.sqrt(xp.maximum(theta, 0.0))) / (2.0 * lead)
+        def corrupted(lead, beta, constant, theta):
+            return (beta - np.sqrt(np.maximum(theta, 0.0))) / (2.0 * lead)
 
         monkeypatch.setattr(optimizer, "_stationary_root", corrupted)
         mutated = validation.check_solver_pool(seed=1001)[0]

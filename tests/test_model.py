@@ -13,7 +13,6 @@ from cnoma_eh.model import (
     _sinr_x1,
     _sinr_x2,
     db_to_linear,
-    harvested_energy,
     rates,
     sinr_mrc_at_u2,
     sinr_x1_at_u1,
@@ -130,19 +129,29 @@ class TestSinrMrc:
 
 
 class TestHarvestedEnergy:
+    """U1 relays x2 on the energy it harvests in phase 1, eta * rho *
+    avg_snr * g1; over a link of gain g3 and noise 1 + mu that adds
+    rho * eta * avg_snr * g1 * g3 / (1 + mu) to the combiner SINR."""
+
+    @staticmethod
+    def relay_term(p, ch, d):
+        direct = (1 - d.alpha) * p.avg_snr * ch.g2 / (d.alpha * p.avg_snr * ch.g2 + 1 + p.mu)
+        return sinr_mrc_at_u2(p, ch, d) - direct
+
     def test_no_splitting_harvests_nothing(self):
-        p, ch, d = make(rho=0.0)
-        assert harvested_energy(p, ch, d) == 0.0
+        p, ch, d = make(g=(1.0, 0.5, 5.0), rho=0.0)
+        assert self.relay_term(p, ch, d) == pytest.approx(0.0, abs=1e-15)
 
     def test_hand_value(self):
-        p, ch, d = make(avg_snr=10.0, eta=0.5, g=(0.3, 0.1, 0.0), alpha=0.5, rho=0.4)
-        assert harvested_energy(p, ch, d) == pytest.approx(0.6, rel=1e-15)
+        # harvested 0.5 * 0.4 * 10 * 0.3 = 0.6, over g3 / (1 + mu) = 1 / 2
+        p, ch, d = make(avg_snr=10.0, mu=1.0, eta=0.5, g=(0.3, 0.1, 1.0), alpha=0.5, rho=0.4)
+        assert self.relay_term(p, ch, d) == pytest.approx(0.3, rel=1e-14)
 
     def test_linear_in_rho(self):
-        p, ch, _ = make(eta=1.0, g=(1.0, 0.5, 0.0))
-        e1 = harvested_energy(p, ch, DesignPoint(0.5, 0.25))
-        e2 = harvested_energy(p, ch, DesignPoint(0.5, 0.5))
-        assert e2 == pytest.approx(2 * e1, rel=1e-15)
+        p, ch, _ = make(eta=1.0, g=(1.0, 0.5, 0.8))
+        e1 = self.relay_term(p, ch, DesignPoint(0.5, 0.25))
+        e2 = self.relay_term(p, ch, DesignPoint(0.5, 0.5))
+        assert e2 == pytest.approx(2 * e1, rel=1e-14)
 
 
 class TestRates:

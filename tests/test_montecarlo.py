@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cnoma_eh import montecarlo
+from cnoma_eh import montecarlo, optimizer
 from cnoma_eh.analysis import ergodic_rate_u1
 from cnoma_eh.errors import DomainError
 from cnoma_eh.model import ChannelRealization, DesignPoint, SystemParams, rates
@@ -247,11 +247,16 @@ class TestEstimateOptimized:
         assert len(calls) == pt["n"] == len(drawn) and pt["skipped"] > 0
         assert [(ch.g1, ch.g2, ch.g3) for (_, ch, _), _ in calls] == drawn
         assert all(args[2] is grid for args, _ in calls)
-        # each call gets its draw's (alpha*, evaluations) from the block's search
+        # each call gets its draw's row of the block's search, as Python
+        # scalars, and returns what the draw gives alone
         for (_, ch, _), kwargs in calls:
             alone = real(p, ch, grid)
-            assert kwargs["incumbent"] == (alone.alpha_star, alone.evaluations - 1)
-            assert type(kwargs["incumbent"][0]) is float and type(kwargs["incumbent"][1]) is int
+            alpha, rho, interior, lower, evaluations = kwargs["row"]
+            assert [type(v) for v in kwargs["row"]] == [float, float, bool, bool, int]
+            assert (alpha, rho, evaluations) == (alone.alpha_star, alone.rho_star,
+                                                 alone.evaluations)
+            assert optimizer._branch(interior, lower) is alone.branch
+            assert real(p, ch, grid, row=kwargs["row"]) == alone
 
     def test_point_statistics(self):
         cfg = SamplerConfig(seed=33, ordering=Ordering.SWAP_ORDERED, sample_count=3000)

@@ -26,9 +26,6 @@ from cnoma_eh.model import (
 from cnoma_eh.optimizer import (
     _GRID2D_RHO_MAX,
     _INVPHI,
-    _LIBM,
-    _MATH,
-    _NUMPY,
     _REFINE_TOL,
     ALPHA_MIN,
     AlphaGridSpec,
@@ -39,6 +36,7 @@ from cnoma_eh.optimizer import (
     _feasibility_root,
     _golden_rows,
     _grid_argmax,
+    _libm_log,
     _profile,
     _search,
     _stationary_root,
@@ -99,8 +97,8 @@ def theta_beta(p, ch, alpha):
 
 
 def rho_bar(p, ch, alpha):
-    """The solver's smaller stationary root, on its float path."""
-    return _stationary_root(_MATH, *stationary_terms(p, ch, alpha))
+    """The solver's smaller stationary root, on one-element arrays."""
+    return _stationary_root(*(np.array([v]) for v in stationary_terms(p, ch, alpha))).item()
 
 
 def golden_max(g, lo, hi, tol):
@@ -130,20 +128,35 @@ def golden_max(g, lo, hi, tol):
     return d, fd, evals
 
 
+def one_row_profile(k, alpha):
+    """_profile of one draw at a float alpha as the refine and the final
+    rho* take it: on one-row arrays, with libm logs."""
+    x = np.array([alpha])
+    return _profile(k, x, 1.0 - x, _libm_log)
+
+
 def float_profile(k):
-    return lambda a: _profile(k, a, 1.0 - a, _MATH)[3]
+    return lambda a: one_row_profile(k, a)[3].item()
 
 
 def scalar_search(p, g1, g2, g3, n):
-    """One draw's 1D search on floats: the grid stage, then the scalar
-    golden section on the incumbent's bracket.  Returns (alpha*,
-    evaluations, incumbent index)."""
+    """One draw's 1D search with the scalar golden section: the grid stage,
+    golden_max on the incumbent's bracket, then rho* and the case at
+    alpha*.  Returns ((alpha*, rho*, interior, lower, evaluations),
+    incumbent index)."""
     k = _draw(p, g1, g2, g3)
     i, f_grid = _grid_argmax(k, n)
     alphas = _alpha_grid(n)[0]
     lo, hi = float(alphas[max(i - 1, 0)]), float(alphas[min(i + 1, n - 1)])
     a_ref, f_ref, n_ref = golden_max(float_profile(k), lo, hi, _REFINE_TOL)
-    return (a_ref if f_ref > f_grid else float(alphas[i])), n + n_ref, int(i)
+    alpha = a_ref if f_ref > f_grid else float(alphas[i])
+    rho, interior, lower, _ = one_row_profile(k, alpha)
+    return (alpha, rho.item(), interior.item(), lower.item(), n + n_ref + 1), int(i)
+
+
+def search_rows(p, g1, g2, g3, n):
+    """_search on gain arrays, as one tuple of Python scalars per draw."""
+    return list(zip(*(v.tolist() for v in _search(p, g1, g2, g3, n))))
 
 
 class TestInnerCoefficients:
@@ -481,42 +494,42 @@ class TestRhoPolicy:
                 assert changes == 0 and (len(signs) == 0 or signs[0] > 0)
 
 
-class TestProfile:
-    def test_array_and_float_paths_agree(self):
-        # the alpha grid takes the numpy path of _profile; the golden-section
-        # refine, solve_1d's final rho* and optimal_rho_for_alpha pass a
-        # float alpha and take the math path
-        alphas = np.linspace(ALPHA_MIN, 1.0 - ALPHA_MIN, 101)
-        pool = random_instances(97, 150)
-        pool += [(p, ChannelRealization(ch.g1, ch.g2, 0.0)) for p, ch in pool[:20]]
-        assert any(p.mu == 0.0 for p, _ in pool)
-        cases = set()
-        for p, ch in pool:
-            k = _draw(p, ch.g1, ch.g2, ch.g3)
-            rho, interior, lower, log_f = _profile(k, alphas, 1.0 - alphas, _NUMPY)
-            for j, alpha in enumerate(alphas.tolist()):
-                r, i, lo, lf = _profile(k, alpha, 1.0 - alpha, _MATH)
-                assert r == rho[j] and i == interior[j] and lo == lower[j]
-                assert lf == pytest.approx(log_f[j], rel=1e-14, abs=0.0)
-                cases.add((bool(i), bool(lo)))
-        # interior, lower and boundary all reached
-        assert cases == {(True, False), (False, True), (False, False)}
+def assert_rows_are_alone(block, alone):
+    """Each field of ``block`` holds, row by row, the bits of that field in
+    the one-row results ``alone``."""
+    for j, field in enumerate(block):
+        assert field.dtype == alone[0][j].dtype
+        assert field.tobytes() == b"".join(a[j].tobytes() for a in alone)
 
-    def test_libm_rows_take_the_bits_of_each_draw_alone(self):
-        # the refine's path: one alpha per row, (rows,) constants, numpy
-        # arithmetic with libm logs
+
+class TestProfile:
+    def test_search_rows_take_the_bits_of_each_draw_alone(self):
+        # each row of a multi-row libm profile (rho*, the two masks, log f)
+        # and of a block's search (alpha*, rho*, the two masks and the
+        # evaluations) has the bits its draw gets alone, on live and
+        # dead-relay rows alike
         pool = random_instances(97, 150)
         rng = np.random.default_rng(3)
+        cases = set()
         for mu in (0.0, 1.0):
-            draws = [(p, ch) for p, ch in pool if p.mu == mu][:40]
-            p = draws[0][0]
-            g1, g2, g3 = (np.array(x) for x in zip(*((ch.g1, ch.g2, ch.g3) for _, ch in draws)))
-            alpha = rng.uniform(ALPHA_MIN, 1.0 - ALPHA_MIN, len(g1))
-            rows = _profile(_draw(p, g1, g2, g3), alpha, 1.0 - alpha, _LIBM)
-            for j, a in enumerate(alpha.tolist()):
-                alone = _profile(_draw(p, *(float(g[j]) for g in (g1, g2, g3))),
-                                 a, 1.0 - a, _MATH)
-                assert [float(x[j]) for x in rows] == [float(x) for x in alone]
+            gains = [(ch.g1, ch.g2, ch.g3) for p, ch in pool if p.mu == mu][:40]
+            gains += [(g1, g2, 0.0) for g1, g2, _ in gains[::4]]
+            g1, g2, g3 = (np.array(x) for x in zip(*gains))
+            for snr_db in (0.0, 20.0, 40.0):
+                p = SystemParams(avg_snr=10.0 ** (snr_db / 10.0), mu=mu, w1=1.0, w2=3.0)
+                alpha = rng.uniform(ALPHA_MIN, 1.0 - ALPHA_MIN, len(gains))
+                k = _draw(p, g1, g2, g3)
+                for rows in np.flatnonzero(k.q == 0.0), np.flatnonzero(k.q != 0.0):
+                    a = alpha[rows]
+                    assert_rows_are_alone(
+                        _profile(_take(k, rows), a, 1.0 - a, _libm_log),
+                        [one_row_profile(_draw(p, *gains[j]), alpha[j]) for j in rows])
+                block = _search(p, g1, g2, g3, 1000)
+                assert_rows_are_alone(
+                    block, [_search(p, *(np.array([x]) for x in draw), 1000) for draw in gains])
+                cases |= set(zip(block[2].tolist(), block[3].tolist()))
+        # interior, lower and boundary all reached at alpha*
+        assert cases == {(True, False), (False, True), (False, False)}
 
 
 class TestSolve1D:
@@ -582,7 +595,7 @@ class TestSolve1D:
         alphas = np.linspace(grid.margin, 1.0 - grid.margin, grid.n)
         for p, ch in random_instances(89, 30):
             k = _draw(p, ch.g1, ch.g2, ch.g3)
-            rho, _, _, logf = _profile(k, alphas, 1.0 - alphas, _NUMPY)
+            rho, _, _, logf = _profile(k, alphas, 1.0 - alphas)
             i = int(np.argmax(logf))
             on_grid = rates(p, ch, DesignPoint(float(alphas[i]), float(rho[i]))).weighted_sum
             assert solve_1d(p, ch, grid).rate_triple.weighted_sum >= on_grid - 1e-12
@@ -700,25 +713,22 @@ class TestDiscriminantGuards:
     def test_feasibility_roundoff_is_clamped(self):
         a, b, c = self.TANGENT
         assert b * b - 4.0 * a * c < 0.0
-        assert _feasibility_root(_MATH, a, b, c) == 2.0 * c / b
-        arr = _feasibility_root(_NUMPY, *(np.array([x, x]) for x in self.TANGENT))
+        arr = _feasibility_root(*(np.array([x, x]) for x in self.TANGENT))
         assert arr.tolist() == [2.0 * c / b] * 2
 
     def test_feasibility_below_guard_raises(self):
         with pytest.raises(NumericalFailure):
-            _feasibility_root(_MATH, *self.BAD)
-        with pytest.raises(NumericalFailure):
-            _feasibility_root(_NUMPY, *(np.array([x]) for x in self.BAD))
+            _feasibility_root(*(np.array([x]) for x in self.BAD))
 
     def test_feasibility_one_bad_row_raises(self):
         good = (2.0, 5.0, 1.0)
         rows = np.array([good, self.TANGENT, self.BAD, good]).T
         with pytest.raises(NumericalFailure):
-            _feasibility_root(_NUMPY, *rows)
-        assert _feasibility_root(_NUMPY, *rows[:, [0, 1, 3]]).shape == (3,)
+            _feasibility_root(*rows)
+        assert _feasibility_root(*rows[:, [0, 1, 3]]).shape == (3,)
 
     def test_feasibility_nan_never_trips_the_guard(self):
-        assert math.isnan(_feasibility_root(_MATH, math.nan, 1.0, 1.0))
+        assert math.isnan(_feasibility_root(np.array([math.nan]), np.ones(1), np.ones(1))[0])
 
     # theta = 1 - (1 + 1e-12): roundoff against a guard of 1e-8
     S_TANGENT = (1.0, 1.0, 1.0 + 1e-12, 1.0 - (1.0 + 1e-12))
@@ -727,28 +737,25 @@ class TestDiscriminantGuards:
     def test_stationary_roundoff_is_clamped(self):
         lead, beta, constant, theta = self.S_TANGENT
         assert theta < 0.0
-        assert _stationary_root(_MATH, *self.S_TANGENT) == constant / beta
-        arr = _stationary_root(_NUMPY, *(np.array([x, x]) for x in self.S_TANGENT))
+        arr = _stationary_root(*(np.array([x, x]) for x in self.S_TANGENT))
         assert arr.tolist() == [constant / beta] * 2
 
     def test_stationary_below_guard_raises(self):
         with pytest.raises(NumericalFailure):
-            _stationary_root(_MATH, *self.S_BAD)
-        with pytest.raises(NumericalFailure):
-            _stationary_root(_NUMPY, *(np.array([x]) for x in self.S_BAD))
+            _stationary_root(*(np.array([x]) for x in self.S_BAD))
 
     def test_stationary_one_bad_row_raises(self):
         good = (1.0, 2.0, 1.0, 3.0)
         rows = np.array([good, self.S_TANGENT, self.S_BAD, good]).T
         with pytest.raises(NumericalFailure):
-            _stationary_root(_NUMPY, *rows)
-        assert _stationary_root(_NUMPY, *rows[:, [0, 1, 3]]).shape == (3,)
+            _stationary_root(*rows)
+        assert _stationary_root(*rows[:, [0, 1, 3]]).shape == (3,)
 
     def test_stationary_zero_lead_raises_on_the_array_path(self):
         good = (1.0, 2.0, 1.0, 3.0)
         rows = np.array([good, (0.0, 2.0, 1.0, 4.0)]).T
         with pytest.raises(DivisionDegenerate):
-            _stationary_root(_NUMPY, *rows)
+            _stationary_root(*rows)
 
 
 class TestLibmLog:
@@ -756,7 +763,7 @@ class TestLibmLog:
         rng = np.random.default_rng(17)
         x = np.concatenate([10.0 ** rng.uniform(-300.0, 300.0, 100_000),
                             rng.uniform(0.5, 2.0, 100_000)])
-        got = _LIBM.log(x)
+        got = _libm_log(x)
         want = np.array([math.log(v) for v in x.tolist()])
         assert got.tobytes() == want.tobytes()
         # numpy's own log differs in the last bit on some of these
@@ -767,7 +774,7 @@ class TestLibmLog:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no RuntimeWarning instead
             with pytest.raises(ValueError) as got:
-                _LIBM.log(np.array([2.0, bad, 3.0]))
+                _libm_log(np.array([2.0, bad, 3.0]))
         with pytest.raises(ValueError) as alone:
             math.log(bad)
         assert str(got.value) == str(alone.value)
@@ -785,13 +792,11 @@ class TestLockStepRefine:
         for snr_db in (0.0, 20.0, 40.0):
             for mu in (0.0, 1.0):
                 p = SystemParams(avg_snr=10.0 ** (snr_db / 10.0), mu=mu, w1=1.0, w2=3.0)
-                alpha, evaluations = _search(p, g1, g2, g3, n)
                 want = [scalar_search(p, *x, n) for x in gains]
-                assert alpha.tolist() == [a for a, _, _ in want]
-                assert evaluations.tolist() == [e for _, e, _ in want]
+                assert search_rows(p, g1, g2, g3, n) == [row for row, _ in want]
                 # edge brackets are one grid step wide and stop a probe
                 # earlier than interior ones in the same refine call
-                edge = {i in (0, n - 1) for _, _, i in want[:40]}
+                edge = {i in (0, n - 1) for _, i in want[:40]}
                 mixed += edge == {True, False}
         assert mixed > 0
 
@@ -843,14 +848,14 @@ class TestGridChunks:
                 g1, g2, g3r = self.G1[rows], self.G2[rows], g3[rows]
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")  # no DivisionDegenerate, no warning
-                    alpha, evaluations = _search(self.P, g1, g2, g3r, n)
-                alone = [_search(self.P, *(np.array([v]) for v in x), n)
-                         for x in zip(g1.tolist(), g2.tolist(), g3r.tolist())]
-                assert alpha.tolist() == [float(a[0]) for a, _ in alone]
-                assert evaluations.tolist() == [int(e[0]) for _, e in alone]
-                want = [scalar_search(self.P, *x, n)[:2]
-                        for x in zip(g1.tolist(), g2.tolist(), g3r.tolist())]
-                assert list(zip(alpha.tolist(), evaluations.tolist())) == want
+                    rows = search_rows(self.P, g1, g2, g3r, n)
+                draws = list(zip(g1.tolist(), g2.tolist(), g3r.tolist()))
+                alone = [search_rows(self.P, *(np.array([v]) for v in x), n)[0] for x in draws]
+                assert rows == alone
+                assert rows == [scalar_search(self.P, *x, n)[0] for x in draws]
+                dead_rows = [row for row, x in zip(rows, draws) if x[2] == 0.0]
+                assert dead_rows and all(lower and not interior
+                                         for _, _, interior, lower, _ in dead_rows)
 
     @pytest.mark.parametrize("slots, values", [
         ((3, 4, 5), TestDiscriminantGuards.BAD),      # feasibility a, b, c
@@ -882,7 +887,7 @@ class TestGridChunks:
                 assert str(block.value) == str(alone.value)
                 assert where in [entry.name for entry in block.traceback]
             good = self.G1 != 2.5
-            alpha, _ = _search(self.P, self.G1[good], self.G2[good], g3[good], 1000)
+            alpha = _search(self.P, self.G1[good], self.G2[good], g3[good], 1000)[0]
             assert alpha.shape == (5,)
 
 

@@ -12,7 +12,6 @@ from cnoma_eh.specfun import (
     QuadratureSpec,
     bessel_k0,
     bessel_k1,
-    gamma_upper_0,
     gamma_upper_0_scaled,
     integrate,
     integrate_semi_infinite,
@@ -47,20 +46,21 @@ class TestGammaUpper0:
     def test_domain(self):
         for bad in (0.0, -1.0):
             with pytest.raises(DomainError):
-                gamma_upper_0(bad)
-            with pytest.raises(DomainError):
                 gamma_upper_0_scaled(bad)
 
     def test_known_value_at_one(self):
-        # 50-term series and continued fraction agree on 0.219383934395520...
-        assert gamma_upper_0(1.0) == pytest.approx(0.21938393439552027, rel=1e-14)
+        # 50-term series and continued fraction agree on Gamma(0, 1) =
+        # 0.219383934395520...
+        assert gamma_upper_0_scaled(1.0) == pytest.approx(
+            math.e * 0.21938393439552027, rel=1e-14)
 
     def test_small_x_log_expansion(self):
         x = 1e-6
-        assert gamma_upper_0(x) + math.log(x) + EULER_GAMMA == pytest.approx(0.0, abs=1e-5)
+        assert gamma_upper_0_scaled(x) == pytest.approx(
+            math.exp(x) * (-math.log(x) - EULER_GAMMA), abs=1e-5)
 
     def test_large_x_asymptotic_oracle(self):
-        # Gamma(0, x) ~ (e^-x / x) sum (-1)^k k! / x^k, truncated at its
+        # e^x Gamma(0, x) ~ (1 / x) sum (-1)^k k! / x^k, truncated at its
         # smallest term; the truncation error is far below 1e-10 at x = 100
         x = 100.0
         term, total = 1.0, 0.0
@@ -72,27 +72,27 @@ class TestGammaUpper0:
             if abs(nxt) >= abs(term):
                 break
             term = nxt
-        oracle = math.exp(-x) / x * total
-        assert gamma_upper_0(x) == pytest.approx(oracle, rel=1e-10)
+        assert gamma_upper_0_scaled(x) == pytest.approx(total / x, rel=1e-10)
 
     def test_accuracy_grid_vs_integral_oracle(self):
         for x in np.logspace(-8, math.log10(700.0), 25):
-            ref, ref_scaled = oracle_gamma0(float(x))
-            assert gamma_upper_0(float(x)) == pytest.approx(ref, rel=1e-10)
+            _, ref_scaled = oracle_gamma0(float(x))
             assert gamma_upper_0_scaled(float(x)) == pytest.approx(ref_scaled, rel=1e-10)
 
     def test_scaled_consistency(self):
-        for x in (0.3, 1.0, 5.0, 50.0):
-            assert gamma_upper_0_scaled(x) == pytest.approx(
-                math.exp(x) * gamma_upper_0(x), rel=1e-12
+        # the series (x <= 1) and the continued fraction (x > 1) agree on
+        # either side of the seam
+        for x in (0.5, 1.0, 2.0):
+            assert math.exp(x) * specfun._gamma0_series(x) == pytest.approx(
+                specfun._gamma0_cf(x), rel=1e-12
             )
 
     def test_derivative_identity(self):
-        # d/dx Gamma(0, x) = -e^-x / x
+        # d/dx e^x Gamma(0, x) = e^x Gamma(0, x) - 1/x
         for x in (0.1, 1.0, 10.0):
             h = x * 1e-6
-            fd = (gamma_upper_0(x + h) - gamma_upper_0(x - h)) / (2 * h)
-            assert fd == pytest.approx(-math.exp(-x) / x, rel=1e-6)
+            fd = (gamma_upper_0_scaled(x + h) - gamma_upper_0_scaled(x - h)) / (2 * h)
+            assert fd == pytest.approx(gamma_upper_0_scaled(x) - 1.0 / x, rel=1e-6)
 
 
 class TestBesselK:
