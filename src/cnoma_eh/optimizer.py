@@ -43,17 +43,17 @@ matters on [0, 1).  Case split per candidate alpha:
 The 1D search evaluates log f(alpha, rho*(alpha)) on a uniform alpha grid
 (built once per grid size and cached read-only) and sharpens the incumbent
 with a golden-section pass on the bracketing interval.  One array function,
-``_profile``, evaluates the profile everywhere; the only choice it takes is
-the log.  ``_search`` runs the search for a set of draws: the grid stage
-(``_grid_argmax``, numpy's log) on (rows x n) chunks, then the refine
-(``_golden_rows``) on slices of up to ``_REFINE_ROWS`` draws in lock-step,
-each draw stopping after the probes it would take alone, and one last
-profile at each draw's alpha* for rho* and the branch.  numpy does every
-add, multiply, divide and sqrt (IEEE-exact, so a row gets the bits its draw
-gets alone) and the refine and the last profile take their logs per element
-from ``math.log`` (``_libm_log``), so outcomes do not depend on the block.
-``solve_1d`` packs one draw's row of that result; alone it is a batch of
-one.
+``_profile``, evaluates the profile everywhere.  ``_search`` runs the search
+for a set of draws: the grid stage (``_grid_argmax``) on (rows x n) chunks,
+then the refine (``_golden_rows``) on slices of up to ``_REFINE_ROWS`` draws
+in lock-step, each draw stopping after the probes it would take alone, and
+one last profile at each draw's alpha* for rho* and the branch.  Every
+operation on the way is elementwise, so a row gets the bits its draw gets
+alone and outcomes do not depend on the block.  numpy does each of them,
+except the logs of the refine's probes: those come from ``math.log``
+(``_libm_log``), because where the profile is flat to the last bit a
+golden-section comparison follows the log's last bit.  ``solve_1d`` packs
+one draw's row of that result; alone it is a batch of one.
 ``solve_2d_exhaustive`` is the independent benchmark: a plain grid argmax of
 the raw weighted sum (with the min{} in the weak user's rate), kept free of
 the reformulation on purpose.
@@ -116,9 +116,9 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_TOL = 1e-6
 
 # Draws of one refine slice.  Per draw, the lock-step refine on a 2-core VM
-# with numpy 2.4 took 75-124 us at 16 rows, 12-14 us at 256, 8-10 us at 1024
-# and 7-8 us at 8192, while its tracemalloc peak grew with the slice: 92 KB,
-# 348 KB and 2.7 MB.
+# with numpy 2.4 took 76-88 us at 16 rows, 12-20 us at 256, 8.4-11.5 us at
+# 1024 and 7.3-8.2 us at 8192, while its tracemalloc peak grew with the
+# slice: 74 KB, 283 KB and 2.2 MB.
 _REFINE_ROWS = 1024
 
 # Cells of one grid-stage chunk: rows = max(1, _GRID_CELLS // n) draws share
@@ -175,47 +175,26 @@ def _check_alpha(alpha: float):
 
 
 def _libm_log(x):
-    """math.log of each element of a 1-D array: numpy's log differs from
-    libm's in the last bit on some inputs, and the refine's probes and the
-    final rho* keep libm's bits.  A zero or negative element raises
-    ValueError, as math.log does."""
+    """math.log of each element of a 1-D array, for the refine's probes:
+    numpy's log differs from libm's in the last bit on some inputs, and
+    where the profile is that flat a golden-section comparison follows it.
+    A zero or negative element raises ValueError, as math.log does."""
     return np.fromiter(map(math.log, x.tolist()), float, x.size)
 
 
 class _Draw(NamedTuple):
-    """The alpha-free constants of the profile for one (params, channel)
-    pair as floats, or for a set of draws as (rows,) arrays (the refine) or
-    (rows, 1) columns (the grid stage), one draw per row."""
+    """The inputs of the profile for one (params, channel) pair: floats, or
+    for a set of draws (rows,) arrays (the refine) or (rows, 1) columns (the
+    grid stage), one draw per row."""
 
-    snr: float
-    mu: float
+    p: SystemParams
     g1: float
     g2: float
-    t: float        # 1 + mu
     q: float        # eta*snr*g1*g3 / (1 + mu)
-    wtilde2: float
-    half_q: float
-    q_w: float
-    q_w_t: float
-    w_minus: float
-    w_plus: float
 
 
 def _draw(p: SystemParams, g1, g2, g3) -> _Draw:
-    q = p.eta * p.avg_snr * g1 * g3 / (1.0 + p.mu)
-    w = p.wtilde2
-    t = 1.0 + p.mu
-    return _Draw(p.avg_snr, p.mu, g1, g2, t, q, w, 0.5 * q, q * w, q * w * t,
-                 w - 1.0, w + 1.0)
-
-
-def _take(k: _Draw, rows) -> _Draw:
-    """The draws of array constants ``k`` at ``rows``, any numpy index."""
-    # from a list, not a generator: a tuple built from a generator is
-    # resized to its length, and once freed it joins CPython's free list of
-    # 12-tuples, which nothing here draws from; that list would grow by one
-    # per call up to 2,000 entries (240 KB)
-    return _Draw._make([v[rows] if isinstance(v, np.ndarray) else v for v in k])
+    return _Draw(p, g1, g2, p.eta * p.avg_snr * g1 * g3 / (1.0 + p.mu))
 
 
 @functools.lru_cache(maxsize=8)
@@ -238,7 +217,10 @@ def _coeffs(k: _Draw, alpha, rest):
         lead, beta, constant, theta    stationary quadratic lead rho^2 - 2 beta rho
                                        + constant; its discriminant is 4 theta
     """
-    snr, mu, g1, g2, t, q, _, half_q, q_w, q_w_t, w_minus, w_plus = k
+    p, g1, g2, q = k
+    snr, mu, w = p.avg_snr, p.mu, p.wtilde2
+    t = 1.0 + mu
+    half_q, q_w = 0.5 * q, q * w
     a_snr = alpha * snr
     r_snr = rest * snr
     r_snr_g1 = r_snr * g1
@@ -247,8 +229,8 @@ def _coeffs(k: _Draw, alpha, rest):
     pp = 1.0 + r_snr * g2 / (a_snr * g2 + 1.0 + mu)
     direct = pp - 1.0
     lead = q_w * e
-    beta = half_q * d * w_minus + half_q * e * t * w_plus
-    constant = (d - e * t) * pp + q_w_t * d
+    beta = half_q * d * (w - 1.0) + half_q * e * t * (w + 1.0)
+    constant = (d - e * t) * pp + q_w * t * d
     return (d, e, pp,
             q * e, q * d - direct * e + r_snr_g1, r_snr_g1 - direct * d,
             lead, beta, constant, beta * beta - lead * constant)
@@ -287,12 +269,11 @@ def _stationary_root(lead, beta, constant, theta):
 def _profile(k: _Draw, alpha, rest, log=np.log):
     """rho*(alpha), the interior and lower masks of the case split, and
     log f(alpha, rho*(alpha)): the profile the 1D search maximizes.
-    ``alpha`` is an array inside (0, 1) that broadcasts against the
-    constants in ``k``, with rest = 1 - alpha; ``log`` is np.log (the grid
-    stage) or _libm_log (the refine and the final rho*).  See the module
-    docstring for the case split."""
+    ``alpha`` is an array inside (0, 1) that broadcasts against the arrays
+    in ``k``, with rest = 1 - alpha; ``log`` is np.log, or _libm_log for the
+    refine's probes.  See the module docstring for the case split."""
     d, e, pp, a, b, c, lead, beta, constant, theta = _coeffs(k, alpha, rest)
-    t, q = k.t, k.q
+    p, q = k.p, k.q
     if not np.count_nonzero(q):
         # dead relay link (in every row): rho* = 0 at every alpha (never
         # interior, always lower)
@@ -304,7 +285,7 @@ def _profile(k: _Draw, alpha, rest, log=np.log):
         interior = positive & (rb > 0.0) & (rb < rt)
         lower = positive & (rb <= 0.0)
     rho = np.where(interior, rb, np.where(lower, 0.0, np.minimum(rt, _RHO_CAP)))
-    log_f = log(d - e * rho) - log(t - rho) + k.wtilde2 * log(pp + q * rho)
+    log_f = log(d - e * rho) - log(1.0 + p.mu - rho) + p.wtilde2 * log(pp + q * rho)
     return rho, interior, lower, log_f
 
 
@@ -345,14 +326,14 @@ def optimal_rho_for_alpha(p: SystemParams, ch: ChannelRealization, alpha: float)
     _require_ordered(ch)
     _check_alpha(alpha)
     x = np.array([alpha])
-    rho, interior, lower, _ = _profile(_draw(p, ch.g1, ch.g2, ch.g3), x, 1.0 - x, _libm_log)
+    rho, interior, lower, _ = _profile(_draw(p, ch.g1, ch.g2, ch.g3), x, 1.0 - x)
     return rho.item(), _branch(interior.item(), lower.item())
 
 
 def _grid_argmax(k: _Draw, n: int):
     """The grid stage: the first-hit argmax index of log f on the n-point
     alpha grid (the smallest alpha wins ties) and log f there.  ``k`` holds
-    a chunk's constants as (rows, 1) columns with q == 0 in every row or in
+    a chunk's inputs as (rows, 1) columns with q == 0 in every row or in
     none; the profile is then (rows x n) and each row gets the same float
     operations, and so the same bits, as its draw alone."""
     alphas, rest = _alpha_grid(n)
@@ -362,50 +343,41 @@ def _grid_argmax(k: _Draw, n: int):
 
 def _golden_rows(k: _Draw, lo, hi, x0, f0):
     """Golden-section maximization of each row's profile on [lo, hi], all
-    rows in lock-step.  ``k`` holds the rows' constants as (rows,) arrays,
-    with q == 0 in every row or in none.  Each row takes the probes, the tie
-    rule (the left probe wins ties) and the stop of the section on its own:
-    a row stops once its bracket is no wider than _REFINE_TOL, and a bracket
-    that starts that narrow takes one probe at its midpoint.  Returns per
-    row alpha*, the best probe where it beats the incumbent (x0, f0)
-    strictly and x0 otherwise, and the number of probes."""
-    def g(kk, x):
-        return _profile(kk, x, 1.0 - x, _libm_log)[3]
+    rows in lock-step.  ``k`` holds the rows' inputs as (rows,) arrays, with
+    q == 0 in every row or in none.  Each row takes the probes, the tie rule
+    (the left probe wins ties) and the stop of the section on its own: a row
+    stops once its bracket is no wider than _REFINE_TOL, and a bracket that
+    starts that narrow takes one probe at its midpoint (c = d).  Every row
+    stays in the loop until the last one stops: a stopped row probes its
+    best point again, after which c = d = that point, so it never evaluates
+    a point its draw alone would not.  Returns per row alpha*, the best
+    probe where it beats the incumbent (x0, f0) strictly and x0 otherwise,
+    and the number of probes."""
+    def g(x):
+        return _profile(k, x, 1.0 - x, _libm_log)[3]
 
-    x_ref, f_ref = np.empty(len(lo)), np.empty(len(lo))
-    probes = np.empty(len(lo), dtype=np.intp)
-    narrow = (hi - lo) <= _REFINE_TOL
-    if narrow.any():
-        mid = 0.5 * (lo[narrow] + hi[narrow])
-        x_ref[narrow], f_ref[narrow], probes[narrow] = mid, g(_take(k, narrow), mid), 1
-    live = np.flatnonzero(~narrow)
-    k = _take(k, live)
-    a, b = lo[live], hi[live]
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = g(k, c), g(k, d)
-    count = 2
-    while live.size:
-        go = (b - a) > _REFINE_TOL
-        if not go.all():
-            stop = ~go
-            left = fc[stop] >= fd[stop]
-            rows = live[stop]
-            x_ref[rows] = np.where(left, c[stop], d[stop])
-            f_ref[rows] = np.where(left, fc[stop], fd[stop])
-            probes[rows] = count
-            live, a, b, c, d, fc, fd = (v[go] for v in (live, a, b, c, d, fc, fd))
-            if not live.size:
-                break
-            k = _take(k, go)
+    a, b = lo, hi
+    width = b - a
+    narrow = width <= _REFINE_TOL
+    mid = 0.5 * (a + b)
+    step = _INVPHI * width
+    c = np.where(narrow, mid, b - step)
+    d = np.where(narrow, mid, a + step)
+    fc, fd = g(c), g(d)
+    probes = np.where(narrow, 1, 2)
+    while (go := width > _REFINE_TOL).any():
         left = fc >= fd
         b = np.where(left, d, b)
         a = np.where(left, a, c)
-        x = np.where(left, b - _INVPHI * (b - a), a + _INVPHI * (b - a))
-        fx = g(k, x)
+        width = b - a
+        step = _INVPHI * width
+        x = np.where(go, np.where(left, b - step, a + step), np.where(left, c, d))
+        fx = g(x)
         c, d = np.where(left, x, d), np.where(left, c, x)
         fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-        count += 1
+        probes += go
+    left = fc >= fd
+    x_ref, f_ref = np.where(left, c, d), np.where(left, fc, fd)
     return np.where(f_ref > f0, x_ref, x0), probes
 
 
@@ -439,7 +411,7 @@ def _search(p: SystemParams, g1, g2, g3, n: int):
             a, probes = _golden_rows(k, alphas[np.maximum(i - 1, 0)],
                                      alphas[np.minimum(i + 1, n - 1)], alphas[i], top[s])
             alpha_star[rows] = a
-            rho_star[rows], interior[rows], lower[rows], _ = _profile(k, a, 1.0 - a, _libm_log)
+            rho_star[rows], interior[rows], lower[rows], _ = _profile(k, a, 1.0 - a)
             evaluations[rows] = n + probes + 1
     return alpha_star, rho_star, interior, lower, evaluations
 
@@ -457,32 +429,26 @@ def solve_1d(p: SystemParams, ch: ChannelRealization,
     lower, evaluations) from ``_search``, as Python scalars, when the caller
     has run it already, as the Monte Carlo blocks do for all their draws at
     once; without it ``_search`` runs on this draw alone.  Alone, a solve
-    costs 1.5-2.5 ms on a 2-core VM with numpy 2.4, mostly numpy's per-call
+    costs 1.1-1.7 ms on a 2-core VM with numpy 2.4, mostly numpy's per-call
     cost on the one-row arrays of the refine.
     """
     if p.w2 <= p.w1:
-        d = DesignPoint(alpha=1.0 - ALPHA_MIN, rho=0.0)
-        return OptimizationOutcome(
-            alpha_star=d.alpha,
-            rho_star=0.0,
-            objective_f=f_objective(p, ch, d),
-            rate_triple=rates(p, ch, d),
-            branch=SolverBranch.TRIVIAL,
-            evaluations=1,
-        )
-    _require_ordered(ch)
-    if row is None:
-        n = (grid or AlphaGridSpec()).n
-        solved = _search(p, np.array([ch.g1]), np.array([ch.g2]), np.array([ch.g3]), n)
-        row = [v.item() for v in solved]
-    alpha_star, rho_star, interior, lower, evaluations = row
+        alpha_star, rho_star, branch, evaluations = 1.0 - ALPHA_MIN, 0.0, SolverBranch.TRIVIAL, 1
+    else:
+        _require_ordered(ch)
+        if row is None:
+            n = (grid or AlphaGridSpec()).n
+            solved = _search(p, np.array([ch.g1]), np.array([ch.g2]), np.array([ch.g3]), n)
+            row = [v.item() for v in solved]
+        alpha_star, rho_star, interior, lower, evaluations = row
+        branch = _branch(interior, lower)
     d = DesignPoint(alpha=alpha_star, rho=rho_star)
     return OptimizationOutcome(
         alpha_star=alpha_star,
         rho_star=rho_star,
         objective_f=f_objective(p, ch, d),
         rate_triple=rates(p, ch, d),
-        branch=_branch(interior, lower),
+        branch=branch,
         evaluations=evaluations,
     )
 

@@ -51,6 +51,7 @@ EULER_GAMMA = 0.57721566490153286061
 _SERIES_EPS = 1e-18
 _CF_EPS = 1e-16
 _MAX_PANELS = 4096
+_MAX_DEPTH = 60
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +264,10 @@ class QuadratureSpec:
 
     abs_tol: float = 1e-12
     rel_tol: float = 1e-8
-    max_depth: int = 60
 
     def __post_init__(self):
         if not (self.abs_tol > 0 and self.rel_tol > 0):
             raise DomainError("quadrature tolerances must be > 0")
-        if not self.max_depth >= 1:
-            raise DomainError("max_depth must be >= 1")
 
 
 # G10/K21 Gauss-Kronrod pair, QUADPACK qk21 layout (Piessens et al., 1983):
@@ -331,7 +329,7 @@ def integrate(f, lo: float, hi: float, spec: QuadratureSpec | None = None):
     length-m arrays.  Until every component meets its own tolerance
     ``max(spec.abs_tol, spec.rel_tol * |value|)``, the panel with the largest
     error over tolerance in any component is bisected, down to
-    ``spec.max_depth`` levels (for one integral: the panel with the largest
+    ``_MAX_DEPTH`` = 60 levels (for one integral: the panel with the largest
     error).  If the tolerance cannot be met a single ``ToleranceNotMet``
     warning is issued and the best values are returned together with the
     achieved estimates.  A non-finite integrand value raises
@@ -366,7 +364,7 @@ def integrate(f, lo: float, hi: float, spec: QuadratureSpec | None = None):
         a, b, depth = ends[j]
         m = 0.5 * (a + b)
         # too deep, or the interval is exhausted at float resolution
-        if depth >= spec.max_depth or not a < m < b:
+        if depth >= _MAX_DEPTH or not a < m < b:
             state[j] = _RETIRED
             continue
         v1, e1 = _kronrod(f, a, m)

@@ -154,7 +154,8 @@ def check_stationarity(seed=1003) -> CheckResult:
         # conditioning scale of evaluating the stationary quadratic at rb
         scale = lead * rb * rb + 2 * abs(beta) * rb + abs(constant)
         if scale > 0:
-            worst = max(worst, abs(_df_drho_numerator(d, e, k.t, pp, k.q, p.wtilde2, rb)) / scale)
+            numerator = _df_drho_numerator(d, e, 1.0 + p.mu, pp, k.q, p.wtilde2, rb)
+            worst = max(worst, abs(numerator) / scale)
     return _at_most("stationarity_residual", worst, 1e-9,
                     f"|derivative numerator at rho_bar| / scale, {tested} interior cases")
 

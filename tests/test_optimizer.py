@@ -1,7 +1,5 @@
 import dataclasses
-import gc
 import math
-import sys
 import warnings
 
 import numpy as np
@@ -40,7 +38,6 @@ from cnoma_eh.optimizer import (
     _profile,
     _search,
     _stationary_root,
-    _take,
     f_objective,
     optimal_rho_for_alpha,
     rho_tilde,
@@ -82,7 +79,7 @@ def f_coeffs(p, ch, alpha):
     kernel."""
     k = _draw(p, ch.g1, ch.g2, ch.g3)
     d, e, pp = _coeffs(k, alpha, 1.0 - alpha)[:3]
-    return d, e, k.t, pp, k.q
+    return d, e, 1.0 + p.mu, pp, k.q
 
 
 def stationary_terms(p, ch, alpha):
@@ -128,9 +125,14 @@ def golden_max(g, lo, hi, tol):
     return d, fd, evals
 
 
+def rows_of(k, rows):
+    """The draws of the array inputs ``k`` at ``rows``, any numpy index."""
+    return k._replace(g1=k.g1[rows], g2=k.g2[rows], q=k.q[rows])
+
+
 def one_row_profile(k, alpha):
-    """_profile of one draw at a float alpha as the refine and the final
-    rho* take it: on one-row arrays, with libm logs."""
+    """_profile of one draw at a float alpha as the refine takes it: on
+    one-row arrays, with libm logs."""
     x = np.array([alpha])
     return _profile(k, x, 1.0 - x, _libm_log)
 
@@ -522,7 +524,7 @@ class TestProfile:
                 for rows in np.flatnonzero(k.q == 0.0), np.flatnonzero(k.q != 0.0):
                     a = alpha[rows]
                     assert_rows_are_alone(
-                        _profile(_take(k, rows), a, 1.0 - a, _libm_log),
+                        _profile(rows_of(k, rows), a, 1.0 - a, _libm_log),
                         [one_row_profile(_draw(p, *gains[j]), alpha[j]) for j in rows])
                 block = _search(p, g1, g2, g3, 1000)
                 assert_rows_are_alone(
@@ -813,7 +815,7 @@ class TestLockStepRefine:
         for k in (live, flat):
             # an incumbent every probe beats, so alpha* is the refine's own
             alpha, probes = _golden_rows(k, lo, hi, np.full(4, 0.5), np.full(4, -np.inf))
-            want = [golden_max(float_profile(_take(k, j)), lo[j], hi[j], _REFINE_TOL)
+            want = [golden_max(float_profile(rows_of(k, j)), lo[j], hi[j], _REFINE_TOL)
                     for j in range(4)]
             assert alpha.tolist() == [x for x, _, _ in want]
             assert probes.tolist() == [e for _, _, e in want]
@@ -829,6 +831,59 @@ class TestLockStepRefine:
         # log f = 0 everywhere: equal to an incumbent of 0, below one of 1
         alpha, _ = _golden_rows(flat, lo, hi, x0, np.array([0.0, -1.0]))
         assert alpha[0] == 0.7 and lo[1] < alpha[1] < hi[1]
+
+    def test_rows_probe_only_the_alphas_of_their_draw_alone(self, monkeypatch):
+        # every row stays in the loop until the last one stops; a row that
+        # stopped probes its best point again, never a point its draw alone
+        # would not probe
+        p = SystemParams(avg_snr=100.0, mu=1.0, w1=1.0, w2=3.0)
+        k = _draw(p, np.array([1.5, 2.5, 0.9, 1.2, 1.9]), np.array([0.5, 0.4, 0.3, 1.1, 0.7]),
+                  np.array([0.8, 1.7, 0.2, 0.6, 0.9]))
+        alphas = _alpha_grid(1000)[0]
+        # one grid step at either edge, two steps inside, and a narrow bracket
+        lo = np.array([alphas[0], alphas[998], alphas[400], 0.3, alphas[10]])
+        hi = np.array([alphas[1], alphas[999], alphas[402], 0.3 + 0.5 * _REFINE_TOL, alphas[12]])
+        seen = []
+        real = optimizer._profile
+
+        def spy(draws, alpha, rest, log=np.log):
+            seen.append(alpha.tolist())
+            return real(draws, alpha, rest, log)
+
+        monkeypatch.setattr(optimizer, "_profile", spy)
+
+        def probed(rows):
+            seen.clear()
+            _, probes = _golden_rows(rows_of(k, rows), lo[rows], hi[rows],
+                                     np.full(len(rows), 0.5), np.full(len(rows), -np.inf))
+            return [set(x) for x in zip(*seen)], probes.tolist()
+
+        together, probes = probed([0, 1, 2, 3, 4])
+        assert together == [probed([j])[0][0] for j in range(5)]
+        assert probes == [17, 17, 18, 1, 18]
+        assert [len(x) for x in together] == probes
+
+    # Two draws whose profile near alpha* is flat to the last bit of log f.
+    # With numpy's log in the refine, alpha* moves: a golden-section step
+    # goes the other way on the first, the last pick on the second.
+    NEAR_TIES = (
+        (-10.0, ("0x1.72098ec914375p+0", "0x1.8d9de1a1f1e7fp-3", "0x1.3f4db84a6d7bfp+0"),
+         "0x1.fabf0a2f38e05p-2"),
+        (0.0, ("0x1.373e82f64edf8p-1", "0x1.934e0874dc20bp-4", "0x1.d5a2ff8796bb4p-1"),
+         "0x1.ef8c701c21475p-1"),
+    )
+
+    @pytest.mark.parametrize("snr_db, gains, want", NEAR_TIES)
+    def test_refine_takes_libm_logs_on_every_row(self, monkeypatch, snr_db, gains, want):
+        p = SystemParams(avg_snr=10.0 ** (snr_db / 10.0), mu=2.0, w1=1.0, w2=1.5)
+        draw = [float.fromhex(x) for x in gains]
+        # the draw as the first row of a slice with six others
+        block = [draw] + [[ch.g1, ch.g2, ch.g3] for _, ch in random_instances(1001, 6)]
+        g1, g2, g3 = (np.array(x) for x in zip(*block))
+        assert _search(p, g1, g2, g3, 1000)[0][0].hex() == want
+        assert solve_1d(p, ChannelRealization(*draw)).alpha_star.hex() == want
+        monkeypatch.setattr(optimizer, "_libm_log", np.log)
+        assert _search(p, g1, g2, g3, 1000)[0][0].hex() != want
 
 
 class TestGridChunks:
@@ -889,28 +944,6 @@ class TestGridChunks:
             good = self.G1 != 2.5
             alpha = _search(self.P, self.G1[good], self.G2[good], g3[good], 1000)[0]
             assert alpha.shape == (5,)
-
-
-class TestTake:
-    def test_rows_of_every_array_field(self):
-        k = _draw(TestGridChunks.P, TestGridChunks.G1, TestGridChunks.G2, np.full(6, 0.8))
-        sub = _take(k, np.array([4, 1]))
-        for field, whole, part in zip(k._fields, k, sub):
-            if isinstance(whole, np.ndarray):
-                assert part.tolist() == whole[[4, 1]].tolist(), field
-            else:
-                assert part is whole, field
-        assert _take(k, (slice(0, 3), None)).q.shape == (3, 1)
-
-    def test_leaves_no_tuples_behind(self):
-        # a _Draw built from a generator left one resized 12-tuple on
-        # CPython's tuple free list per call, up to 2,000 of them
-        k = _draw(TestGridChunks.P, TestGridChunks.G1, TestGridChunks.G2, np.full(6, 0.8))
-        gc.collect()  # a full collection empties the free lists
-        before = sys.getallocatedblocks()
-        for _ in range(300):
-            _take(k, slice(0, 4))
-        assert sys.getallocatedblocks() - before < 100
 
 
 class TestAlphaGridCache:

@@ -261,8 +261,6 @@ class TestQuadrature:
             QuadratureSpec(abs_tol=0.0)
         with pytest.raises(DomainError):
             QuadratureSpec(rel_tol=-1.0)
-        with pytest.raises(DomainError):
-            QuadratureSpec(max_depth=0)
 
     def test_bad_bounds(self):
         with pytest.raises(DomainError):
@@ -332,7 +330,8 @@ class TestQuadrature:
             integrate(bad, 0.0, 1.0)
 
     def test_tolerance_not_met_warning_still_returns_value(self):
-        spec = QuadratureSpec(rel_tol=1e-14, abs_tol=1e-16, max_depth=2)
+        # a relative tolerance below double rounding cannot be met
+        spec = QuadratureSpec(rel_tol=1e-17, abs_tol=1e-20)
         with pytest.warns(ToleranceNotMet):
             value, err = integrate(lambda x: np.exp(-x) / (1 + 50 * x * x), 0.0, 30.0, spec)
         assert math.isfinite(value)
@@ -366,11 +365,11 @@ class TestVectorIntegrand:
         assert (v1[0], e1[0]) == (v0, e0)
 
     def test_unconvergeable_component_warns_once(self):
-        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14, max_depth=6)
+        spec = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14)
 
         def f(x):
-            # the second row oscillates far too fast for six levels
-            return np.vstack([np.exp(-x), np.sin(1e4 * x) ** 2])
+            # the second row oscillates far too fast for the panel budget
+            return np.vstack([np.exp(-x), np.sin(1e7 * x) ** 2])
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
