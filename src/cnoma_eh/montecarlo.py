@@ -5,8 +5,9 @@ Sampling is counter-based and block-structured: draw ``i`` lives in block
 ``(seed, block_index)``.  Exponential gains come from inverse-CDF transforms
 of a fixed number of uniforms per draw, so a block's content depends only on
 ``(seed, block_index)`` and never on how blocks are scheduled.  Workers
-partition whole blocks and partial sums are combined in block order, which
-makes every aggregate bit-identical for any worker count.
+take contiguous runs of whole blocks and per-block partial sums are
+combined in block order, which makes every aggregate bit-identical for any
+worker count.
 
 Two ordering policies are exposed: UNORDERED draws match the plain
 exponential marginals assumed by the analytic ergodic rates; SWAP_ORDERED
@@ -18,8 +19,11 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from itertools import accumulate
 from typing import Any
 
 import numpy as np
@@ -34,6 +38,7 @@ __all__ = [
     "sample_gains",
     "estimate_ergodic",
     "estimate_optimized",
+    "worker_pool",
 ]
 
 
@@ -91,29 +96,58 @@ def _mean_se(n: int, s1: float, s2: float):
     return mean, math.sqrt(var / n)
 
 
-def _run_blocks(block, cfg: SamplerConfig, args: tuple, workers: int = 1) -> dict[str, Any]:
-    """Run ``block(cfg, *args, block_index, count)`` on every block; return
-    one point: ``n`` (draws kept), ``skipped``, and ``mean_<name>``,
+def _runs(cfg: SamplerConfig, workers: int) -> list[list[tuple[int, int]]]:
+    """``cfg``'s blocks as ``(block_index, count)`` pairs, split into
+    min(workers, blocks) contiguous runs whose lengths differ by at most one."""
+    blocks = list(_blocks(cfg))
+    k = min(workers, len(blocks))
+    size, extra = divmod(len(blocks), k)
+    cuts = [i * size + min(i, extra) for i in range(k + 1)]
+    return [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+@contextmanager
+def worker_pool(cfg: SamplerConfig, workers: int):
+    """The process pool for every point drawn with ``cfg`` at ``workers``:
+    one process per run of ``_runs(cfg, workers)``, or None where there is
+    one run and the parent does the work.  Pass it to each point's
+    ``estimate_optimized``; the pool is shut down, and its processes are
+    reaped, when the ``with`` block exits."""
+    size = len(_runs(cfg, workers))
+    if size < 2:
+        yield None
+        return
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        yield pool
+
+
+def _run_blocks(job, cfg: SamplerConfig, args: tuple, workers: int = 1,
+                pool: ProcessPoolExecutor | None = None) -> dict[str, Any]:
+    """Run ``job(cfg, *args, run)`` on each run of ``_runs(cfg, workers)``;
+    return one point: ``n`` (draws kept), ``skipped``, and ``mean_<name>``,
     ``se_<name>`` for each name a block sums.
 
-    A block returns ``({name: (sum, sum of squares)}, skipped)``.  These are
-    added in block order, so the point does not depend on ``workers``.
+    A job returns one ``({name: (sum, sum of squares)}, skipped)`` per block
+    of its run.  These are added in block order, so the point does not
+    depend on ``workers``.  With two or more runs, each run is one job of
+    ``pool`` (from ``worker_pool(cfg, workers)``), or of a pool opened for
+    this call when ``pool`` is None; one run is done by the parent.
     """
-    jobs = [(cfg, *args, b, count) for b, count in _blocks(cfg)]
-    # both paths return the blocks in job order; a pool only for 2+ blocks,
-    # and no more processes than blocks
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            results = list(pool.map(block, *zip(*jobs), chunksize=1))
+    runs = _runs(cfg, workers)
+    task = partial(job, cfg, *args)
+    if len(runs) == 1:
+        results = [task(runs[0])]
     else:
-        results = [block(*job) for job in jobs]
+        with (nullcontext(pool) if pool is not None else worker_pool(cfg, workers)) as ex:
+            results = list(ex.map(task, runs))
+    blocks = [block for result in results for block in result]
 
     totals: dict[str, tuple[float, float]] = {}
-    for sums, _ in results:
+    for sums, _ in blocks:
         for name, (s1, s2) in sums.items():
             t1, t2 = totals.get(name, (0.0, 0.0))
             totals[name] = (t1 + s1, t2 + s2)
-    skipped = sum(skip for _, skip in results)
+    skipped = sum(skip for _, skip in blocks)
     n = cfg.sample_count - skipped
     point = {"n": n, "skipped": skipped}
     for name, (s1, s2) in totals.items():
@@ -121,14 +155,16 @@ def _run_blocks(block, cfg: SamplerConfig, args: tuple, workers: int = 1) -> dic
     return point
 
 
-def _ergodic_block(cfg: SamplerConfig, p: SystemParams, d: DesignPoint,
-                   block_index: int, count: int):
-    """Per-block (sum, sum of squares) of c1, c2 and the weighted sum at the
-    fixed design ``d``; no draw is skipped."""
-    g1, g2, g3 = sample_gains(cfg, p, block_index, count)
-    c1, c2, ws = _rate_tuple(p.avg_snr, p.mu, p.eta, g1, g2, g3,
-                             d.alpha, d.rho, p.w1, p.w2)
-    return {"c1": _moments(c1), "c2": _moments(c2), "wsum": _moments(ws)}, 0
+def _ergodic_job(cfg: SamplerConfig, p: SystemParams, d: DesignPoint, run: list):
+    """Per block of ``run``: (sum, sum of squares) of c1, c2 and the weighted
+    sum at the fixed design ``d``; no draw is skipped."""
+    out = []
+    for block_index, count in run:
+        g1, g2, g3 = sample_gains(cfg, p, block_index, count)
+        c1, c2, ws = _rate_tuple(p.avg_snr, p.mu, p.eta, g1, g2, g3,
+                                 d.alpha, d.rho, p.w1, p.w2)
+        out.append(({"c1": _moments(c1), "c2": _moments(c2), "wsum": _moments(ws)}, 0))
+    return out
 
 
 def estimate_ergodic(cfg: SamplerConfig, p: SystemParams, d: DesignPoint) -> dict[str, Any]:
@@ -137,37 +173,46 @@ def estimate_ergodic(cfg: SamplerConfig, p: SystemParams, d: DesignPoint) -> dic
     Returns the point ``n``, ``skipped`` (always 0), and ``mean_<name>`` and
     ``se_<name>`` for ``c1``, ``c2`` and ``wsum`` (the weighted sum).
     """
-    return _run_blocks(_ergodic_block, cfg, (p, d))
+    return _run_blocks(_ergodic_job, cfg, (p, d))
 
 
-def _optimized_block(cfg: SamplerConfig, p: SystemParams, grid: AlphaGridSpec,
-                     baseline: DesignPoint | None, block_index: int, count: int):
-    """Per-block (sum, sum of squares) of each averaged quantity, keyed as in
-    ``estimate_optimized``'s point, and the skipped count."""
-    g1, g2, g3 = sample_gains(cfg, p, block_index, count)
-    keep = g1 != g2
-    k1, k2, k3 = g1[keep], g2[keep], g3[keep]
-    solved = _search(p, k1, k2, k3, grid.n)
-    sums = {"wsum_opt": [0.0, 0.0], "alpha_star": [0.0, 0.0], "rho_star": [0.0, 0.0]}
-    for x1, x2, x3, *row in zip(k1.tolist(), k2.tolist(), k3.tolist(),
-                                *(v.tolist() for v in solved)):
-        # one solve_1d call per kept draw: benchmark/tracing.py counts them
-        out = solve_1d(p, ChannelRealization(g1=x1, g2=x2, g3=x3), grid, row=row)
-        for pair, v in zip(sums.values(),
-                           (out.rate_triple.weighted_sum, out.alpha_star, out.rho_star)):
-            pair[0] += v
-            pair[1] += v * v
-    if baseline is not None:
-        _, _, ws_fixed = _rate_tuple(p.avg_snr, p.mu, p.eta, g1, g2, g3,
-                                     baseline.alpha, baseline.rho, p.w1, p.w2)
-        sums["wsum_fixed"] = _moments(ws_fixed[keep])
-    return sums, count - int(keep.sum())
+def _optimized_job(cfg: SamplerConfig, p: SystemParams, grid: AlphaGridSpec,
+                   baseline: DesignPoint | None, run: list):
+    """Per block of ``run``: (sum, sum of squares) of each averaged quantity,
+    keyed as in ``estimate_optimized``'s point, and the skipped count.  One
+    ``_search`` serves the kept draws of every block of the run: each of its
+    rows takes the bits of its draw alone."""
+    kept, blocks = [], []
+    for block_index, count in run:
+        g1, g2, g3 = sample_gains(cfg, p, block_index, count)
+        keep = g1 != g2
+        kept.append((g1[keep], g2[keep], g3[keep]))
+        sums = {"wsum_opt": [0.0, 0.0], "alpha_star": [0.0, 0.0], "rho_star": [0.0, 0.0]}
+        if baseline is not None:
+            _, _, ws_fixed = _rate_tuple(p.avg_snr, p.mu, p.eta, g1, g2, g3,
+                                         baseline.alpha, baseline.rho, p.w1, p.w2)
+            sums["wsum_fixed"] = _moments(ws_fixed[keep])
+        blocks.append((sums, count - len(kept[-1][0])))
+    gains = [np.concatenate(column) for column in zip(*kept)]
+    solved = _search(p, *gains, grid.n)
+    # each block's kept draws and their rows of the search, in draw order
+    cuts = list(accumulate(len(k1) for k1, _, _ in kept[:-1]))
+    for (sums, _), *columns in zip(blocks, *(np.split(v, cuts) for v in (*gains, *solved))):
+        for x1, x2, x3, *row in zip(*(v.tolist() for v in columns)):
+            # one solve_1d call per kept draw: benchmark/tracing.py counts them
+            out = solve_1d(p, ChannelRealization(g1=x1, g2=x2, g3=x3), grid, row=row)
+            for pair, v in zip(sums.values(),
+                               (out.rate_triple.weighted_sum, out.alpha_star, out.rho_star)):
+                pair[0] += v
+                pair[1] += v * v
+    return blocks
 
 
 def estimate_optimized(cfg: SamplerConfig, p: SystemParams,
                        grid: AlphaGridSpec | None = None,
                        baseline: DesignPoint | None = None,
-                       workers: int = 1) -> dict[str, Any]:
+                       workers: int = 1,
+                       pool: ProcessPoolExecutor | None = None) -> dict[str, Any]:
     """Per-draw optimization over SWAP_ORDERED draws.
 
     Runs the 1D search on every draw and aggregates the optimized weighted
@@ -176,12 +221,20 @@ def estimate_optimized(cfg: SamplerConfig, p: SystemParams,
     ``gain_percent`` is 100 (optimized - fixed) / fixed of the two means.
     Draws with g1 == g2 exactly are skipped, counted, and left out of every
     mean.
+
+    The blocks are split into min(workers, blocks) contiguous runs, and each
+    run is one job: one ``_search`` on the kept draws of all its blocks.  A
+    sweep passes the ``pool`` it opened with ``worker_pool(cfg, workers)``
+    for all its points; without one, a call with two or more runs opens and
+    shuts down a pool of its own.  The point is the same for any
+    ``workers``.
     """
     if not p.w2 > p.w1:
         raise DomainError("optimized sweeps require w2 > w1")
     if cfg.ordering is not Ordering.SWAP_ORDERED:
         raise DomainError("optimized sweeps require swap-ordered draws (g1 >= g2)")
-    point = _run_blocks(_optimized_block, cfg, (p, grid or AlphaGridSpec(), baseline), workers)
+    point = _run_blocks(_optimized_job, cfg, (p, grid or AlphaGridSpec(), baseline),
+                        workers, pool)
     if baseline is not None:
         f_m = point["mean_wsum_fixed"]
         point["gain_percent"] = 100.0 * (point["mean_wsum_opt"] - f_m) / f_m

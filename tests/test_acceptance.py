@@ -8,6 +8,7 @@ except `optimized_dominance`, which runs 20,000 draws per point (`--full`:
 """
 
 import math
+import multiprocessing
 import time
 
 import numpy as np
@@ -111,6 +112,7 @@ def test_08_fig2_gain_bands_and_dominance():
         report(8, res)
     report(8, validation.check_optimized_dominance(seed=SEED + 6, samples=20_000,
                                                    workers=WORKERS))
+    assert multiprocessing.active_children() == []  # each check's pool is shut down
 
 
 def test_09_fig3_trends():
@@ -121,7 +123,9 @@ def test_09_fig3_trends():
     for res in results:
         report(9, res, extra=f" [{elapsed:.1f}s]")
     assert elapsed < 600.0
+    assert multiprocessing.active_children() == []
 
 
 def test_10_worker_count_determinism():
     report(10, validation.check_determinism(seed=SEED + 8))
+    assert multiprocessing.active_children() == []  # run_fig2's pool is shut down

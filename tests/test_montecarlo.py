@@ -1,9 +1,10 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from cnoma_eh import montecarlo, optimizer
+from cnoma_eh import cli, montecarlo, optimizer
 from cnoma_eh.analysis import ergodic_rate_u1
 from cnoma_eh.errors import DomainError
 from cnoma_eh.model import ChannelRealization, DesignPoint, SystemParams, rates
@@ -34,6 +35,36 @@ def ties_and_dead_relays(real):
         g3[5::9] = 0.0
         return g1, g2, g3
     return gains
+
+
+@pytest.fixture
+def recording_pools(monkeypatch):
+    """A stand-in for the process pool that runs each job in this process,
+    so no process is ever started.  Each pool made is recorded as a dict:
+    ``size`` (max_workers), ``maps`` (the runs of each ``map`` call) and
+    ``open`` (False once its ``with`` block has exited); a job's run of
+    blocks is its last argument."""
+    made = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            self.record = {"size": max_workers, "maps": [], "open": True}
+            made.append(self.record)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.record["open"] = False
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            jobs = list(zip(*iterables))
+            self.record["maps"].append([args[-1] for args in jobs])  # each job's run
+            return [fn(*args) for args in jobs]
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingExecutor)
+    return made
 
 
 class TestSampler:
@@ -189,27 +220,25 @@ class TestEstimateOptimized:
         assert pt["mean_wsum_fixed"] == ergodic["mean_wsum"]
         assert pt["se_wsum_fixed"] == ergodic["se_wsum"]
 
-    @pytest.mark.parametrize("n", [1000, 200])  # 4 and 20 draws per grid chunk
-    @pytest.mark.parametrize("snr_db, mu", [(0.0, 0.0), (0.0, 1.0), (40.0, 0.0), (40.0, 1.0)])
-    def test_block_sums_equal_a_plain_solve_loop(self, monkeypatch, n, snr_db, mu):
+    @staticmethod
+    @functools.cache
+    def plain_solve_sums(n, snr_db, mu):
+        """Kept, dead-relay and the (sum, sum of squares) totals of five
+        40-draw blocks: each kept draw solved alone, summed in draw order per
+        block, and the block sums added in block order."""
         gains = ties_and_dead_relays(montecarlo.sample_gains)
-        monkeypatch.setattr(montecarlo, "sample_gains", gains)
         cfg = SamplerConfig(seed=47, ordering=Ordering.SWAP_ORDERED,
-                            sample_count=80, block_size=40)
+                            sample_count=200, block_size=40)
         p = params(snr_db, w2=3.0, mu=mu)
-        grid = AlphaGridSpec(n=n)
-        pt = estimate_optimized(cfg, p, grid)
-        # each kept draw solved alone, summed in draw order per block, and the
-        # block sums added in block order
         totals = {"wsum_opt": [0.0, 0.0], "alpha_star": [0.0, 0.0], "rho_star": [0.0, 0.0]}
         kept = dead = 0
-        for block_index in (0, 1):
+        for block_index in range(5):
             sums = {name: [0.0, 0.0] for name in totals}
             for x1, x2, x3 in zip(*(g.tolist() for g in gains(cfg, p, block_index, 40))):
                 if x1 == x2:
                     continue
                 kept, dead = kept + 1, dead + (x3 == 0.0)
-                out = solve_1d(p, ChannelRealization(x1, x2, x3), grid)
+                out = solve_1d(p, ChannelRealization(x1, x2, x3), AlphaGridSpec(n=n))
                 for name, v in zip(sums, (out.rate_triple.weighted_sum, out.alpha_star,
                                           out.rho_star)):
                     sums[name][0] += v
@@ -217,7 +246,32 @@ class TestEstimateOptimized:
             for name, (s1, s2) in sums.items():
                 totals[name][0] += s1
                 totals[name][1] += s2
-        assert kept == pt["n"] == 74 and pt["skipped"] == 6 and dead > 0
+        return kept, dead, totals
+
+    # n = 1000 and 200: 4 and 20 draws per grid chunk; an id names the
+    # worker count only above 1
+    @pytest.mark.parametrize("snr_db, mu, n, workers, runs", [
+        pytest.param(snr_db, mu, n, workers, runs,
+                     id=f"{snr_db}-{mu}-{n}" + (f"-w{workers}" if workers > 1 else ""))
+        for snr_db, mu in ((0.0, 0.0), (0.0, 1.0), (40.0, 0.0), (40.0, 1.0))
+        for n in (1000, 200)
+        for workers, runs in ((1, [5]), (2, [3, 2]), (3, [2, 2, 1]))])
+    def test_block_sums_equal_a_plain_solve_loop(self, monkeypatch, recording_pools,
+                                                 snr_db, mu, n, workers, runs):
+        # five blocks in runs that do not divide evenly; ties and dead-relay
+        # rows fall in every block, so in every job of two or more blocks
+        kept, dead, totals = self.plain_solve_sums(n, snr_db, mu)
+        monkeypatch.setattr(montecarlo, "sample_gains",
+                            ties_and_dead_relays(montecarlo.sample_gains))
+        cfg = SamplerConfig(seed=47, ordering=Ordering.SWAP_ORDERED,
+                            sample_count=200, block_size=40)
+        pt = estimate_optimized(cfg, params(snr_db, w2=3.0, mu=mu), AlphaGridSpec(n=n),
+                                workers=workers)
+        assert [len(run) for run in montecarlo._runs(cfg, workers)] == runs
+        # one process and one job per run, when there are two or more
+        assert [(pool["size"], pool["maps"]) for pool in recording_pools] == (
+            [(workers, [montecarlo._runs(cfg, workers)])] if workers > 1 else [])
+        assert kept == pt["n"] == 185 and pt["skipped"] == 15 and dead > 0
         for name, (s1, s2) in totals.items():
             mean, se = montecarlo._mean_se(kept, s1, s2)
             assert pt[f"mean_{name}"] == mean and pt[f"se_{name}"] == se
@@ -290,33 +344,42 @@ class TestEstimateOptimized:
         b = estimate_optimized(cfg, p, baseline=BASE, workers=2)
         assert a == b
 
-    def test_pool_never_outnumbers_blocks(self, monkeypatch):
-        # a recording stand-in for the pool: no process is ever started
-        made = []
-
-        class RecordingExecutor:
-            def __init__(self, max_workers):
-                made.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables, chunksize=1):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", RecordingExecutor)
+    def test_pool_never_outnumbers_blocks(self, recording_pools, tmp_path):
         p = params(10, w2=2.0)
         # three blocks: one process per block; one block: the parent runs it
-        for sample_count, workers, pools in ((150, 10**6, [3]), (40, 2, [])):
-            made.clear()
+        for sample_count, workers, sizes in ((150, 10**6, [3]), (40, 2, [])):
+            recording_pools.clear()
             cfg = SamplerConfig(seed=43, ordering=Ordering.SWAP_ORDERED,
                                 sample_count=sample_count, block_size=64)
             point = estimate_optimized(cfg, p, baseline=BASE, workers=workers)
-            assert made == pools
+            assert [pool["size"] for pool in recording_pools] == sizes
+            assert not any(pool["open"] for pool in recording_pools)
             assert point == estimate_optimized(cfg, p, baseline=BASE, workers=1)
+
+        def fig3(samples, workers):
+            cfg = cli.ExperimentConfig(
+                kind="fig3", seed=43, samples=samples, block_size=64, grid_n=200,
+                workers=workers, out=str(tmp_path / f"fig3_{samples}_{workers}.csv"))
+            path = cli.run_figure(cfg)
+            return [line for line in path.read_text().splitlines()
+                    if not line.startswith(("# timestamp=", "# config.out=",
+                                            "# config.workers="))]
+
+        # a sweep of six points of three blocks: one pool of min(workers, 3)
+        # processes serves them all, one map per point, and is shut down
+        # before run_figure returns
+        for workers, size, runs in ((2, 2, [2, 1]), (10**6, 3, [1, 1, 1])):
+            recording_pools.clear()
+            lines = fig3(150, workers)
+            assert [pool["size"] for pool in recording_pools] == [size]
+            [pool] = recording_pools
+            assert not pool["open"]
+            assert [[len(run) for run in jobs] for jobs in pool["maps"]] == [runs] * 6
+            assert lines == fig3(150, 1)
+        # a one-block sweep opens none
+        recording_pools.clear()
+        fig3(40, 2)
+        assert recording_pools == []
 
     def test_coarser_grid_is_close(self):
         cfg = SamplerConfig(seed=39, ordering=Ordering.SWAP_ORDERED, sample_count=500)
