@@ -37,6 +37,7 @@ from .montecarlo import (
     SamplerConfig,
     estimate_ergodic,
     estimate_optimized,
+    estimate_optimized_sweep,
 )
 from .optimizer import (
     AlphaGridSpec,

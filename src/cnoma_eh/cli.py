@@ -236,30 +236,28 @@ def _fig1_rows(cfg: ExperimentConfig, sampler: montecarlo.SamplerConfig):
 
 def _fig2_rows(cfg: ExperimentConfig, sampler: montecarlo.SamplerConfig):
     d = cfg.baseline()
-    grid = cfg.solver_grid()
-    with montecarlo.worker_pool(sampler, cfg.workers) as pool:
-        for snr_db, wt2, p in cfg.system_points():
-            pt = montecarlo.estimate_optimized(sampler, p, grid=grid, baseline=d,
-                                               workers=cfg.workers, pool=pool)
-            yield [float(snr_db), float(wt2), pt["mean_wsum_opt"], pt["se_wsum_opt"],
-                   pt["mean_wsum_fixed"], pt["se_wsum_fixed"], pt["gain_percent"]]
+    points = cfg.system_points()
+    sweep = montecarlo.estimate_optimized_sweep(sampler, [p for _, _, p in points],
+                                                cfg.solver_grid(), d, cfg.workers)
+    for (snr_db, wt2, _), pt in zip(points, sweep):
+        yield [float(snr_db), float(wt2), pt["mean_wsum_opt"], pt["se_wsum_opt"],
+               pt["mean_wsum_fixed"], pt["se_wsum_fixed"], pt["gain_percent"]]
 
 
 def _fig3_rows(cfg: ExperimentConfig, sampler: montecarlo.SamplerConfig):
-    grid = cfg.solver_grid()
-    with montecarlo.worker_pool(sampler, cfg.workers) as pool:
-        for _, wt2, p in cfg.system_points():
-            pt = montecarlo.estimate_optimized(sampler, p, grid=grid, workers=cfg.workers,
-                                               pool=pool)
-            yield [float(wt2), pt["mean_alpha_star"], pt["se_alpha_star"],
-                   pt["mean_rho_star"], pt["se_rho_star"]]
+    points = cfg.system_points()
+    sweep = montecarlo.estimate_optimized_sweep(sampler, [p for _, _, p in points],
+                                                cfg.solver_grid(), workers=cfg.workers)
+    for (_, wt2, _), pt in zip(points, sweep):
+        yield [float(wt2), pt["mean_alpha_star"], pt["se_alpha_star"],
+               pt["mean_rho_star"], pt["se_rho_star"]]
 
 
 class _Figure(NamedTuple):
     """Everything one figure decides: its defaults, its file layout, and a
     row builder ``rows(cfg, sampler)`` yielding one row per sweep point.  An
-    optimized sweep's builder holds one ``montecarlo.worker_pool`` for all
-    its points and shuts it down once the last row is out."""
+    optimized figure's builder makes one ``montecarlo.estimate_optimized_sweep``
+    call, which owns the worker pool for all its points."""
 
     help: str
     samples: int
@@ -301,7 +299,7 @@ def run_figure(cfg: ExperimentConfig) -> Path:
     out = _output_path(cfg, cfg.kind)
     if fig.wtilde2 and any(wt <= 1.0 for wt in cfg.wtilde2_values):
         raise ConfigError(f"{cfg.kind} requires w2 > w1, i.e. every wtilde2 > 1")
-    rows = list(fig.rows(cfg, cfg.sampler()))  # every row out: the pool is shut down
+    rows = list(fig.rows(cfg, cfg.sampler()))  # a sweep's pool is shut down by now
     return _write_sweep(out, cfg, cfg.kind, fig.columns, rows)
 
 

@@ -19,18 +19,17 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import accumulate
+from itertools import islice
 from typing import Any
 
 import numpy as np
 
 from .errors import DomainError
 from .model import ChannelRealization, DesignPoint, SystemParams, _rate_tuple
-from .optimizer import AlphaGridSpec, _search, solve_1d
+from .optimizer import _REFINE_ROWS, AlphaGridSpec, _search, solve_1d
 
 __all__ = [
     "Ordering",
@@ -38,7 +37,7 @@ __all__ = [
     "sample_gains",
     "estimate_ergodic",
     "estimate_optimized",
-    "worker_pool",
+    "estimate_optimized_sweep",
 ]
 
 
@@ -106,40 +105,23 @@ def _runs(cfg: SamplerConfig, workers: int) -> list[list[tuple[int, int]]]:
     return [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-@contextmanager
-def worker_pool(cfg: SamplerConfig, workers: int):
-    """The process pool for every point drawn with ``cfg`` at ``workers``:
-    one process per run of ``_runs(cfg, workers)``, or None where there is
-    one run and the parent does the work.  Pass it to each point's
-    ``estimate_optimized``; the pool is shut down, and its processes are
-    reaped, when the ``with`` block exits."""
-    size = len(_runs(cfg, workers))
-    if size < 2:
-        yield None
-        return
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        yield pool
-
-
-def _run_blocks(job, cfg: SamplerConfig, args: tuple, workers: int = 1,
+def _run_blocks(job, cfg: SamplerConfig, args: tuple,
                 pool: ProcessPoolExecutor | None = None) -> dict[str, Any]:
-    """Run ``job(cfg, *args, run)`` on each run of ``_runs(cfg, workers)``;
-    return one point: ``n`` (draws kept), ``skipped``, and ``mean_<name>``,
+    """Run ``job(cfg, *args, run)`` on runs of ``cfg``'s blocks; return one
+    point: ``n`` (draws kept), ``skipped``, and ``mean_<name>``,
     ``se_<name>`` for each name a block sums.
 
     A job returns one ``({name: (sum, sum of squares)}, skipped)`` per block
     of its run.  These are added in block order, so the point does not
-    depend on ``workers``.  With two or more runs, each run is one job of
-    ``pool`` (from ``worker_pool(cfg, workers)``), or of a pool opened for
-    this call when ``pool`` is None; one run is done by the parent.
+    depend on how the blocks were split.  Without ``pool`` the parent runs
+    every block as one run; with one, the blocks are split by ``_runs`` into
+    one run per process of ``pool`` and each run is one job of it.
     """
-    runs = _runs(cfg, workers)
     task = partial(job, cfg, *args)
-    if len(runs) == 1:
-        results = [task(runs[0])]
+    if pool is None:
+        results = [task(list(_blocks(cfg)))]
     else:
-        with (nullcontext(pool) if pool is not None else worker_pool(cfg, workers)) as ex:
-            results = list(ex.map(task, runs))
+        results = pool.map(task, _runs(cfg, pool._max_workers))  # sized to its runs
     blocks = [block for result in results for block in result]
 
     totals: dict[str, tuple[float, float]] = {}
@@ -180,62 +162,82 @@ def _optimized_job(cfg: SamplerConfig, p: SystemParams, grid: AlphaGridSpec,
                    baseline: DesignPoint | None, run: list):
     """Per block of ``run``: (sum, sum of squares) of each averaged quantity,
     keyed as in ``estimate_optimized``'s point, and the skipped count.  One
-    ``_search`` serves the kept draws of every block of the run: each of its
-    rows takes the bits of its draw alone."""
-    kept, blocks = [], []
-    for block_index, count in run:
-        g1, g2, g3 = sample_gains(cfg, p, block_index, count)
-        keep = g1 != g2
-        kept.append((g1[keep], g2[keep], g3[keep]))
-        sums = {"wsum_opt": [0.0, 0.0], "alpha_star": [0.0, 0.0], "rho_star": [0.0, 0.0]}
-        if baseline is not None:
-            _, _, ws_fixed = _rate_tuple(p.avg_snr, p.mu, p.eta, g1, g2, g3,
-                                         baseline.alpha, baseline.rho, p.w1, p.w2)
-            sums["wsum_fixed"] = _moments(ws_fixed[keep])
-        blocks.append((sums, count - len(kept[-1][0])))
-    gains = [np.concatenate(column) for column in zip(*kept)]
-    solved = _search(p, *gains, grid.n)
-    # each block's kept draws and their rows of the search, in draw order
-    cuts = list(accumulate(len(k1) for k1, _, _ in kept[:-1]))
-    for (sums, _), *columns in zip(blocks, *(np.split(v, cuts) for v in (*gains, *solved))):
-        for x1, x2, x3, *row in zip(*(v.tolist() for v in columns)):
-            # one solve_1d call per kept draw: benchmark/tracing.py counts them
-            out = solve_1d(p, ChannelRealization(g1=x1, g2=x2, g3=x3), grid, row=row)
-            for pair, v in zip(sums.values(),
-                               (out.rate_triple.weighted_sum, out.alpha_star, out.rho_star)):
-                pair[0] += v
-                pair[1] += v * v
-    return blocks
+    ``_search`` serves the kept draws of each group of
+    ceil(``_REFINE_ROWS`` / block_size) blocks of the run, so that a job
+    holds one group's rows, not the run's; each row of a search takes the
+    bits of its draw alone."""
+    group = -(-_REFINE_ROWS // cfg.block_size)
+    out = []
+    for start in range(0, len(run), group):
+        kept = []
+        for block_index, count in run[start:start + group]:
+            g1, g2, g3 = sample_gains(cfg, p, block_index, count)
+            keep = g1 != g2
+            kept.append((g1[keep], g2[keep], g3[keep]))
+            sums = {"wsum_opt": [0.0, 0.0], "alpha_star": [0.0, 0.0], "rho_star": [0.0, 0.0]}
+            if baseline is not None:
+                _, _, ws_fixed = _rate_tuple(p.avg_snr, p.mu, p.eta, g1, g2, g3,
+                                             baseline.alpha, baseline.rho, p.w1, p.w2)
+                sums["wsum_fixed"] = _moments(ws_fixed[keep])
+            out.append((sums, count - len(kept[-1][0])))
+        gains = [np.concatenate(column) for column in zip(*kept)]
+        # the group's rows in draw order: each block takes the next len(k1)
+        rows = zip(*(v.tolist() for v in (*gains, *_search(p, *gains, grid.n))))
+        for (sums, _), (k1, _, _) in zip(out[-len(kept):], kept):
+            for x1, x2, x3, *row in islice(rows, len(k1)):
+                # one solve_1d call per kept draw: benchmark/tracing.py counts them
+                sol = solve_1d(p, ChannelRealization(g1=x1, g2=x2, g3=x3), grid, row=row)
+                for pair, v in zip(sums.values(),
+                                   (sol.rate_triple.weighted_sum, sol.alpha_star, sol.rho_star)):
+                    pair[0] += v
+                    pair[1] += v * v
+        del kept, gains, rows  # before the next group's search, not after it
+    return out
 
 
 def estimate_optimized(cfg: SamplerConfig, p: SystemParams,
                        grid: AlphaGridSpec | None = None,
-                       baseline: DesignPoint | None = None,
-                       workers: int = 1,
+                       baseline: DesignPoint | None = None, *,
                        pool: ProcessPoolExecutor | None = None) -> dict[str, Any]:
     """Per-draw optimization over SWAP_ORDERED draws.
 
     Runs the 1D search on every draw and aggregates the optimized weighted
     sum rate and the optimal coefficients; when ``baseline`` is given the
-    fixed-design weighted sum is accumulated on the same draws, and
+    fixed-design weighted sum is averaged over the same draws, and
     ``gain_percent`` is 100 (optimized - fixed) / fixed of the two means.
     Draws with g1 == g2 exactly are skipped, counted, and left out of every
     mean.
 
-    The blocks are split into min(workers, blocks) contiguous runs, and each
-    run is one job: one ``_search`` on the kept draws of all its blocks.  A
-    sweep passes the ``pool`` it opened with ``worker_pool(cfg, workers)``
-    for all its points; without one, a call with two or more runs opens and
-    shuts down a pool of its own.  The point is the same for any
-    ``workers``.
+    Without ``pool`` the parent does every block and no process is started.
+    ``estimate_optimized_sweep`` passes the pool it owns: the blocks are then
+    split into one contiguous run per process, and each run is one job.  The
+    point is the same either way.
     """
     if not p.w2 > p.w1:
         raise DomainError("optimized sweeps require w2 > w1")
     if cfg.ordering is not Ordering.SWAP_ORDERED:
         raise DomainError("optimized sweeps require swap-ordered draws (g1 >= g2)")
-    point = _run_blocks(_optimized_job, cfg, (p, grid or AlphaGridSpec(), baseline),
-                        workers, pool)
+    point = _run_blocks(_optimized_job, cfg, (p, grid or AlphaGridSpec(), baseline), pool)
     if baseline is not None:
         f_m = point["mean_wsum_fixed"]
         point["gain_percent"] = 100.0 * (point["mean_wsum_opt"] - f_m) / f_m
     return point
+
+
+def estimate_optimized_sweep(cfg: SamplerConfig, params: list[SystemParams],
+                             grid: AlphaGridSpec | None = None,
+                             baseline: DesignPoint | None = None,
+                             workers: int = 1) -> list[dict[str, Any]]:
+    """``estimate_optimized`` at each ``SystemParams`` of ``params``, in
+    order, on the draws of ``cfg``.
+
+    The blocks are split once into ``_runs(cfg, workers)``.  With two or
+    more runs, one pool of one process per run serves every point, each run
+    one job, and is shut down before this returns; with one run the parent
+    does the work.  The points are the same for any ``workers``.
+    """
+    size = len(_runs(cfg, workers))
+    if size < 2:
+        return [estimate_optimized(cfg, p, grid, baseline) for p in params]
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        return [estimate_optimized(cfg, p, grid, baseline, pool=pool) for p in params]

@@ -349,10 +349,13 @@ def integrate(f, lo: float, hi: float, spec: QuadratureSpec | None = None):
     state = np.full(cap, _SPLIT, dtype=np.int8)
     ends = [(lo, hi, 0)]
     vals[0], errs[0], state[0] = value, err, _OPEN
-    total_value, total_err = vals[0].copy(), errs[0].copy()
     n = 1
 
     while True:
+        # totals over the unsplit panels, summed afresh: a running total
+        # drifts, and could stop the loop short of the tolerance
+        live = state[:n] != _SPLIT
+        total_value, total_err = vals[:n][live].sum(axis=0), errs[:n][live].sum(axis=0)
         tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total_value))
         if (total_err <= tol).all() or n > _MAX_PANELS:
             break
@@ -369,8 +372,6 @@ def integrate(f, lo: float, hi: float, spec: QuadratureSpec | None = None):
             continue
         v1, e1 = _kronrod(f, a, m)
         v2, e2 = _kronrod(f, m, b)
-        total_value += (v1 + v2) - vals[j]
-        total_err += (e1 + e2) - errs[j]
         if n + 2 > cap:
             vals, errs = np.concatenate([vals, vals]), np.concatenate([errs, errs])
             state = np.concatenate([state, np.full(cap, _SPLIT, dtype=np.int8)])

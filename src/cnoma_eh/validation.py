@@ -303,14 +303,10 @@ def check_fig2_gains(seed=1006, samples=100_000, workers=1) -> list[CheckResult]
         seed=seed, ordering=montecarlo.Ordering.SWAP_ORDERED, sample_count=samples
     )
     bands = ((5.0, 30.0, 60.0), (2.0, 17.0, 42.0))  # (wtilde2, low, high) gain in %
-    with montecarlo.worker_pool(sampler, workers) as pool:
-        gains = {
-            wt2: montecarlo.estimate_optimized(
-                sampler, SystemParams(avg_snr=10.0, mu=1.0, w1=1.0, w2=wt2),
-                baseline=_MC_DESIGN, workers=workers, pool=pool,
-            )["gain_percent"]
-            for wt2, _, _ in bands
-        }
+    points = montecarlo.estimate_optimized_sweep(
+        sampler, [SystemParams(avg_snr=10.0, mu=1.0, w1=1.0, w2=wt2) for wt2, _, _ in bands],
+        baseline=_MC_DESIGN, workers=workers)
+    gains = {wt2: pt["gain_percent"] for (wt2, _, _), pt in zip(bands, points)}
     results = [
         CheckResult(
             name=f"fig2_gain_wtilde2_{wt2:g}",
@@ -339,14 +335,14 @@ def check_optimized_dominance(seed=1007, samples=4000, workers=1) -> CheckResult
     sampler = montecarlo.SamplerConfig(
         seed=seed, ordering=montecarlo.Ordering.SWAP_ORDERED, sample_count=samples
     )
+    params = [SystemParams(avg_snr=db_to_linear(snr_db), mu=1.0, w1=1.0, w2=2.0)
+              for snr_db in snr_db_values]
+    points = montecarlo.estimate_optimized_sweep(sampler, params, workers=workers)
     worst = math.inf
-    with montecarlo.worker_pool(sampler, workers) as pool:
-        for snr_db in snr_db_values:
-            p = SystemParams(avg_snr=db_to_linear(snr_db), mu=1.0, w1=1.0, w2=2.0)
-            pt = montecarlo.estimate_optimized(sampler, p, workers=workers, pool=pool)
-            for alpha, rho in baselines:
-                fixed = montecarlo.estimate_ergodic(sampler, p, DesignPoint(alpha, rho))
-                worst = min(worst, pt["mean_wsum_opt"] - fixed["mean_wsum"])
+    for p, pt in zip(params, points):
+        for alpha, rho in baselines:
+            fixed = montecarlo.estimate_ergodic(sampler, p, DesignPoint(alpha, rho))
+            worst = min(worst, pt["mean_wsum_opt"] - fixed["mean_wsum"])
     return CheckResult(
         name="optimized_dominance",
         value=worst,
@@ -361,13 +357,10 @@ def check_fig3_trends(seed=1008, samples=100_000, workers=1) -> list[CheckResult
     sampler = montecarlo.SamplerConfig(
         seed=seed, ordering=montecarlo.Ordering.SWAP_ORDERED, sample_count=samples
     )
-    with montecarlo.worker_pool(sampler, workers) as pool:
-        points = [
-            montecarlo.estimate_optimized(
-                sampler, SystemParams(avg_snr=10.0, mu=1.0, w1=1.0, w2=wt2),
-                workers=workers, pool=pool)
-            for wt2 in (1.5, 2.0, 3.0, 5.0, 7.0, 10.0)
-        ]
+    points = montecarlo.estimate_optimized_sweep(
+        sampler, [SystemParams(avg_snr=10.0, mu=1.0, w1=1.0, w2=wt2)
+                  for wt2 in (1.5, 2.0, 3.0, 5.0, 7.0, 10.0)],
+        workers=workers)
 
     def pair_slack(a, b):
         return math.sqrt(a * a + b * b)
@@ -398,9 +391,10 @@ def check_fig3_trends(seed=1008, samples=100_000, workers=1) -> list[CheckResult
 def check_determinism(seed=1009) -> CheckResult:
     """run_fig2 twice with different worker counts must give identical CSVs
     (timestamp line aside).  Blocks of 256 draws give each of the four
-    points 8 blocks; at workers=2 one pool of two processes serves all four
-    points, each point as two jobs of 4 blocks, so the block-order
-    combination of the jobs' per-block sums is compared with one job of 8."""
+    points 8 blocks; at workers=2 the figure's one sweep call opens one pool
+    of two processes for all four points, each point as two jobs of 4
+    blocks, so the block-order combination of the jobs' per-block sums is
+    compared with the parent doing all 8."""
     import tempfile
     from pathlib import Path
 

@@ -48,6 +48,7 @@ def recording_pools(monkeypatch):
 
     class RecordingExecutor:
         def __init__(self, max_workers):
+            self._max_workers = max_workers  # the split _run_blocks reads
             self.record = {"size": max_workers, "maps": [], "open": True}
             made.append(self.record)
 
@@ -265,16 +266,21 @@ class TestEstimateOptimized:
                             ties_and_dead_relays(montecarlo.sample_gains))
         cfg = SamplerConfig(seed=47, ordering=Ordering.SWAP_ORDERED,
                             sample_count=200, block_size=40)
-        pt = estimate_optimized(cfg, params(snr_db, w2=3.0, mu=mu), AlphaGridSpec(n=n),
-                                workers=workers)
         assert [len(run) for run in montecarlo._runs(cfg, workers)] == runs
-        # one process and one job per run, when there are two or more
-        assert [(pool["size"], pool["maps"]) for pool in recording_pools] == (
-            [(workers, [montecarlo._runs(cfg, workers)])] if workers > 1 else [])
-        assert kept == pt["n"] == 185 and pt["skipped"] == 15 and dead > 0
-        for name, (s1, s2) in totals.items():
-            mean, se = montecarlo._mean_se(kept, s1, s2)
-            assert pt[f"mean_{name}"] == mean and pt[f"se_{name}"] == se
+        # one search per run, then one per two blocks of a run (groups
+        # [2, 2, 1], [2, 1] and [2], or one block per run at workers=3)
+        for refine_rows in (montecarlo._REFINE_ROWS, 80):
+            monkeypatch.setattr(montecarlo, "_REFINE_ROWS", refine_rows)
+            recording_pools.clear()
+            [pt] = montecarlo.estimate_optimized_sweep(
+                cfg, [params(snr_db, w2=3.0, mu=mu)], AlphaGridSpec(n=n), workers=workers)
+            # one process and one job per run, when there are two or more
+            assert [(pool["size"], pool["maps"]) for pool in recording_pools] == (
+                [(workers, [montecarlo._runs(cfg, workers)])] if workers > 1 else [])
+            assert kept == pt["n"] == 185 and pt["skipped"] == 15 and dead > 0
+            for name, (s1, s2) in totals.items():
+                mean, se = montecarlo._mean_se(kept, s1, s2)
+                assert pt[f"mean_{name}"] == mean and pt[f"se_{name}"] == se
 
     def test_one_solve_1d_call_per_kept_draw(self, monkeypatch):
         # benchmark/tracing.py wraps montecarlo.solve_1d, counts one solve per
@@ -336,12 +342,13 @@ class TestEstimateOptimized:
             ws_fixed = rates(p, ch, BASE).weighted_sum
             assert ws_opt >= ws_fixed - 1e-4
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, recording_pools):
         cfg = SamplerConfig(seed=37, ordering=Ordering.SWAP_ORDERED,
                             sample_count=2000, block_size=256)
-        p = params(10, w2=5.0)
-        a = estimate_optimized(cfg, p, baseline=BASE, workers=1)
-        b = estimate_optimized(cfg, p, baseline=BASE, workers=2)
+        ps = [params(10, w2=5.0), params(20, w2=2.0)]
+        a = montecarlo.estimate_optimized_sweep(cfg, ps, baseline=BASE, workers=1)
+        b = montecarlo.estimate_optimized_sweep(cfg, ps, baseline=BASE, workers=2)
+        assert [pool["size"] for pool in recording_pools] == [2]
         assert a == b
 
     def test_pool_never_outnumbers_blocks(self, recording_pools, tmp_path):
@@ -351,10 +358,11 @@ class TestEstimateOptimized:
             recording_pools.clear()
             cfg = SamplerConfig(seed=43, ordering=Ordering.SWAP_ORDERED,
                                 sample_count=sample_count, block_size=64)
-            point = estimate_optimized(cfg, p, baseline=BASE, workers=workers)
+            [point] = montecarlo.estimate_optimized_sweep(cfg, [p], baseline=BASE,
+                                                          workers=workers)
             assert [pool["size"] for pool in recording_pools] == sizes
             assert not any(pool["open"] for pool in recording_pools)
-            assert point == estimate_optimized(cfg, p, baseline=BASE, workers=1)
+            assert point == estimate_optimized(cfg, p, baseline=BASE)
 
         def fig3(samples, workers):
             cfg = cli.ExperimentConfig(
@@ -380,6 +388,37 @@ class TestEstimateOptimized:
         recording_pools.clear()
         fig3(40, 2)
         assert recording_pools == []
+
+    def test_a_point_alone_starts_no_process(self, recording_pools):
+        # only the sweep makes a pool: a lone call at any block count keeps
+        # every block in the parent
+        p = params(10, w2=2.0)
+        for sample_count in (40, 150, 640):
+            cfg = SamplerConfig(seed=43, ordering=Ordering.SWAP_ORDERED,
+                                sample_count=sample_count, block_size=64)
+            assert estimate_optimized(cfg, p, baseline=BASE)["n"] == sample_count
+        assert recording_pools == []
+
+    def test_point_memory_does_not_grow_with_its_blocks(self):
+        # a job searches ceil(_REFINE_ROWS / block_size) blocks at a time, so
+        # eight 1024-draw blocks peak about where one does
+        import tracemalloc
+
+        p = params(20, w2=2.0)
+
+        def peak(sample_count):
+            cfg = SamplerConfig(seed=51, ordering=Ordering.SWAP_ORDERED,
+                                sample_count=sample_count, block_size=1024)
+            tracemalloc.start()
+            try:
+                estimate_optimized(cfg, p, baseline=BASE)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(1024)  # the first call's one-off allocations (caches, imports) aside
+        one, eight = peak(1024), peak(8 * 1024)
+        assert eight <= 1.2 * one, (one, eight)
 
     def test_coarser_grid_is_close(self):
         cfg = SamplerConfig(seed=39, ordering=Ordering.SWAP_ORDERED, sample_count=500)

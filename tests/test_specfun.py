@@ -330,12 +330,30 @@ class TestQuadrature:
             integrate(bad, 0.0, 1.0)
 
     def test_tolerance_not_met_warning_still_returns_value(self):
-        # a relative tolerance below double rounding cannot be met
-        spec = QuadratureSpec(rel_tol=1e-17, abs_tol=1e-20)
+        # a relative tolerance of 1e-25 cannot be met: refinement stops at the
+        # panel cap (at 1e-17 the same integral converges, test below)
+        spec = QuadratureSpec(rel_tol=1e-25, abs_tol=1e-30)
         with pytest.warns(ToleranceNotMet):
             value, err = integrate(lambda x: np.exp(-x) / (1 + 50 * x * x), 0.0, 30.0, spec)
         assert math.isfinite(value)
         assert err > 0
+
+    def test_never_stops_as_converged_short_of_the_tolerance(self, monkeypatch):
+        # a stop test on running totals drifted by about an ulp of the first
+        # panel: it stopped here after 29 panels as if converged, and the
+        # final sum (7.9e-18) then missed the tolerance (1.7e-18) and warned
+        calls = []
+        real = specfun._kronrod
+        monkeypatch.setattr(specfun, "_kronrod",
+                            lambda f, a, b: calls.append((a, b)) or real(f, a, b))
+        spec = QuadratureSpec(rel_tol=1e-17, abs_tol=1e-300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ToleranceNotMet)
+            value, err = integrate(lambda x: np.exp(-x) / (1 + 50 * x * x), 0.0, 30.0, spec)
+        assert err <= spec.rel_tol * abs(value)
+        assert 29 < len(calls) < specfun._MAX_PANELS
+        exact = mp.quad(lambda x: mp.exp(-x) / (1 + 50 * x * x), [0, 1, 30])
+        assert value == pytest.approx(float(exact), rel=1e-15)
 
 
 class TestVectorIntegrand:
