@@ -162,10 +162,10 @@ def _optimized_job(cfg: SamplerConfig, p: SystemParams, grid: AlphaGridSpec,
                    baseline: DesignPoint | None, run: list):
     """Per block of ``run``: (sum, sum of squares) of each averaged quantity,
     keyed as in ``estimate_optimized``'s point, and the skipped count.  One
-    ``_search`` serves the kept draws of each group of
-    ceil(``_REFINE_ROWS`` / block_size) blocks of the run, so that a job
-    holds one group's rows, not the run's; each row of a search takes the
-    bits of its draw alone."""
+    ``_search``, and one ``_rate_tuple`` at its alpha* and rho*, serve the
+    kept draws of each group of ceil(``_REFINE_ROWS`` / block_size) blocks
+    of the run, so that a job holds one group's rows, not the run's; each
+    row of either takes the bits of its draw alone."""
     group = -(-_REFINE_ROWS // cfg.block_size)
     out = []
     for start in range(0, len(run), group):
@@ -181,8 +181,10 @@ def _optimized_job(cfg: SamplerConfig, p: SystemParams, grid: AlphaGridSpec,
                 sums["wsum_fixed"] = _moments(ws_fixed[keep])
             out.append((sums, count - len(kept[-1][0])))
         gains = [np.concatenate(column) for column in zip(*kept)]
+        solved = _search(p, *gains, grid.n)
+        rated = _rate_tuple(p.avg_snr, p.mu, p.eta, *gains, solved[0], solved[1], p.w1, p.w2)
         # the group's rows in draw order: each block takes the next len(k1)
-        rows = zip(*(v.tolist() for v in (*gains, *_search(p, *gains, grid.n))))
+        rows = zip(*(v.tolist() for v in (*gains, *solved, *rated)))
         for (sums, _), (k1, _, _) in zip(out[-len(kept):], kept):
             for x1, x2, x3, *row in islice(rows, len(k1)):
                 # one solve_1d call per kept draw: benchmark/tracing.py counts them
@@ -191,7 +193,7 @@ def _optimized_job(cfg: SamplerConfig, p: SystemParams, grid: AlphaGridSpec,
                                    (sol.rate_triple.weighted_sum, sol.alpha_star, sol.rho_star)):
                     pair[0] += v
                     pair[1] += v * v
-        del kept, gains, rows  # before the next group's search, not after it
+        del kept, gains, solved, rated, rows  # before the next group's search, not after it
     return out
 
 

@@ -43,11 +43,16 @@ matters on [0, 1).  Case split per candidate alpha:
 The 1D search evaluates log f(alpha, rho*(alpha)) on a uniform alpha grid
 (built once per grid size and cached read-only) and sharpens the incumbent
 with a golden-section pass on the bracketing interval.  One array function,
-``_profile``, evaluates the profile everywhere.  ``_search`` runs the search
+``_profile``, evaluates the profile everywhere.  It and its kernels
+(``_coeffs``, ``_feasibility_root``, ``_stationary_root``) write every
+intermediate into the buffers of a ``_Workspace`` with numpy's ``out=``,
+each element through the float operations of the plain expression, so a
+profile allocates no array of its own size.  ``_search`` runs the search
 for a set of draws: the grid stage (``_grid_argmax``) on (rows x n) chunks,
 then the refine (``_golden_rows``) on slices of up to ``_REFINE_ROWS`` draws
 in lock-step, each draw stopping after the probes it would take alone, and
-one last profile at each draw's alpha* for rho* and the branch.  Every
+one last profile at each draw's alpha* for rho* and the branch; one
+workspace serves all the chunks and one all the probes.  Every
 operation on the way is elementwise, so a row gets the bits its draw gets
 alone and outcomes do not depend on the block.  numpy does each of them,
 except the logs of the refine's probes: those come from ``math.log``
@@ -115,18 +120,24 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Width in alpha at which the golden-section refine stops.
 _REFINE_TOL = 1e-6
 
-# Draws of one refine slice.  Per draw, the lock-step refine on a 2-core VM
-# with numpy 2.4 took 76-88 us at 16 rows, 12-20 us at 256, 8.4-11.5 us at
-# 1024 and 7.3-8.2 us at 8192, while its tracemalloc peak grew with the
-# slice: 74 KB, 283 KB and 2.2 MB.
+# Draws of one refine slice.  Per draw, the lock-step refine and the final
+# profile, all in one workspace of the slice's rows, took 109 us at 16 rows,
+# 25 us at 256, 16 us at 1024 and 14 us at 8192 on a 2-core VM with numpy
+# 2.4 (level with a fresh temporary per operation), while the tracemalloc
+# peak grew with the slice: 10 KB, 79 KB, 294 KB and 2.3 MB.
 _REFINE_ROWS = 1024
 
 # Cells of one grid-stage chunk: rows = max(1, _GRID_CELLS // n) draws share
-# each (rows x n) profile.  At n = 1000 on a 2-core VM with numpy 2.4, the
-# grid stage per draw at 4 rows took 0.65 of its time for one draw alone;
-# 2 rows and 8 or 16 rows were slower than 4.  The profile holds about 16
-# temporaries of rows x n floats at once, 0.5 MB at 4 rows.
-_GRID_CELLS = 4096
+# each (rows x n) profile, computed in one workspace of thirteen float and
+# four bool buffers of that shape.  At n = 1000 on a 2-core VM with numpy
+# 2.4, per draw and against a fresh temporary per operation at 4 rows, the
+# grid stage ran 1.06x as fast at 4 rows, 1.27x at 8, 1.28x at 16, 1.17x at
+# 32 and 0.93x at 64 (medians of 15 interleaved rounds): past 16 rows the
+# buffers outgrow the 2 MB L2 cache.  8 rows keep the workspace at 0.86 MB,
+# half of 16 rows', and each float buffer (64 KB) under glibc's default
+# 128 KiB mmap threshold, so the buffers come from the heap, not from a
+# fresh mapping per search.
+_GRID_CELLS = 8192
 
 # Top of the 2D oracle's rho grid; short of _RHO_CAP until the solver's
 # rho -> 1 edge is mended (ROADMAP item 3).
@@ -174,12 +185,42 @@ def _check_alpha(alpha: float):
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
 
 
-def _libm_log(x):
+def _libm_log(x, out=None):
     """math.log of each element of a 1-D array, for the refine's probes:
     numpy's log differs from libm's in the last bit on some inputs, and
     where the profile is that flat a golden-section comparison follows it.
-    A zero or negative element raises ValueError, as math.log does."""
-    return np.fromiter(map(math.log, x.tolist()), float, x.size)
+    Writes into ``out`` when given, as a ufunc does.  A zero or negative
+    element raises ValueError, as math.log does."""
+    logs = np.fromiter(map(math.log, x.tolist()), float, x.size)
+    if out is None:
+        return logs
+    out[...] = logs
+    return out
+
+
+class _Workspace(NamedTuple):
+    """Buffers of one shape that the profile's kernels write into, in place
+    of the temporaries each numpy expression would allocate: ``f`` holds
+    float buffers, ``b`` bool ones.  Every result a kernel returns is one of
+    them, valid until the next kernel call on the same buffers; a caller
+    that keeps one copies it.  Outside the guards' rare branches no ufunc
+    call writes into one of its own inputs: numpy 2.4 runs such a call
+    through its general iterator, whose set-up costs more than the
+    arithmetic on the refine's few rows."""
+
+    f: tuple
+    b: tuple
+
+    def rows(self, count: int) -> _Workspace:
+        """The leading ``count`` rows of every buffer: each stays contiguous."""
+        return _Workspace(tuple(x[:count] for x in self.f), tuple(x[:count] for x in self.b))
+
+
+def _workspace(shape) -> _Workspace:
+    """A fresh workspace of ``shape``: the thirteen float buffers and four
+    bool buffers one ``_profile`` uses."""
+    return _Workspace(tuple(np.empty(shape) for _ in range(13)),
+                      tuple(np.empty(shape, dtype=bool) for _ in range(4)))
 
 
 class _Draw(NamedTuple):
@@ -208,7 +249,11 @@ def _alpha_grid(n: int):
     return alphas, rest
 
 
-def _coeffs(k: _Draw, alpha, rest):
+def _shape(*arrays):
+    return np.broadcast_shapes(*map(np.shape, arrays))
+
+
+def _coeffs(k: _Draw, alpha, rest, ws: _Workspace | None = None):
     """Everything f_alpha and its two quadratics need at alpha (a float or
     an array, with rest = 1 - alpha):
 
@@ -216,76 +261,136 @@ def _coeffs(k: _Draw, alpha, rest):
         a, b, c                        feasibility quadratic a rho^2 - b rho + c
         lead, beta, constant, theta    stationary quadratic lead rho^2 - 2 beta rho
                                        + constant; its discriminant is 4 theta
-    """
+
+    written into ``ws.f[0:10]`` in that order (``ws.f[10:12]`` are
+    scratch) and returned as those buffers.  ``ws`` has the shape of alpha
+    broadcast against the draw's arrays; without it a fresh one is made.
+    Each element takes the float operations, in order, of the expressions
+    in the comments."""
     p, g1, g2, q = k
     snr, mu, w = p.avg_snr, p.mu, p.wtilde2
+    ws = ws or _workspace(_shape(alpha, g1, q))
+    d, e, pp, a, b, c, lead, beta, constant, theta, s, u = ws.f[:12]
     t = 1.0 + mu
     half_q, q_w = 0.5 * q, q * w
     a_snr = alpha * snr
     r_snr = rest * snr
-    r_snr_g1 = r_snr * g1
-    e = 1.0 + a_snr * g1
-    d = e + mu
-    pp = 1.0 + r_snr * g2 / (a_snr * g2 + 1.0 + mu)
-    direct = pp - 1.0
-    lead = q_w * e
-    beta = half_q * d * (w - 1.0) + half_q * e * t * (w + 1.0)
-    constant = (d - e * t) * pp + q_w * t * d
-    return (d, e, pp,
-            q * e, q * d - direct * e + r_snr_g1, r_snr_g1 - direct * d,
-            lead, beta, constant, beta * beta - lead * constant)
+    # e = 1 + a_snr g1;  d = e + mu
+    np.add(np.multiply(a_snr, g1, out=d), 1.0, out=e)
+    np.add(e, mu, out=d)
+    # pp = 1 + r_snr g2 / (a_snr g2 + 1 + mu);  direct = pp - 1, in u
+    np.add(np.add(np.multiply(a_snr, g2, out=u), 1.0, out=pp), mu, out=u)
+    np.divide(np.multiply(r_snr, g2, out=pp), u, out=a)
+    np.add(a, 1.0, out=pp)
+    np.subtract(pp, 1.0, out=u)
+    # a = q e;  b = q d - direct e + r_snr g1;  c = r_snr g1 - direct d
+    np.multiply(r_snr, g1, out=s)
+    np.multiply(q, e, out=a)
+    np.add(np.subtract(np.multiply(q, d, out=b), np.multiply(u, e, out=c), out=lead), s, out=b)
+    np.subtract(s, np.multiply(u, d, out=lead), out=c)
+    # lead = q_w e;  beta = half_q d (w - 1) + half_q e t (w + 1)
+    np.multiply(q_w, e, out=lead)
+    np.multiply(np.multiply(half_q, d, out=u), w - 1.0, out=s)
+    np.multiply(np.multiply(np.multiply(half_q, e, out=u), t, out=beta), w + 1.0, out=u)
+    np.add(s, u, out=beta)
+    # constant = (d - e t) pp + q_w t d;  theta = beta beta - lead constant
+    np.multiply(np.subtract(d, np.multiply(e, t, out=s), out=u), pp, out=s)
+    np.add(s, np.multiply(q_w * t, d, out=u), out=constant)
+    np.subtract(np.multiply(beta, beta, out=s), np.multiply(lead, constant, out=u), out=theta)
+    return d, e, pp, a, b, c, lead, beta, constant, theta
 
 
-def _feasibility_root(a, b, c):
-    """rho_tilde: the smaller root 2c / (b + sqrt(b^2 - 4ac)), capped at 1.
-    The guard's scale is formed only when some discriminant is negative: a
-    non-negative or NaN one can never trip it."""
-    disc = b * b - 4.0 * a * c
-    if (disc < 0.0).any():
-        scale = np.maximum(abs(a), np.maximum(abs(b), abs(c)))
-        if (disc < -_DISC_GUARD * scale * scale).any():
+def _feasibility_root(a, b, c, ws: _Workspace | None = None):
+    """rho_tilde: the smaller root 2c / (b + sqrt(b^2 - 4ac)), capped at 1,
+    written into ``ws.f[0]`` (``ws.f[1:3]`` and ``ws.b[0]`` are scratch)
+    and returned as that buffer.  The guard's scale is formed only when
+    some discriminant is negative: a non-negative or NaN one can never trip
+    it."""
+    ws = ws or _workspace(_shape(a, b, c))
+    out, disc, tmp = ws.f[:3]
+    # disc = b b - 4 a c
+    np.multiply(np.multiply(4.0, a, out=tmp), c, out=out)
+    np.subtract(np.multiply(b, b, out=tmp), out, out=disc)
+    if np.count_nonzero(np.less(disc, 0.0, out=ws.b[0])):
+        # scale = max(|a|, max(|b|, |c|));  disc < -guard scale scale
+        np.maximum(np.abs(b, out=out), np.abs(c, out=tmp), out=out)
+        scale = np.maximum(np.abs(a, out=tmp), out, out=tmp)
+        np.multiply(np.multiply(-_DISC_GUARD, scale, out=out), scale, out=out)
+        if np.count_nonzero(np.less(disc, out, out=ws.b[0])):
             raise NumericalFailure("feasibility discriminant below roundoff guard")
-    return np.minimum(2.0 * c / (b + np.sqrt(np.maximum(disc, 0.0))), 1.0)
+    # min(2c / (b + sqrt(max(disc, 0))), 1)
+    np.add(b, np.sqrt(np.maximum(disc, 0.0, out=out), out=tmp), out=out)
+    np.divide(np.multiply(2.0, c, out=tmp), out, out=disc)
+    return np.minimum(disc, 1.0, out=out)
 
 
-def _stationary_root(lead, beta, constant, theta):
+def _stationary_root(lead, beta, constant, theta, ws: _Workspace | None = None):
     """rho_bar: the smaller stationary root, in whichever of its two forms
-    does not cancel.  The guard's scale is formed only when some theta is
-    negative."""
-    if (lead == 0.0).any():
+    does not cancel, written into ``ws.f[1]`` (``ws.f[0]``, ``ws.f[2]`` and
+    ``ws.b[0:2]`` are scratch) and returned as that buffer.  The guard's
+    scale is formed only when some theta is negative."""
+    ws = ws or _workspace(_shape(lead, beta, constant, theta))
+    num, root, den = ws.f[:3]
+    positive, other = ws.b[:2]
+    if np.count_nonzero(np.equal(lead, 0.0, out=positive)):
         raise DivisionDegenerate(
             "stationary-point quadratic degenerates when q * wtilde2 * e == 0"
         )
-    if (theta < 0.0).any():
-        scale = np.maximum(beta * beta, abs(lead * constant))
-        if (theta < -_DISC_GUARD * scale).any():
+    if np.count_nonzero(np.less(theta, 0.0, out=positive)):
+        # scale = max(beta beta, |lead constant|);  theta < -guard scale
+        np.abs(np.multiply(lead, constant, out=num), out=root)
+        scale = np.maximum(np.multiply(beta, beta, out=num), root, out=den)
+        if np.count_nonzero(np.less(theta, np.multiply(-_DISC_GUARD, scale, out=num),
+                                    out=positive)):
             raise NumericalFailure("stationary-point discriminant below roundoff guard")
-    root = np.sqrt(np.maximum(theta, 0.0))
-    positive = beta > 0.0
-    return (np.where(positive, constant, beta - root)
-            / np.where(positive, beta + root, lead))
+    np.sqrt(np.maximum(theta, 0.0, out=num), out=root)
+    # where(beta > 0, constant, beta - root) / where(beta > 0, beta + root, lead)
+    np.greater(beta, 0.0, out=positive)
+    np.copyto(np.subtract(beta, root, out=num), constant, where=positive)
+    np.copyto(np.add(beta, root, out=den), lead, where=np.logical_not(positive, out=other))
+    return np.divide(num, den, out=root)
 
 
-def _profile(k: _Draw, alpha, rest, log=np.log):
+def _profile(k: _Draw, alpha, rest, log=np.log, ws: _Workspace | None = None):
     """rho*(alpha), the interior and lower masks of the case split, and
     log f(alpha, rho*(alpha)): the profile the 1D search maximizes.
     ``alpha`` is an array inside (0, 1) that broadcasts against the arrays
     in ``k``, with rest = 1 - alpha; ``log`` is np.log, or _libm_log for the
-    refine's probes.  See the module docstring for the case split."""
-    d, e, pp, a, b, c, lead, beta, constant, theta = _coeffs(k, alpha, rest)
+    refine's probes.  The four results are buffers of ``ws`` (a fresh
+    workspace without it), each of the shape of alpha broadcast against
+    ``k``.  See the module docstring for the case split."""
+    ws = ws or _workspace(_shape(alpha, k.g1, k.q))
+    d, e, pp, a, b, c, lead, beta, constant, theta = _coeffs(k, alpha, rest, ws)
     p, q = k.p, k.q
+    f = ws.f
+    positive, lower, interior, flag = ws.b
+    rho = f[7]
     if not np.count_nonzero(q):
         # dead relay link (in every row): rho* = 0 at every alpha (never
         # interior, always lower)
-        interior, lower, rb, rt = alpha < 0.0, alpha > 0.0, 0.0, 0.0
+        np.less(alpha, 0.0, out=interior)
+        np.greater(alpha, 0.0, out=lower)
+        rho.fill(0.0)
     else:
-        rt = _feasibility_root(a, b, c)
-        rb = _stationary_root(lead, beta, constant, theta)
-        positive = theta > 0.0
-        interior = positive & (rb > 0.0) & (rb < rt)
-        lower = positive & (rb <= 0.0)
-    rho = np.where(interior, rb, np.where(lower, 0.0, np.minimum(rt, _RHO_CAP)))
-    log_f = log(d - e * rho) - log(1.0 + p.mu - rho) + p.wtilde2 * log(pp + q * rho)
+        # rb in f[11]; rt in f[6], once lead, beta and constant are spent
+        rb = _stationary_root(lead, beta, constant, theta, _Workspace(f[10:13], ws.b[1:3]))
+        np.greater(theta, 0.0, out=positive)
+        rt = _feasibility_root(a, b, c, _Workspace(f[6:9], ws.b[1:2]))
+        # interior = positive & (rb > 0) & (rb < rt);  lower = positive & (rb <= 0)
+        np.bitwise_and(positive, np.greater(rb, 0.0, out=flag), out=lower)
+        np.bitwise_and(lower, np.less(rb, rt, out=flag), out=interior)
+        np.bitwise_and(positive, np.less_equal(rb, 0.0, out=flag), out=lower)
+        # rho = where(interior, rb, where(lower, 0, min(rt, _RHO_CAP)))
+        np.minimum(rt, _RHO_CAP, out=rho)
+        np.copyto(rho, 0.0, where=lower)
+        np.copyto(rho, rb, where=interior)
+    # log f = log(d - e rho) - log(1 + mu - rho) + wr log(pp + q rho)
+    log_f, x, log_t, log_p = f[8], f[9], f[10], f[12]
+    log(np.subtract(d, np.multiply(e, rho, out=log_f), out=x), out=log_f)
+    log(np.subtract(1.0 + p.mu, rho, out=x), out=log_t)
+    log(np.add(pp, np.multiply(q, rho, out=x), out=log_p), out=x)
+    np.multiply(p.wtilde2, x, out=log_p)
+    np.add(np.subtract(log_f, log_t, out=x), log_p, out=log_f)
     return rho, interior, lower, log_f
 
 
@@ -330,18 +435,19 @@ def optimal_rho_for_alpha(p: SystemParams, ch: ChannelRealization, alpha: float)
     return rho.item(), _branch(interior.item(), lower.item())
 
 
-def _grid_argmax(k: _Draw, n: int):
+def _grid_argmax(k: _Draw, n: int, ws: _Workspace | None = None):
     """The grid stage: the first-hit argmax index of log f on the n-point
     alpha grid (the smallest alpha wins ties) and log f there.  ``k`` holds
     a chunk's inputs as (rows, 1) columns with q == 0 in every row or in
-    none; the profile is then (rows x n) and each row gets the same float
-    operations, and so the same bits, as its draw alone."""
+    none; the profile is then (rows x n), in ``ws`` when given, and each
+    row gets the same float operations, and so the same bits, as its draw
+    alone."""
     alphas, rest = _alpha_grid(n)
-    logf = _profile(k, alphas, rest)[3]
+    logf = _profile(k, alphas, rest, ws=ws)[3]
     return logf.argmax(axis=-1), logf.max(axis=-1)
 
 
-def _golden_rows(k: _Draw, lo, hi, x0, f0):
+def _golden_rows(k: _Draw, lo, hi, x0, f0, ws: _Workspace | None = None):
     """Golden-section maximization of each row's profile on [lo, hi], all
     rows in lock-step.  ``k`` holds the rows' inputs as (rows,) arrays, with
     q == 0 in every row or in none.  Each row takes the probes, the tie rule
@@ -350,11 +456,14 @@ def _golden_rows(k: _Draw, lo, hi, x0, f0):
     starts that narrow takes one probe at its midpoint (c = d).  Every row
     stays in the loop until the last one stops: a stopped row probes its
     best point again, after which c = d = that point, so it never evaluates
-    a point its draw alone would not.  Returns per row alpha*, the best
-    probe where it beats the incumbent (x0, f0) strictly and x0 otherwise,
-    and the number of probes."""
+    a point its draw alone would not.  Every probe's profile is computed in
+    ``ws`` (one fresh workspace for all of them without it).  Returns per
+    row alpha*, the best probe where it beats the incumbent (x0, f0)
+    strictly and x0 otherwise, and the number of probes."""
+    ws = ws or _workspace(np.shape(lo))
+
     def g(x):
-        return _profile(k, x, 1.0 - x, _libm_log)[3]
+        return _profile(k, x, 1.0 - x, _libm_log, ws)[3]
 
     a, b = lo, hi
     width = b - a
@@ -363,7 +472,8 @@ def _golden_rows(k: _Draw, lo, hi, x0, f0):
     step = _INVPHI * width
     c = np.where(narrow, mid, b - step)
     d = np.where(narrow, mid, a + step)
-    fc, fd = g(c), g(d)
+    fc = g(c).copy()  # g's result is a view of ws, which the next probe reuses
+    fd = g(d).copy()
     probes = np.where(narrow, 1, 2)
     while (go := width > _REFINE_TOL).any():
         left = fc >= fd
@@ -390,9 +500,13 @@ def _search(p: SystemParams, g1, g2, g3, n: int):
     stage in chunks of max(1, _GRID_CELLS // n) draws, then the refine in
     slices of at most _REFINE_ROWS draws, on each draw's grid bracket: one
     grid step either side of its incumbent, inside the grid.  Each slice
-    ends with one profile at its draws' alpha*."""
+    ends with one profile at its draws' alpha*.  One workspace of
+    (chunk x n) serves every grid chunk and one of up to _REFINE_ROWS rows
+    every slice, each through its leading rows."""
     alphas = _alpha_grid(n)[0]
     chunk = max(1, _GRID_CELLS // n)
+    grid_ws = _workspace((min(chunk, len(g1)), n))
+    refine_ws = _workspace((min(_REFINE_ROWS, len(g1)),))
     alpha_star, rho_star = np.empty(len(g1)), np.empty(len(g1))
     interior, lower = np.empty(len(g1), dtype=bool), np.empty(len(g1), dtype=bool)
     evaluations = np.empty(len(g1), dtype=np.intp)
@@ -403,15 +517,17 @@ def _search(p: SystemParams, g1, g2, g3, n: int):
         top = np.empty(part.size)
         for lo in range(0, part.size, chunk):
             s = slice(lo, lo + chunk)
-            index[s], top[s] = _grid_argmax(_draw(p, h1[s, None], h2[s, None], h3[s, None]), n)
+            k = _draw(p, h1[s, None], h2[s, None], h3[s, None])
+            index[s], top[s] = _grid_argmax(k, n, grid_ws.rows(len(k.q)))
         for lo in range(0, part.size, _REFINE_ROWS):
             s = slice(lo, lo + _REFINE_ROWS)
             i, rows = index[s], part[s]
             k = _draw(p, h1[s], h2[s], h3[s])
+            ws = refine_ws.rows(rows.size)
             a, probes = _golden_rows(k, alphas[np.maximum(i - 1, 0)],
-                                     alphas[np.minimum(i + 1, n - 1)], alphas[i], top[s])
+                                     alphas[np.minimum(i + 1, n - 1)], alphas[i], top[s], ws)
             alpha_star[rows] = a
-            rho_star[rows], interior[rows], lower[rows], _ = _profile(k, a, 1.0 - a)
+            rho_star[rows], interior[rows], lower[rows], _ = _profile(k, a, 1.0 - a, ws=ws)
             evaluations[rows] = n + probes + 1
     return alpha_star, rho_star, interior, lower, evaluations
 
@@ -426,12 +542,16 @@ def solve_1d(p: SystemParams, ch: ChannelRealization,
     f(alpha, rho*(alpha)) on the grid, refines the incumbent bracket by
     golden section and takes rho* and the branch at alpha* (``_search``),
     then the rates there.  ``row`` is this draw's (alpha*, rho*, interior,
-    lower, evaluations) from ``_search``, as Python scalars, when the caller
-    has run it already, as the Monte Carlo blocks do for all their draws at
-    once; without it ``_search`` runs on this draw alone.  Alone, a solve
-    costs 1.1-1.7 ms on a 2-core VM with numpy 2.4, mostly numpy's per-call
-    cost on the one-row arrays of the refine.
+    lower, evaluations) from ``_search`` followed by (c1, c2, weighted sum)
+    from ``_rate_tuple`` at (alpha*, rho*), as Python scalars, when the
+    caller has computed them already, as the Monte Carlo blocks do for all
+    their draws at once; without it ``_search`` runs on this draw alone and
+    ``rates`` gives the rates.  Alone, a solve costs about 1.3 ms on a
+    2-core VM with numpy 2.4, mostly numpy's per-call cost on the one-row
+    arrays of the refine; with ``row`` it is only the objective and the
+    outcome.
     """
+    rated = None
     if p.w2 <= p.w1:
         alpha_star, rho_star, branch, evaluations = 1.0 - ALPHA_MIN, 0.0, SolverBranch.TRIVIAL, 1
     else:
@@ -440,14 +560,14 @@ def solve_1d(p: SystemParams, ch: ChannelRealization,
             n = (grid or AlphaGridSpec()).n
             solved = _search(p, np.array([ch.g1]), np.array([ch.g2]), np.array([ch.g3]), n)
             row = [v.item() for v in solved]
-        alpha_star, rho_star, interior, lower, evaluations = row
+        alpha_star, rho_star, interior, lower, evaluations, *rated = row
         branch = _branch(interior, lower)
     d = DesignPoint(alpha=alpha_star, rho=rho_star)
     return OptimizationOutcome(
         alpha_star=alpha_star,
         rho_star=rho_star,
         objective_f=f_objective(p, ch, d),
-        rate_triple=rates(p, ch, d),
+        rate_triple=RateTriple(*rated) if rated else rates(p, ch, d),
         branch=branch,
         evaluations=evaluations,
     )

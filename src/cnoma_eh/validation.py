@@ -143,7 +143,8 @@ def check_stationarity(seed=1003) -> CheckResult:
         k = optimizer._draw(p, ch.g1, ch.g2, ch.g3)
         if k.q == 0.0:
             continue
-        d, e, pp, _, _, _, lead, beta, constant, theta = optimizer._coeffs(k, alpha, 1.0 - alpha)
+        d, e, pp, _, _, _, lead, beta, constant, theta = (
+            v.item() for v in optimizer._coeffs(k, alpha, 1.0 - alpha))
         if theta <= 0.0:
             continue
         rb = optimizer._stationary_root(

@@ -425,7 +425,7 @@ class TestValidateCommand:
 
         # the shared stationary-root helper feeds the alpha grid, the
         # golden-section refine and the final rho*
-        def corrupted(lead, beta, constant, theta):
+        def corrupted(lead, beta, constant, theta, ws=None):
             return (beta - np.sqrt(np.maximum(theta, 0.0))) / (2.0 * lead)
 
         monkeypatch.setattr(optimizer, "_stationary_root", corrupted)

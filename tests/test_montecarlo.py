@@ -307,15 +307,20 @@ class TestEstimateOptimized:
         assert len(calls) == pt["n"] == len(drawn) and pt["skipped"] > 0
         assert [(ch.g1, ch.g2, ch.g3) for (_, ch, _), _ in calls] == drawn
         assert all(args[2] is grid for args, _ in calls)
-        # each call gets its draw's row of the block's search, as Python
-        # scalars, and returns what the draw gives alone
+        # each call gets its draw's row of the block's search and of its
+        # batched rates, as Python scalars, and returns what the draw gives
+        # alone, where solve_1d calls rates on floats
         for (_, ch, _), kwargs in calls:
             alone = real(p, ch, grid)
-            alpha, rho, interior, lower, evaluations = kwargs["row"]
-            assert [type(v) for v in kwargs["row"]] == [float, float, bool, bool, int]
+            alpha, rho, interior, lower, evaluations, c1, c2, wsum = kwargs["row"]
+            assert [type(v) for v in kwargs["row"]] == [float, float, bool, bool, int,
+                                                        float, float, float]
             assert (alpha, rho, evaluations) == (alone.alpha_star, alone.rho_star,
                                                  alone.evaluations)
             assert optimizer._branch(interior, lower) is alone.branch
+            r = alone.rate_triple
+            assert [x.hex() for x in (c1, c2, wsum)] == [
+                x.hex() for x in (r.c1, r.c2, r.weighted_sum)]
             assert real(p, ch, grid, row=kwargs["row"]) == alone
 
     def test_point_statistics(self):

@@ -38,6 +38,7 @@ from cnoma_eh.optimizer import (
     _profile,
     _search,
     _stationary_root,
+    _workspace,
     f_objective,
     optimal_rho_for_alpha,
     rho_tilde,
@@ -76,16 +77,16 @@ def log_f_alpha(coeffs, wtilde2, rho):
 
 def f_coeffs(p, ch, alpha):
     """(d, e, t, pp, q) of f_alpha at a float alpha, from the solver's
-    kernel."""
+    kernel, as floats."""
     k = _draw(p, ch.g1, ch.g2, ch.g3)
-    d, e, pp = _coeffs(k, alpha, 1.0 - alpha)[:3]
+    d, e, pp = (v.item() for v in _coeffs(k, alpha, 1.0 - alpha)[:3])
     return d, e, 1.0 + p.mu, pp, k.q
 
 
 def stationary_terms(p, ch, alpha):
     """(lead, beta, constant, theta) of the stationary-point quadratic, from
-    the solver's kernel."""
-    return _coeffs(_draw(p, ch.g1, ch.g2, ch.g3), alpha, 1.0 - alpha)[6:]
+    the solver's kernel, as floats."""
+    return [v.item() for v in _coeffs(_draw(p, ch.g1, ch.g2, ch.g3), alpha, 1.0 - alpha)[6:]]
 
 
 def theta_beta(p, ch, alpha):
@@ -766,9 +767,9 @@ def refine_log_inputs(p, g1, g2, g3, n):
     seen = []
     real = optimizer._libm_log
 
-    def spy(x):
+    def spy(x, out=None):
         seen.append(x.copy())
-        return real(x)
+        return real(x, out=out)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(optimizer, "_libm_log", spy)
@@ -887,9 +888,9 @@ class TestLockStepRefine:
         seen = []
         real = optimizer._profile
 
-        def spy(draws, alpha, rest, log=np.log):
+        def spy(draws, alpha, rest, *args):
             seen.append(alpha.tolist())
-            return real(draws, alpha, rest, log)
+            return real(draws, alpha, rest, *args)
 
         monkeypatch.setattr(optimizer, "_profile", spy)
 
@@ -971,14 +972,15 @@ class TestGridChunks:
         # refine a slice's as (rows,) arrays; the bad row trips one of them
         stage = {"ndim": 0}
 
-        def corrupted(k, alpha, rest):
-            # the draw with g1 == 2.5 gets coefficients below the guard
-            out = list(real(k, alpha, rest))
+        def corrupted(k, alpha, rest, ws=None):
+            # the draw with g1 == 2.5 gets coefficients below the guard,
+            # written into the buffers the kernel returns
+            out = real(k, alpha, rest, ws)
             if np.ndim(k.g1) == stage["ndim"]:
                 bad = np.equal(k.g1, 2.5)
                 for slot, value in zip(slots, values):
-                    out[slot] = np.where(bad, value, out[slot])
-            return tuple(out)
+                    np.copyto(out[slot], value, where=bad)
+            return out
 
         monkeypatch.setattr(optimizer, "_coeffs", corrupted)
         g3 = np.full(6, 0.8)
@@ -993,6 +995,106 @@ class TestGridChunks:
             good = self.G1 != 2.5
             alpha = _search(self.P, self.G1[good], self.G2[good], g3[good], 1000)[0]
             assert alpha.shape == (5,)
+
+
+def hex_rows(solved):
+    """_search's five arrays as lists, floats as float.hex."""
+    return [[x.hex() if isinstance(x, float) else x for x in v.tolist()] for v in solved]
+
+
+class TestWorkspace:
+    """The profile's kernels write into reused buffers; what they return
+    stays the same whatever the buffers held before."""
+
+    P = SystemParams(avg_snr=100.0, mu=1.0, w1=1.0, w2=3.0)
+
+    @staticmethod
+    def block(count=37):
+        """Swap-ordered draws with every fourth relay link dead: 27 live
+        and 10 dead rows, which no tested chunk of 3 or more rows divides
+        both of."""
+        g = -np.log1p(-np.random.default_rng(21).random((count, 3)))
+        g1, g2 = np.maximum(g[:, 0], g[:, 1]), np.minimum(g[:, 0], g[:, 1])
+        g3 = g[:, 2].copy()
+        g3[::4] = 0.0
+        return g1, g2, g3
+
+    def test_search_outcomes_do_not_depend_on_chunk_or_slice_rows(self, monkeypatch):
+        g1, g2, g3 = self.block()
+        n = 1000
+        want = hex_rows(_search(self.P, g1, g2, g3, n))
+        alone = [hex_rows(_search(self.P, *(np.array([x]) for x in draw), n))
+                 for draw in zip(g1, g2, g3)]
+        assert want == [[row[j][0] for row in alone] for j in range(5)]
+        for chunk_rows in (1, 3, 16, 64):
+            monkeypatch.setattr(optimizer, "_GRID_CELLS", chunk_rows * n)
+            for refine_rows in (7, 1024):
+                monkeypatch.setattr(optimizer, "_REFINE_ROWS", refine_rows)
+                assert hex_rows(_search(self.P, g1, g2, g3, n)) == want, (chunk_rows, refine_rows)
+
+    def test_profile_twice_on_one_workspace(self):
+        g1, g2, g3 = (x[:, None] for x in self.block(16))
+        alphas, rest = _alpha_grid(200)
+        # four live rows, then four dead-relay ones on the same buffers
+        live, dead = [1, 2, 3, 5], [0, 4, 8, 12]
+        first_k = _draw(self.P, g1[live], g2[live], g3[live])
+        second_k = _draw(self.P, g1[dead], g2[dead], g3[dead])
+        ws = _workspace((4, 200))
+        first = _profile(first_k, alphas, rest, ws=ws)
+        kept = [x.copy() for x in first]
+        second = _profile(second_k, alphas, rest, ws=ws)
+        # the views of the first call now hold the second's profile ...
+        assert all(a is b for a, b in zip(first, second))
+        # ... and each call gave what a fresh workspace gives
+        for got, k in ((kept, first_k), (second, second_k)):
+            fresh = _profile(k, alphas, rest)
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in fresh]
+
+    def test_stage_results_do_not_share_the_workspace(self):
+        g1, g2, g3 = self.block(8)
+        live = g3 != 0.0
+        g1, g2, g3 = g1[live], g2[live], g3[live]
+        n = 200
+        alphas = _alpha_grid(n)[0]
+        grid_ws, refine_ws = _workspace((3, n)), _workspace((3,))
+        index, top = _grid_argmax(_draw(self.P, g1[:3, None], g2[:3, None], g3[:3, None]),
+                                  n, grid_ws)
+        k = _draw(self.P, g1[:3], g2[:3], g3[:3])
+        alpha, probes = _golden_rows(k, alphas[np.maximum(index - 1, 0)],
+                                     alphas[np.minimum(index + 1, n - 1)], alphas[index],
+                                     top, refine_ws)
+        kept = [x.copy() for x in (index, top, alpha, probes)]
+        # the next chunk and the final profile reuse both workspaces
+        _grid_argmax(_draw(self.P, g1[3:, None], g2[3:, None], g3[3:, None]), n, grid_ws)
+        _profile(k, alpha, 1.0 - alpha, ws=refine_ws)
+        for got, before in zip((index, top, alpha, probes), kept):
+            assert got.tobytes() == before.tobytes()
+            assert not any(np.shares_memory(got, buf)
+                           for ws in (grid_ws, refine_ws) for buf in ws.f + ws.b)
+
+    def test_grid_stage_allocates_no_chunk_sized_temporary(self):
+        # every (rows x n) array of the grid stage is a buffer of the
+        # workspace.  What it allocates is of the grid's or the rows' size,
+        # and numpy's own buffers for a broadcast operand, of at most
+        # np.getbufsize() elements each (two per call)
+        import tracemalloc
+
+        rows, n = 32, 1000
+        assert rows * n > 2 * np.getbufsize() + 2 * n
+        g1, g2, g3 = self.block(rows)
+        g3 = np.where(g3 == 0.0, 0.5, g3)  # one live chunk
+        for mu in (0.0, 1.0):
+            p = dataclasses.replace(self.P, mu=mu)
+            k = _draw(p, g1[:, None], g2[:, None], g3[:, None])
+            ws = _workspace((rows, n))
+            _grid_argmax(k, n, ws)  # the alpha grid's cache aside
+            tracemalloc.start()
+            try:
+                _grid_argmax(k, n, ws)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < rows * n * 8, peak
 
 
 class TestAlphaGridCache:
