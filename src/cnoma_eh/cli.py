@@ -449,9 +449,13 @@ _BY_INI = {opt.ini: opt for opt in _OPTIONS if opt.ini}
 
 def _load_config_file(path: str, kind: str) -> dict:
     """The entries ``kind`` reads, as config fields; entries it does not read
-    are skipped, so one file can serve every subcommand."""
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    are skipped, so one file can serve every subcommand.  Values are taken
+    literally: a ``%`` is no interpolation."""
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}")
     if not read:
         raise ConfigError(f"config file not found: {path}")
     overrides = {}

@@ -52,13 +52,11 @@ for a set of draws: the grid stage (``_grid_argmax``) on (rows x n) chunks,
 then the refine (``_golden_rows``) on slices of up to ``_REFINE_ROWS`` draws
 in lock-step, each draw stopping after the probes it would take alone, and
 one last profile at each draw's alpha* for rho* and the branch; one
-workspace serves all the chunks and one all the probes.  Every
-operation on the way is elementwise, so a row gets the bits its draw gets
-alone and outcomes do not depend on the block.  numpy does each of them,
-except the logs of the refine's probes: those come from ``math.log``
-(``_libm_log``), because where the profile is flat to the last bit a
-golden-section comparison follows the log's last bit.  ``solve_1d`` packs
-one draw's row of that result; alone it is a batch of one.
+workspace serves all the chunks and one all the probes.  Every operation on
+the way, each log included, is an elementwise numpy call, so a row gets the
+bits its draw gets alone and outcomes do not depend on the block.
+``solve_1d`` packs one draw's row of that result with its rates; alone it
+is a batch of one.
 ``solve_2d_exhaustive`` is the independent benchmark: a plain grid argmax of
 the raw weighted sum (with the min{} in the weak user's rate), kept free of
 the reformulation on purpose.
@@ -183,19 +181,6 @@ def _require_ordered(ch: ChannelRealization):
 def _check_alpha(alpha: float):
     if not 0 < alpha < 1:
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
-
-
-def _libm_log(x, out=None):
-    """math.log of each element of a 1-D array, for the refine's probes:
-    numpy's log differs from libm's in the last bit on some inputs, and
-    where the profile is that flat a golden-section comparison follows it.
-    Writes into ``out`` when given, as a ufunc does.  A zero or negative
-    element raises ValueError, as math.log does."""
-    logs = np.fromiter(map(math.log, x.tolist()), float, x.size)
-    if out is None:
-        return logs
-    out[...] = logs
-    return out
 
 
 class _Workspace(NamedTuple):
@@ -351,14 +336,13 @@ def _stationary_root(lead, beta, constant, theta, ws: _Workspace | None = None):
     return np.divide(num, den, out=root)
 
 
-def _profile(k: _Draw, alpha, rest, log=np.log, ws: _Workspace | None = None):
+def _profile(k: _Draw, alpha, rest, ws: _Workspace | None = None):
     """rho*(alpha), the interior and lower masks of the case split, and
     log f(alpha, rho*(alpha)): the profile the 1D search maximizes.
     ``alpha`` is an array inside (0, 1) that broadcasts against the arrays
-    in ``k``, with rest = 1 - alpha; ``log`` is np.log, or _libm_log for the
-    refine's probes.  The four results are buffers of ``ws`` (a fresh
-    workspace without it), each of the shape of alpha broadcast against
-    ``k``.  See the module docstring for the case split."""
+    in ``k``, with rest = 1 - alpha.  The four results are buffers of ``ws``
+    (a fresh workspace without it), each of the shape of alpha broadcast
+    against ``k``.  See the module docstring for the case split."""
     ws = ws or _workspace(_shape(alpha, k.g1, k.q))
     d, e, pp, a, b, c, lead, beta, constant, theta = _coeffs(k, alpha, rest, ws)
     p, q = k.p, k.q
@@ -386,9 +370,9 @@ def _profile(k: _Draw, alpha, rest, log=np.log, ws: _Workspace | None = None):
         np.copyto(rho, rb, where=interior)
     # log f = log(d - e rho) - log(1 + mu - rho) + wr log(pp + q rho)
     log_f, x, log_t, log_p = f[8], f[9], f[10], f[12]
-    log(np.subtract(d, np.multiply(e, rho, out=log_f), out=x), out=log_f)
-    log(np.subtract(1.0 + p.mu, rho, out=x), out=log_t)
-    log(np.add(pp, np.multiply(q, rho, out=x), out=log_p), out=x)
+    np.log(np.subtract(d, np.multiply(e, rho, out=log_f), out=x), out=log_f)
+    np.log(np.subtract(1.0 + p.mu, rho, out=x), out=log_t)
+    np.log(np.add(pp, np.multiply(q, rho, out=x), out=log_p), out=x)
     np.multiply(p.wtilde2, x, out=log_p)
     np.add(np.subtract(log_f, log_t, out=x), log_p, out=log_f)
     return rho, interior, lower, log_f
@@ -443,7 +427,7 @@ def _grid_argmax(k: _Draw, n: int, ws: _Workspace | None = None):
     row gets the same float operations, and so the same bits, as its draw
     alone."""
     alphas, rest = _alpha_grid(n)
-    logf = _profile(k, alphas, rest, ws=ws)[3]
+    logf = _profile(k, alphas, rest, ws)[3]
     return logf.argmax(axis=-1), logf.max(axis=-1)
 
 
@@ -463,7 +447,7 @@ def _golden_rows(k: _Draw, lo, hi, x0, f0, ws: _Workspace | None = None):
     ws = ws or _workspace(np.shape(lo))
 
     def g(x):
-        return _profile(k, x, 1.0 - x, _libm_log, ws)[3]
+        return _profile(k, x, 1.0 - x, ws)[3]
 
     a, b = lo, hi
     width = b - a
@@ -527,7 +511,7 @@ def _search(p: SystemParams, g1, g2, g3, n: int):
             a, probes = _golden_rows(k, alphas[np.maximum(i - 1, 0)],
                                      alphas[np.minimum(i + 1, n - 1)], alphas[i], top[s], ws)
             alpha_star[rows] = a
-            rho_star[rows], interior[rows], lower[rows], _ = _profile(k, a, 1.0 - a, ws=ws)
+            rho_star[rows], interior[rows], lower[rows], _ = _profile(k, a, 1.0 - a, ws)
             evaluations[rows] = n + probes + 1
     return alpha_star, rho_star, interior, lower, evaluations
 
@@ -538,39 +522,32 @@ def solve_1d(p: SystemParams, ch: ChannelRealization,
     """Weighted-sum-rate maximization by 1D search over alpha.
 
     For w2 <= w1 the optimum is the no-cooperation corner (all source power
-    on x1, no splitting) at alpha = 1 - ALPHA_MIN.  Otherwise evaluates
-    f(alpha, rho*(alpha)) on the grid, refines the incumbent bracket by
-    golden section and takes rho* and the branch at alpha* (``_search``),
-    then the rates there.  ``row`` is this draw's (alpha*, rho*, interior,
-    lower, evaluations) from ``_search`` followed by (c1, c2, weighted sum)
-    from ``_rate_tuple`` at (alpha*, rho*), as Python scalars, when the
-    caller has computed them already, as the Monte Carlo blocks do for all
-    their draws at once; without it ``_search`` runs on this draw alone and
-    ``rates`` gives the rates.  Alone, a solve costs about 1.3 ms on a
-    2-core VM with numpy 2.4, mostly numpy's per-call cost on the one-row
-    arrays of the refine; with ``row`` it is only the objective and the
-    outcome.
+    on x1, no splitting) at alpha = 1 - ALPHA_MIN, with its rates from
+    ``rates``.  Otherwise evaluates f(alpha, rho*(alpha)) on the grid,
+    refines the incumbent bracket by golden section and takes rho* and the
+    branch at alpha* (``_search``), then the rates there (``_rate_tuple``).
+    ``row`` is this draw's (alpha*, rho*, interior, lower, evaluations, c1,
+    c2, weighted sum) from those two calls, as Python scalars, when the
+    caller has made them already, as the Monte Carlo blocks do for all their
+    draws at once; without it both run on this draw alone, as one-row
+    arrays.  Alone, a solve costs about 1.3 ms on a 2-core VM with numpy
+    2.4, mostly numpy's per-call cost on the one-row arrays of the refine;
+    with ``row`` it is only the objective and the outcome.
     """
-    rated = None
     if p.w2 <= p.w1:
-        alpha_star, rho_star, branch, evaluations = 1.0 - ALPHA_MIN, 0.0, SolverBranch.TRIVIAL, 1
-    else:
-        _require_ordered(ch)
-        if row is None:
-            n = (grid or AlphaGridSpec()).n
-            solved = _search(p, np.array([ch.g1]), np.array([ch.g2]), np.array([ch.g3]), n)
-            row = [v.item() for v in solved]
-        alpha_star, rho_star, interior, lower, evaluations, *rated = row
-        branch = _branch(interior, lower)
+        d = DesignPoint(alpha=1.0 - ALPHA_MIN, rho=0.0)
+        return OptimizationOutcome(d.alpha, d.rho, f_objective(p, ch, d), rates(p, ch, d),
+                                   SolverBranch.TRIVIAL, 1)
+    _require_ordered(ch)
+    if row is None:
+        gains = [np.array([ch.g1]), np.array([ch.g2]), np.array([ch.g3])]
+        solved = _search(p, *gains, (grid or AlphaGridSpec()).n)
+        rated = _rate_tuple(p.avg_snr, p.mu, p.eta, *gains, solved[0], solved[1], p.w1, p.w2)
+        row = [v.item() for v in (*solved, *rated)]
+    alpha_star, rho_star, interior, lower, evaluations, *rated = row
     d = DesignPoint(alpha=alpha_star, rho=rho_star)
-    return OptimizationOutcome(
-        alpha_star=alpha_star,
-        rho_star=rho_star,
-        objective_f=f_objective(p, ch, d),
-        rate_triple=RateTriple(*rated) if rated else rates(p, ch, d),
-        branch=branch,
-        evaluations=evaluations,
-    )
+    return OptimizationOutcome(alpha_star, rho_star, f_objective(p, ch, d), RateTriple(*rated),
+                               _branch(interior, lower), evaluations)
 
 
 def solve_2d_exhaustive(p: SystemParams, ch: ChannelRealization,

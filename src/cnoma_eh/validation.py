@@ -139,18 +139,17 @@ def check_stationarity(seed=1003) -> CheckResult:
     worst = 0.0
     tested = 0
     for p, ch in instances:
-        alpha = float(rng.uniform(0.02, 0.98))
+        x = np.array([rng.uniform(0.02, 0.98)])
         k = optimizer._draw(p, ch.g1, ch.g2, ch.g3)
         if k.q == 0.0:
             continue
-        d, e, pp, _, _, _, lead, beta, constant, theta = (
-            v.item() for v in optimizer._coeffs(k, alpha, 1.0 - alpha))
-        if theta <= 0.0:
+        d, e, pp, _, _, _, lead, beta, constant, theta = optimizer._coeffs(k, x, 1.0 - x)
+        if theta[0] <= 0.0:
             continue
-        rb = optimizer._stationary_root(
-            *(np.array([v]) for v in (lead, beta, constant, theta))).item()
+        rb = optimizer._stationary_root(lead, beta, constant, theta).item()
         if not 0.0 <= rb < 1.0:
             continue
+        d, e, pp, lead, beta, constant = (v.item() for v in (d, e, pp, lead, beta, constant))
         tested += 1
         # conditioning scale of evaluating the stationary quadratic at rb
         scale = lead * rb * rb + 2 * abs(beta) * rb + abs(constant)

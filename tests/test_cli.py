@@ -397,6 +397,32 @@ class TestConfigFile:
         rc = main(["fig1", "--config", "/nonexistent/x.ini"])
         assert rc == 1
 
+    @pytest.mark.parametrize("content", [
+        b"out = x.csv\n",                                  # no section header
+        b"[sampler]\nseed = 1\nseed = 2\n",                # duplicated key
+        b"[sampler]\nseed = 1\n[sampler]\nsamples = 5\n",  # duplicated section
+        b"[sampler]\nseed\n",                              # a line with no value
+        b"[sampler]\nseed = \xff\xfe\n",                   # not UTF-8
+    ], ids=["no-section", "duplicate-key", "duplicate-section", "no-value", "not-utf8"])
+    def test_unparsable_file_is_a_config_error(self, content, tmp_path, monkeypatch, capsys):
+        forbid_estimators(monkeypatch)
+        ini = tmp_path / "broken.ini"
+        ini.write_bytes(content)
+        assert main(["fig1", "--config", str(ini), "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(ini) in err
+        assert "Traceback" not in err
+
+    def test_percent_is_read_literally(self, tmp_path):
+        ini = tmp_path / "pct.ini"
+        ini.write_text(f"[output]\nout = {tmp_path / '100%%.csv'}\n")
+        assert cli._load_config_file(str(ini), "solve")["out"] == str(tmp_path / "100%%.csv")
+        out = tmp_path / "50%.csv"
+        ini.write_text(f"[output]\nout = {out}\n")
+        assert main(["solve", "--config", str(ini), "--g1", "1.5", "--g2", "0.5",
+                     "--g3", "0.8"]) == 0
+        assert out.exists()
+
 
 class TestValidateCommand:
     def test_report_schema_and_exit_codes(self, tmp_path, monkeypatch, capsys):

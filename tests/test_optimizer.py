@@ -34,7 +34,6 @@ from cnoma_eh.optimizer import (
     _feasibility_root,
     _golden_rows,
     _grid_argmax,
-    _libm_log,
     _profile,
     _search,
     _stationary_root,
@@ -133,9 +132,9 @@ def rows_of(k, rows):
 
 def one_row_profile(k, alpha):
     """_profile of one draw at a float alpha as the refine takes it: on
-    one-row arrays, with libm logs."""
+    one-row arrays."""
     x = np.array([alpha])
-    return _profile(k, x, 1.0 - x, _libm_log)
+    return _profile(k, x, 1.0 - x)
 
 
 def float_profile(k):
@@ -507,7 +506,7 @@ def assert_rows_are_alone(block, alone):
 
 class TestProfile:
     def test_search_rows_take_the_bits_of_each_draw_alone(self):
-        # each row of a multi-row libm profile (rho*, the two masks, log f)
+        # each row of a multi-row profile (rho*, the two masks, log f)
         # and of a block's search (alpha*, rho*, the two masks and the
         # evaluations) has the bits its draw gets alone, on live and
         # dead-relay rows alike
@@ -525,7 +524,7 @@ class TestProfile:
                 for rows in np.flatnonzero(k.q == 0.0), np.flatnonzero(k.q != 0.0):
                     a = alpha[rows]
                     assert_rows_are_alone(
-                        _profile(rows_of(k, rows), a, 1.0 - a, _libm_log),
+                        _profile(rows_of(k, rows), a, 1.0 - a),
                         [one_row_profile(_draw(p, *gains[j]), alpha[j]) for j in rows])
                 block = _search(p, g1, g2, g3, 1000)
                 assert_rows_are_alone(
@@ -761,67 +760,8 @@ class TestDiscriminantGuards:
             _stationary_root(*rows)
 
 
-def refine_log_inputs(p, g1, g2, g3, n):
-    """``_search``'s result on the draws, and every value its refine took the
-    log of."""
-    seen = []
-    real = optimizer._libm_log
-
-    def spy(x, out=None):
-        seen.append(x.copy())
-        return real(x, out=out)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(optimizer, "_libm_log", spy)
-        solved = _search(p, g1, g2, g3, n)
-    return solved, np.concatenate(seen)
-
-
 def near_tie_params(snr_db):
     return SystemParams(avg_snr=10.0 ** (snr_db / 10.0), mu=2.0, w1=1.0, w2=1.5)
-
-
-def near_tie_log_inputs():
-    """The values the refine takes the log of on each NEAR_TIES draw alone."""
-    return np.concatenate([
-        refine_log_inputs(near_tie_params(snr_db),
-                          *(np.array([float.fromhex(x)]) for x in gains), 1000)[1]
-        for snr_db, gains, _ in TestLockStepRefine.NEAR_TIES])
-
-
-def numpy_log_differs(x) -> bool:
-    """Whether np.log, at the SIMD level numpy dispatches to in this
-    process, differs from math.log in the last bit on some element of ``x``.
-    numpy 2.4's own float64 log loop is AVX-512 only; at other levels (say,
-    with NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4") np.log
-    calls the C library's log, which is math.log's, and the two agree."""
-    return np.log(x).tobytes() != _libm_log(x).tobytes()
-
-
-class TestLibmLog:
-    def test_bitwise_equal_to_math_log(self):
-        rng = np.random.default_rng(17)
-        x = np.concatenate([10.0 ** rng.uniform(-300.0, 300.0, 100_000),
-                            rng.uniform(0.5, 2.0, 100_000)])
-        got = _libm_log(x)
-        want = np.array([math.log(v) for v in x.tolist()])
-        assert got.tobytes() == want.tobytes()
-        # where the running dispatch's np.log differs from libm's on the
-        # pinned near-tie probes, it differs on some of these too; where it
-        # is libm's own log (no AVX-512 loop), the two agree everywhere and
-        # there is no difference to assert
-        if numpy_log_differs(near_tie_log_inputs()):
-            assert np.log(x).tobytes() != want.tobytes()
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
-    def test_zero_or_negative_raises_math_domain_error(self, bad):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # no RuntimeWarning instead
-            with pytest.raises(ValueError) as got:
-                _libm_log(np.array([2.0, bad, 3.0]))
-        with pytest.raises(ValueError) as alone:
-            math.log(bad)
-        assert str(got.value) == str(alone.value)
 
 
 class TestLockStepRefine:
@@ -905,35 +845,26 @@ class TestLockStepRefine:
         assert probes == [17, 17, 18, 1, 18]
         assert [len(x) for x in together] == probes
 
-    # Two draws whose profile near alpha* is flat to the last bit of log f.
-    # With numpy's log in the refine, alpha* moves: a golden-section step
-    # goes the other way on the first, the last pick on the second.
+    # Two draws whose profile near alpha* is flat to the last bit of log f:
+    # a last-bit change in a log of the refine turns a golden-section step
+    # on the first, and the last pick on the second.
     NEAR_TIES = (
-        (-10.0, ("0x1.72098ec914375p+0", "0x1.8d9de1a1f1e7fp-3", "0x1.3f4db84a6d7bfp+0"),
-         "0x1.fabf0a2f38e05p-2"),
-        (0.0, ("0x1.373e82f64edf8p-1", "0x1.934e0874dc20bp-4", "0x1.d5a2ff8796bb4p-1"),
-         "0x1.ef8c701c21475p-1"),
+        (-10.0, ("0x1.72098ec914375p+0", "0x1.8d9de1a1f1e7fp-3", "0x1.3f4db84a6d7bfp+0")),
+        (0.0, ("0x1.373e82f64edf8p-1", "0x1.934e0874dc20bp-4", "0x1.d5a2ff8796bb4p-1")),
     )
 
-    @pytest.mark.parametrize("snr_db, gains, want", NEAR_TIES)
-    def test_refine_takes_libm_logs_on_every_row(self, monkeypatch, snr_db, gains, want):
+    @pytest.mark.parametrize("snr_db, gains", NEAR_TIES)
+    def test_near_tie_row_matches_its_draw_alone(self, snr_db, gains):
+        # at whatever SIMD level numpy dispatches its log to in this process,
+        # the refine of a slice takes each row's logs as its draw alone does
         p = near_tie_params(snr_db)
         draw = [float.fromhex(x) for x in gains]
         # the draw as the first row of a slice with six others
         block = [draw] + [[ch.g1, ch.g2, ch.g3] for _, ch in random_instances(1001, 6)]
         g1, g2, g3 = (np.array(x) for x in zip(*block))
-        assert _search(p, g1, g2, g3, 1000)[0][0].hex() == want
-        assert solve_1d(p, ChannelRealization(*draw)).alpha_star.hex() == want
-        _, logged = refine_log_inputs(p, *(np.array([v]) for v in draw), 1000)
-        monkeypatch.setattr(optimizer, "_libm_log", np.log)
-        mutated = _search(p, g1, g2, g3, 1000)[0][0].hex()
-        # numpy's log moves alpha* only where it differs from libm's on this
-        # draw's probes, as its AVX-512 loop does; at a dispatch level where
-        # np.log is libm's log, the refine takes the same path with either
-        if numpy_log_differs(logged):
-            assert mutated != want
-        else:
-            assert mutated == want
+        got = _search(p, g1, g2, g3, 1000)[0][0].hex()
+        assert got == solve_1d(p, ChannelRealization(*draw)).alpha_star.hex()
+        assert got == scalar_search(p, *draw, 1000)[0][0].hex()
 
 
 class TestGridChunks:
