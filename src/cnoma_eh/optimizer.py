@@ -40,21 +40,31 @@ matters on [0, 1).  Case split per candidate alpha:
                                             "otherwise" rule above would pick
                                             the boundary here, which is wrong.
 
-The 1D search evaluates log f(alpha, rho*(alpha)) on a uniform alpha grid
-(built once per grid size and cached read-only) and sharpens the incumbent
-with a golden-section pass on the bracketing interval.  One array function,
-``_profile``, evaluates the profile everywhere.  It and its kernels
-(``_coeffs``, ``_feasibility_root``, ``_stationary_root``) write every
-intermediate into the buffers of a ``_Workspace`` with numpy's ``out=``,
-each element through the float operations of the plain expression, so a
-profile allocates no array of its own size.  ``_search`` runs the search
-for a set of draws: the grid stage (``_grid_argmax``) on (rows x n) chunks,
-then the refine (``_golden_rows``) on slices of up to ``_REFINE_ROWS`` draws
-in lock-step, each draw stopping after the probes it would take alone, and
-one last profile at each draw's alpha* for rho* and the branch; one
-workspace serves all the chunks and one all the probes.  Every operation on
-the way, each log included, is an elementwise numpy call, so a row gets the
-bits its draw gets alone and outcomes do not depend on the block.
+The 1D search finds the first-hit argmax of log f(alpha, rho*(alpha)) on a
+uniform n-point alpha grid (built once per grid size and cached read-only)
+and sharpens the incumbent with a golden-section pass on the bracketing
+interval.  The grid stage goes coarse to fine: it evaluates every
+_COARSE_STEP-th grid index and index n - 1, then only the window of
+2 _COARSE_STEP + 1 grid indices around the coarse argmax, about 100 of
+1000 points per draw.  A draw whose coarse profile is not single-peaked
+(a second local maximum, a tie or a NaN) takes all n points instead.  Each
+evaluated point is a point of the same grid and gets the same float
+operations, so the incumbent is the full grid's whenever the full grid's
+argmax lies in the window: that held on every draw checked, which is not
+a proof.  One array function, ``_profile``, evaluates the profile
+everywhere.  It and its kernels (``_coeffs``, ``_feasibility_root``,
+``_stationary_root``) write every intermediate into the buffers of a
+``_Workspace`` with numpy's ``out=``, each element through the float
+operations of the plain expression, so a profile allocates no array of its
+own size.  ``_search`` runs the search for a set of draws: the grid stage's
+coarse, window and all-n steps, each through the one grid kernel
+(``_grid_argmax``) on chunks of rows, then the refine (``_golden_rows``)
+on slices of up to ``_REFINE_ROWS`` draws in lock-step, each draw stopping
+after the probes it would take alone, and one last profile at each draw's
+alpha* for rho* and the branch; one workspace serves every chunk of the
+three steps and one all the probes.  Every operation on the way, each log
+included, is an elementwise numpy call, so a row gets the bits its draw
+gets alone and outcomes do not depend on the block.
 ``solve_1d`` packs one draw's row of that result with its rates; alone it
 is a batch of one.
 ``solve_2d_exhaustive`` is the independent benchmark: a plain grid argmax of
@@ -125,17 +135,27 @@ _REFINE_TOL = 1e-6
 # peak grew with the slice: 10 KB, 79 KB, 294 KB and 2.3 MB.
 _REFINE_ROWS = 1024
 
-# Cells of one grid-stage chunk: rows = max(1, _GRID_CELLS // n) draws share
-# each (rows x n) profile, computed in one workspace of thirteen float and
-# four bool buffers of that shape.  At n = 1000 on a 2-core VM with numpy
-# 2.4, per draw and against a fresh temporary per operation at 4 rows, the
-# grid stage ran 1.06x as fast at 4 rows, 1.27x at 8, 1.28x at 16, 1.17x at
-# 32 and 0.93x at 64 (medians of 15 interleaved rounds): past 16 rows the
-# buffers outgrow the 2 MB L2 cache.  8 rows keep the workspace at 0.86 MB,
-# half of 16 rows', and each float buffer (64 KB) under glibc's default
-# 128 KiB mmap threshold, so the buffers come from the heap, not from a
-# fresh mapping per search.
-_GRID_CELLS = 8192
+# Cells of the grid stage's workspace: max(1, _GRID_CELLS // n) rows of n,
+# thirteen float and four bool buffers of that shape.  Each step of the
+# stage runs on chunks of as many draws as its (rows x points) profile
+# fits into those cells: at n = 1000 that is 62 draws of the 64 coarse
+# points, 121 of a 33-point window and 4 of all 1000 points.  Per draw,
+# on 256-draw blocks at n = 1000 (2-core VM, numpy 2.4, medians of 9
+# interleaved rounds), the search took 31 us at 2048 cells, 24 us at 4096
+# and 26 us at 8192.  4096 cells keep the workspace at 0.43 MB and a
+# 256-draw search's tracemalloc peak at 0.69 MB, below the 1.05 MB of the
+# all-points grid stage at 8192 cells.  At 8192 cells the window step's
+# temporaries raised that peak to 1.30 MB.  glibc then grew the heap in
+# the first fig2 pass and kept the grown top chunk, so later code that
+# allocates arrays of up to about 0.5 MB, the benchmark's reference kernel
+# included, stopped page-faulting and ran 2-3x as fast: at 4 of 7 checkout
+# paths tried, and at none of 10 with 4096 cells.
+_GRID_CELLS = 4096
+
+# Stride of the grid stage's coarse step, in grid indices.  The window
+# step then evaluates the 2 _COARSE_STEP + 1 grid indices around the
+# coarse argmax, which hold both of its coarse neighbours.
+_COARSE_STEP = 16
 
 # Top of the 2D oracle's rho grid; short of _RHO_CAP until the solver's
 # rho -> 1 edge is mended (ROADMAP item 3).
@@ -153,7 +173,10 @@ class SolverBranch(Enum):
 @dataclass(frozen=True)
 class AlphaGridSpec:
     """Grid for the 1D search: n points on [ALPHA_MIN, 1 - ALPHA_MIN].  The
-    incumbent is always refined by golden-section search to 1e-6 in alpha."""
+    search takes the first-hit argmax of the grid, found coarse to fine
+    from about 100 of 1000 points (the module docstring says when that is
+    the whole grid's argmax), and refines it by golden-section search to
+    1e-6 in alpha."""
 
     n: int = 1000
     margin: ClassVar[float] = ALPHA_MIN
@@ -196,9 +219,16 @@ class _Workspace(NamedTuple):
     f: tuple
     b: tuple
 
-    def rows(self, count: int) -> _Workspace:
-        """The leading ``count`` rows of every buffer: each stays contiguous."""
-        return _Workspace(tuple(x[:count] for x in self.f), tuple(x[:count] for x in self.b))
+    def take(self, *shape) -> _Workspace:
+        """Views of ``shape`` over the leading cells of every buffer, each
+        contiguous: the buffers of a smaller profile."""
+        return _Workspace(tuple(_cells(x, shape) for x in self.f),
+                          tuple(_cells(x, shape) for x in self.b))
+
+
+def _cells(x, shape):
+    """A view of ``shape`` over the leading cells of the contiguous array x."""
+    return np.ndarray(shape, x.dtype, x)
 
 
 def _workspace(shape) -> _Workspace:
@@ -419,16 +449,53 @@ def optimal_rho_for_alpha(p: SystemParams, ch: ChannelRealization, alpha: float)
     return rho.item(), _branch(interior.item(), lower.item())
 
 
-def _grid_argmax(k: _Draw, n: int, ws: _Workspace | None = None):
-    """The grid stage: the first-hit argmax index of log f on the n-point
-    alpha grid (the smallest alpha wins ties) and log f there.  ``k`` holds
-    a chunk's inputs as (rows, 1) columns with q == 0 in every row or in
-    none; the profile is then (rows x n), in ``ws`` when given, and each
-    row gets the same float operations, and so the same bits, as its draw
-    alone."""
+def _grid_argmax(k: _Draw, n: int, ws: _Workspace | None = None, cols=None):
+    """The grid kernel: log f at the grid indices ``cols`` of the n-point
+    alpha grid, an int array of shape (m,) for every row or (rows, m), or
+    at all n points when None.  Returns per row the position in ``cols``
+    of the first-hit argmax (the smallest alpha wins ties), log f there,
+    and whether log f over ``cols`` is single-peaked: it rises strictly to
+    its maximum and falls strictly after it, with no tie and no NaN.
+    ``k`` holds a chunk's inputs as (rows, 1) columns with q == 0 in every
+    row or in none; the profile is then (rows x m), in ``ws`` when given,
+    and each of its points gets the same float operations, and so the same
+    bits, as it gets alone."""
     alphas, rest = _alpha_grid(n)
+    if cols is not None:
+        alphas, rest = alphas[cols], rest[cols]
+    ws = ws or _workspace(_shape(alphas, k.g1, k.q))
     logf = _profile(k, alphas, rest, ws)[3]
-    return logf.argmax(axis=-1), logf.max(axis=-1)
+    after, before = logf[..., 1:], logf[..., :-1]
+    up = np.greater(after, before, out=_cells(ws.b[0], after.shape))
+    down = np.less(after, before, out=_cells(ws.b[1], after.shape))
+    # a step neither up nor down (a tie or a NaN), or an up step after one
+    # that was not up
+    flat = np.equal(up, down, out=_cells(ws.b[2], after.shape))
+    rise = np.greater(up[..., 1:], up[..., :-1], out=_cells(ws.b[3], up[..., 1:].shape))
+    single = ~(flat.any(axis=-1) | rise.any(axis=-1))
+    return logf.argmax(axis=-1), logf.max(axis=-1), single
+
+
+def _grid_rows(p: SystemParams, g1, g2, g3, n: int, ws: _Workspace, offsets=None, start=None):
+    """The grid kernel on every draw of the (rows,) gain arrays, in chunks
+    of as many draws as a (rows x m) view of ``ws`` holds, at the grid
+    indices ``offsets`` (all n when None), moved per draw by ``start``
+    when given.  Returns per draw the grid index of its first-hit argmax,
+    log f there and whether its profile is single-peaked."""
+    m = n if offsets is None else offsets.size
+    chunk = max(1, ws.f[0].size // m)
+    index = np.empty(g1.size, dtype=np.intp)
+    top = np.empty(g1.size)
+    single = np.empty(g1.size, dtype=bool)
+    for lo in range(0, g1.size, chunk):
+        s = slice(lo, lo + chunk)
+        k = _draw(p, g1[s, None], g2[s, None], g3[s, None])
+        cols = offsets if start is None else start[s, None] + offsets
+        j, top[s], single[s] = _grid_argmax(k, n, ws.take(len(k.q), m), cols)
+        index[s] = j if offsets is None else offsets[j]
+    if start is not None:
+        index += start
+    return index, top, single
 
 
 def _golden_rows(k: _Draw, lo, hi, x0, f0, ws: _Workspace | None = None):
@@ -478,18 +545,23 @@ def _golden_rows(k: _Draw, lo, hi, x0, f0, ws: _Workspace | None = None):
 def _search(p: SystemParams, g1, g2, g3, n: int):
     """The 1D search for each draw of equal-length gain arrays: returns the
     arrays alpha*, rho*, the interior and lower masks of the case taken at
-    alpha*, and the evaluation count (grid points, refine probes and the
-    profile at alpha*).  The draws are split once into dead-relay (q == 0,
-    which take the rho* = 0 case) and live sets.  Each set runs the grid
-    stage in chunks of max(1, _GRID_CELLS // n) draws, then the refine in
-    slices of at most _REFINE_ROWS draws, on each draw's grid bracket: one
-    grid step either side of its incumbent, inside the grid.  Each slice
-    ends with one profile at its draws' alpha*.  One workspace of
-    (chunk x n) serves every grid chunk and one of up to _REFINE_ROWS rows
-    every slice, each through its leading rows."""
+    alpha*, and the evaluation count (profile points of the grid stage,
+    refine probes and the profile at alpha*).  The draws are split once
+    into dead-relay (q == 0, which take the rho* = 0 case) and live sets.
+    Each set runs the grid stage's coarse step on every draw, then the
+    window around the coarse argmax of each single-peaked draw and all n
+    points on the others, then the refine in slices of at most
+    _REFINE_ROWS draws, on each draw's grid bracket: one grid step either
+    side of its incumbent, inside the grid.  Each slice ends with one
+    profile at its draws' alpha*.  One workspace of
+    (max(1, _GRID_CELLS // n) x n) cells serves every chunk of the grid
+    stage and one of up to _REFINE_ROWS rows every slice, each through
+    views of its leading cells."""
     alphas = _alpha_grid(n)[0]
-    chunk = max(1, _GRID_CELLS // n)
-    grid_ws = _workspace((min(chunk, len(g1)), n))
+    # every _COARSE_STEP-th grid index and n - 1; a window's column offsets
+    coarse = np.array([*range(0, n - 1, _COARSE_STEP), n - 1])
+    window = np.arange(min(2 * _COARSE_STEP + 1, n))
+    grid_ws = _workspace((min(max(1, _GRID_CELLS // n), len(g1)), n))
     refine_ws = _workspace((min(_REFINE_ROWS, len(g1)),))
     alpha_star, rho_star = np.empty(len(g1)), np.empty(len(g1))
     interior, lower = np.empty(len(g1), dtype=bool), np.empty(len(g1), dtype=bool)
@@ -497,22 +569,26 @@ def _search(p: SystemParams, g1, g2, g3, n: int):
     dead = _draw(p, g1, g2, g3).q == 0.0
     for part in (np.flatnonzero(dead), np.flatnonzero(~dead)):
         h1, h2, h3 = g1[part], g2[part], g3[part]
+        peak, _, single = _grid_rows(p, h1, h2, h3, n, grid_ws, coarse)
         index = np.empty(part.size, dtype=np.intp)
         top = np.empty(part.size)
-        for lo in range(0, part.size, chunk):
-            s = slice(lo, lo + chunk)
-            k = _draw(p, h1[s, None], h2[s, None], h3[s, None])
-            index[s], top[s] = _grid_argmax(k, n, grid_ws.rows(len(k.q)))
+        one, many = np.flatnonzero(single), np.flatnonzero(~single)
+        # the window holds the coarse argmax's two coarse neighbours
+        start = np.minimum(np.maximum(peak[one] - _COARSE_STEP, 0), n - window.size)
+        index[one], top[one], _ = _grid_rows(p, h1[one], h2[one], h3[one], n, grid_ws,
+                                             window, start)
+        index[many], top[many], _ = _grid_rows(p, h1[many], h2[many], h3[many], n, grid_ws)
+        points = coarse.size + np.where(single, window.size, n)
         for lo in range(0, part.size, _REFINE_ROWS):
             s = slice(lo, lo + _REFINE_ROWS)
             i, rows = index[s], part[s]
             k = _draw(p, h1[s], h2[s], h3[s])
-            ws = refine_ws.rows(rows.size)
+            ws = refine_ws.take(rows.size)
             a, probes = _golden_rows(k, alphas[np.maximum(i - 1, 0)],
                                      alphas[np.minimum(i + 1, n - 1)], alphas[i], top[s], ws)
             alpha_star[rows] = a
             rho_star[rows], interior[rows], lower[rows], _ = _profile(k, a, 1.0 - a, ws)
-            evaluations[rows] = n + probes + 1
+            evaluations[rows] = points[s] + probes + 1
     return alpha_star, rho_star, interior, lower, evaluations
 
 
@@ -523,16 +599,18 @@ def solve_1d(p: SystemParams, ch: ChannelRealization,
 
     For w2 <= w1 the optimum is the no-cooperation corner (all source power
     on x1, no splitting) at alpha = 1 - ALPHA_MIN, with its rates from
-    ``rates``.  Otherwise evaluates f(alpha, rho*(alpha)) on the grid,
+    ``rates``.  Otherwise finds the grid's argmax of f(alpha, rho*(alpha))
+    coarse to fine (about 100 of 1000 points; the evaluations count them),
     refines the incumbent bracket by golden section and takes rho* and the
     branch at alpha* (``_search``), then the rates there (``_rate_tuple``).
     ``row`` is this draw's (alpha*, rho*, interior, lower, evaluations, c1,
     c2, weighted sum) from those two calls, as Python scalars, when the
     caller has made them already, as the Monte Carlo blocks do for all their
     draws at once; without it both run on this draw alone, as one-row
-    arrays.  Alone, a solve costs about 1.3 ms on a 2-core VM with numpy
-    2.4, mostly numpy's per-call cost on the one-row arrays of the refine;
-    with ``row`` it is only the objective and the outcome.
+    arrays.  Alone, a solve costs 1.6-3.4 ms on a 2-core VM with numpy 2.4,
+    about 1.1x its cost with a one-step all-points grid stage: it is mostly
+    numpy's per-call cost on the one-row arrays of the two grid steps and
+    the refine; with ``row`` it is only the objective and the outcome.
     """
     if p.w2 <= p.w1:
         d = DesignPoint(alpha=1.0 - ALPHA_MIN, rho=0.0)

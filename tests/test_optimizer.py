@@ -141,19 +141,34 @@ def float_profile(k):
     return lambda a: one_row_profile(k, a)[3].item()
 
 
+def grid_points(logf):
+    """Profile points the grid stage evaluates for a draw whose profile on
+    the whole grid is ``logf``: every 16th grid index and the last, then a
+    window of 33 (the whole grid below 33 points) where the coarse profile
+    rises strictly to one maximum and falls strictly after it, and all n
+    points where it does not (a second local maximum, a tie or a NaN)."""
+    n = len(logf)
+    coarse = logf[sorted({*range(0, n, 16), n - 1})].tolist()
+    steps = list(zip(coarse, coarse[1:]))
+    peak = next((j for j, (a, b) in enumerate(steps) if not b > a), len(steps))
+    single = all(b < a for a, b in steps[peak:])
+    return len(coarse) + (min(33, n) if single else n)
+
+
 def scalar_search(p, g1, g2, g3, n):
-    """One draw's 1D search with the scalar golden section: the grid stage,
-    golden_max on the incumbent's bracket, then rho* and the case at
-    alpha*.  Returns ((alpha*, rho*, interior, lower, evaluations),
-    incumbent index)."""
+    """One draw's 1D search with the scalar golden section: the first-hit
+    argmax of the profile on all n grid points, golden_max on its bracket,
+    then rho* and the case at alpha*.  Returns ((alpha*, rho*, interior,
+    lower, evaluations), incumbent index)."""
     k = _draw(p, g1, g2, g3)
-    i, f_grid = _grid_argmax(k, n)
-    alphas = _alpha_grid(n)[0]
+    alphas, rest = _alpha_grid(n)
+    logf = _profile(k, alphas, rest)[3]
+    i = int(np.argmax(logf))
     lo, hi = float(alphas[max(i - 1, 0)]), float(alphas[min(i + 1, n - 1)])
     a_ref, f_ref, n_ref = golden_max(float_profile(k), lo, hi, _REFINE_TOL)
-    alpha = a_ref if f_ref > f_grid else float(alphas[i])
+    alpha = a_ref if f_ref > logf[i] else float(alphas[i])
     rho, interior, lower, _ = one_row_profile(k, alpha)
-    return (alpha, rho.item(), interior.item(), lower.item(), n + n_ref + 1), int(i)
+    return (alpha, rho.item(), interior.item(), lower.item(), grid_points(logf) + n_ref + 1), i
 
 
 def search_rows(p, g1, g2, g3, n):
@@ -588,7 +603,9 @@ class TestSolve1D:
         assert out.rate_triple.weighted_sum == pytest.approx(
             rates(p, ch, d).weighted_sum, rel=1e-14
         )
-        assert out.evaluations >= 1000
+        # 64 coarse points, a 33-point window, 17 refine probes at the
+        # grid's edge and the profile at alpha*
+        assert out.evaluations == 64 + 33 + 17 + 1
 
     def test_refinement_never_hurts(self):
         # the refined optimum is never worse than the best point of its grid
@@ -646,24 +663,24 @@ class TestSolve2D:
 # count.  Keys 0-11 are random_instances(1001, 12); the named draws are in
 # _FROZEN_DRAWS.  A change that moves any of these bits changes the figures.
 _FROZEN_OUTCOMES = {
-    0: ('0x1.23b03e2ba2efcp-9', '0x1.ffffff7a0ec2cp-1', '0x1.64fc97bee3868p+74', '0x1.54dfc46a1e881p-2', '0x1.d868c969b7510p+1', '0x1.29eb3d6ae6cfbp+5', 'INTERIOR', 1019),
-    1: ('0x1.a36e2eb1c432dp-14', '0x1.d039b63c6bb39p-2', '0x1.77bee1c3417a4p+1', '0x1.afaac84daeb04p-15', '0x1.8db2ce3b3176bp-2', '0x1.8db98ce652ad7p-1', 'BOUNDARY', 1018),
-    2: ('0x1.a36e2eb1c432dp-14', '0x1.4a5244f846f9cp-3', '0x1.200c8d93410b8p+9', '0x1.0cc3ec83c2012p-14', '0x1.d581949c60f33p-2', '0x1.257209a5a91bcp+2', 'BOUNDARY', 1018),
-    3: ('0x1.70ee617006316p-1', '0x1.8594e1fe6aaaep-2', '0x1.0373813cf1d37p+2', '0x1.65b5f5e372f90p-1', '0x1.3e784df030496p-3', '0x1.02790e6dc58eep+0', 'BOUNDARY', 1019),
-    4: ('0x1.a36e2eb1c432dp-14', '0x1.4560f54727289p-2', '0x1.16ea9c513c7fap+18', '0x1.ace134742a450p-11', '0x1.cfecb00437ffdp+0', '0x1.21faa18774d09p+3', 'BOUNDARY', 1018),
-    5: ('0x1.a36e2eb1c432dp-14', '0x1.38436f07bd20ep-2', '0x1.c4a67bffca11bp+6', '0x1.a759dacd8c39cp-10', '0x1.22f1eb166928fp+1', '0x1.b49fcbdcf76eep+1', 'BOUNDARY', 1018),
-    6: ('0x1.a36e2eb1c432dp-14', '0x1.3fb2b5407e1d0p-1', '0x1.02a9e54eaf9efp+5', '0x1.627a08c6c1efbp-12', '0x1.40e99803b9717p+0', '0x1.40f4abd3ffa78p+1', 'BOUNDARY', 1018),
-    7: ('0x1.a36e2eb1c432dp-14', '0x1.4e54342019f80p-2', '0x1.f5918a3de5a17p+11', '0x1.42030209d404dp-12', '0x1.326c8d6e4d347p+0', '0x1.7f0cb8d5e8a8ep+2', 'BOUNDARY', 1018),
-    8: ('0x1.a36e2eb1c432dp-14', '0x1.fc33086d82bfap-3', '0x1.04c5d9e8d0064p+20', '0x1.c70c105ed5591p-13', '0x1.0055e784504a3p+0', '0x1.406d287174bb9p+3', 'BOUNDARY', 1018),
-    9: ('0x1.a36e2eb1c432dp-14', '0x1.950ac3d344dc1p-2', '0x1.fa0a3f2d011f4p+100', '0x1.529ec968af2c7p-4', '0x1.429de9e965527p+2', '0x1.93eeb3c872feap+5', 'BOUNDARY', 1018),
-    10: ('0x1.a780a881f290cp-10', '0x1.fffffff768fa1p-1', '0x1.9eda1c4fc7c4ap+13', '0x1.106d07166c89bp-3', '0x1.adc5ef655c19dp+1', '0x1.b649579e0f7e2p+2', 'BOUNDARY', 1019),
-    11: ('0x1.a36e2eb1c432dp-14', '0x1.509f95279c9bdp-3', '0x1.159acb300b808p+45', '0x1.37cac28a517eap-5', '0x1.2042cadf6ae7ep+2', '0x1.68ef62f88acaap+4', 'BOUNDARY', 1018),
-    'solve_cli': ('0x1.a36e2eb1c432dp-14', '0x1.d6d14aa0d995cp-2', '0x1.39728e958b52dp+5', '0x1.8dd6ece137bbbp-12', '0x1.52a5016beb89cp+0', '0x1.52b1702352938p+1', 'BOUNDARY', 1018),
-    'mu_zero': ('0x1.a36e2eb1c432dp-14', '0x1.7a9d88b1422a3p-1', '0x1.11f792d949fa0p+11', '0x1.c58f7f542366fp-11', '0x1.d96f5049339ecp+0', '0x1.6321a8b2e1583p+2', 'BOUNDARY', 1018),
-    'dead_relay': ('0x1.1111055a4ecccp-3', '0x0.0p+0', '0x1.b8fffffffff2fp+3', '0x1.fffff0281924ap-2', '0x1.646eee1a760d8p-1', '0x1.e46eea247c56ap+0', 'LOWER', 1019),
-    'alpha_floor': ('0x1.a36e2eb1c432dp-14', '0x1.a57f598c308bbp-1', '0x1.9adb037179fa6p+101', '0x1.64491f578b3e3p-4', '0x1.44d3c7855ccacp+2', '0x1.96baddf65fc31p+5', 'BOUNDARY', 1018),
-    'rho_cap': ('0x1.ebd5757b24d0bp-3', '0x1.fffffff768fa1p-1', '0x1.dcc837e3936e5p+4', '0x1.9bb9e7ae59e78p-1', '0x1.a4fa0c17f64bdp-1', '0x1.396b7ff7919fcp+1', 'BOUNDARY', 1019),
-    'grid_200': ('0x1.a36e2eb1c432dp-14', '0x1.c6653ca816fd3p-2', '0x1.3d56f753f46c0p+14', '0x1.f143f26a2a56ep-10', '0x1.3132541915b3cp+1', '0x1.c9ea9264c7304p+2', 'BOUNDARY', 221),
+    0: ('0x1.23b03e2ba2efcp-9', '0x1.ffffff7a0ec2cp-1', '0x1.64fc97bee3868p+74', '0x1.54dfc46a1e881p-2', '0x1.d868c969b7510p+1', '0x1.29eb3d6ae6cfbp+5', 'INTERIOR', 116),
+    1: ('0x1.a36e2eb1c432dp-14', '0x1.d039b63c6bb39p-2', '0x1.77bee1c3417a4p+1', '0x1.afaac84daeb04p-15', '0x1.8db2ce3b3176bp-2', '0x1.8db98ce652ad7p-1', 'BOUNDARY', 115),
+    2: ('0x1.a36e2eb1c432dp-14', '0x1.4a5244f846f9cp-3', '0x1.200c8d93410b8p+9', '0x1.0cc3ec83c2012p-14', '0x1.d581949c60f33p-2', '0x1.257209a5a91bcp+2', 'BOUNDARY', 115),
+    3: ('0x1.70ee617006316p-1', '0x1.8594e1fe6aaaep-2', '0x1.0373813cf1d37p+2', '0x1.65b5f5e372f90p-1', '0x1.3e784df030496p-3', '0x1.02790e6dc58eep+0', 'BOUNDARY', 116),
+    4: ('0x1.a36e2eb1c432dp-14', '0x1.4560f54727289p-2', '0x1.16ea9c513c7fap+18', '0x1.ace134742a450p-11', '0x1.cfecb00437ffdp+0', '0x1.21faa18774d09p+3', 'BOUNDARY', 115),
+    5: ('0x1.a36e2eb1c432dp-14', '0x1.38436f07bd20ep-2', '0x1.c4a67bffca11bp+6', '0x1.a759dacd8c39cp-10', '0x1.22f1eb166928fp+1', '0x1.b49fcbdcf76eep+1', 'BOUNDARY', 115),
+    6: ('0x1.a36e2eb1c432dp-14', '0x1.3fb2b5407e1d0p-1', '0x1.02a9e54eaf9efp+5', '0x1.627a08c6c1efbp-12', '0x1.40e99803b9717p+0', '0x1.40f4abd3ffa78p+1', 'BOUNDARY', 115),
+    7: ('0x1.a36e2eb1c432dp-14', '0x1.4e54342019f80p-2', '0x1.f5918a3de5a17p+11', '0x1.42030209d404dp-12', '0x1.326c8d6e4d347p+0', '0x1.7f0cb8d5e8a8ep+2', 'BOUNDARY', 115),
+    8: ('0x1.a36e2eb1c432dp-14', '0x1.fc33086d82bfap-3', '0x1.04c5d9e8d0064p+20', '0x1.c70c105ed5591p-13', '0x1.0055e784504a3p+0', '0x1.406d287174bb9p+3', 'BOUNDARY', 115),
+    9: ('0x1.a36e2eb1c432dp-14', '0x1.950ac3d344dc1p-2', '0x1.fa0a3f2d011f4p+100', '0x1.529ec968af2c7p-4', '0x1.429de9e965527p+2', '0x1.93eeb3c872feap+5', 'BOUNDARY', 115),
+    10: ('0x1.a780a881f290cp-10', '0x1.fffffff768fa1p-1', '0x1.9eda1c4fc7c4ap+13', '0x1.106d07166c89bp-3', '0x1.adc5ef655c19dp+1', '0x1.b649579e0f7e2p+2', 'BOUNDARY', 116),
+    11: ('0x1.a36e2eb1c432dp-14', '0x1.509f95279c9bdp-3', '0x1.159acb300b808p+45', '0x1.37cac28a517eap-5', '0x1.2042cadf6ae7ep+2', '0x1.68ef62f88acaap+4', 'BOUNDARY', 115),
+    'solve_cli': ('0x1.a36e2eb1c432dp-14', '0x1.d6d14aa0d995cp-2', '0x1.39728e958b52dp+5', '0x1.8dd6ece137bbbp-12', '0x1.52a5016beb89cp+0', '0x1.52b1702352938p+1', 'BOUNDARY', 115),
+    'mu_zero': ('0x1.a36e2eb1c432dp-14', '0x1.7a9d88b1422a3p-1', '0x1.11f792d949fa0p+11', '0x1.c58f7f542366fp-11', '0x1.d96f5049339ecp+0', '0x1.6321a8b2e1583p+2', 'BOUNDARY', 115),
+    'dead_relay': ('0x1.1111055a4ecccp-3', '0x0.0p+0', '0x1.b8fffffffff2fp+3', '0x1.fffff0281924ap-2', '0x1.646eee1a760d8p-1', '0x1.e46eea247c56ap+0', 'LOWER', 116),
+    'alpha_floor': ('0x1.a36e2eb1c432dp-14', '0x1.a57f598c308bbp-1', '0x1.9adb037179fa6p+101', '0x1.64491f578b3e3p-4', '0x1.44d3c7855ccacp+2', '0x1.96baddf65fc31p+5', 'BOUNDARY', 115),
+    'rho_cap': ('0x1.ebd5757b24d0bp-3', '0x1.fffffff768fa1p-1', '0x1.dcc837e3936e5p+4', '0x1.9bb9e7ae59e78p-1', '0x1.a4fa0c17f64bdp-1', '0x1.396b7ff7919fcp+1', 'BOUNDARY', 116),
+    'grid_200': ('0x1.a36e2eb1c432dp-14', '0x1.c6653ca816fd3p-2', '0x1.3d56f753f46c0p+14', '0x1.f143f26a2a56ep-10', '0x1.3132541915b3cp+1', '0x1.c9ea9264c7304p+2', 'BOUNDARY', 68),
     'trivial': ('0x1.fff2e48e8a71ep-1', '0x0.0p+0', '0x1.0ffc57bfd603bp+3', '0x1.8b2dcf99eb49fp+0', '0x1.b03caaa2e4a35p-15', '0x1.8b2f7fd695ecdp+1', 'TRIVIAL', 1),
 }
 
@@ -988,17 +1005,17 @@ class TestWorkspace:
         n = 200
         alphas = _alpha_grid(n)[0]
         grid_ws, refine_ws = _workspace((3, n)), _workspace((3,))
-        index, top = _grid_argmax(_draw(self.P, g1[:3, None], g2[:3, None], g3[:3, None]),
-                                  n, grid_ws)
+        index, top, single = _grid_argmax(
+            _draw(self.P, g1[:3, None], g2[:3, None], g3[:3, None]), n, grid_ws)
         k = _draw(self.P, g1[:3], g2[:3], g3[:3])
         alpha, probes = _golden_rows(k, alphas[np.maximum(index - 1, 0)],
                                      alphas[np.minimum(index + 1, n - 1)], alphas[index],
                                      top, refine_ws)
-        kept = [x.copy() for x in (index, top, alpha, probes)]
+        kept = [x.copy() for x in (index, top, single, alpha, probes)]
         # the next chunk and the final profile reuse both workspaces
         _grid_argmax(_draw(self.P, g1[3:, None], g2[3:, None], g3[3:, None]), n, grid_ws)
         _profile(k, alpha, 1.0 - alpha, ws=refine_ws)
-        for got, before in zip((index, top, alpha, probes), kept):
+        for got, before in zip((index, top, single, alpha, probes), kept):
             assert got.tobytes() == before.tobytes()
             assert not any(np.shares_memory(got, buf)
                            for ws in (grid_ws, refine_ws) for buf in ws.f + ws.b)
@@ -1026,6 +1043,105 @@ class TestWorkspace:
             finally:
                 tracemalloc.stop()
             assert peak < rows * n * 8, peak
+
+
+def full_grid_search(p, g1, g2, g3, n):
+    """_search's five arrays from the whole grid: per draw, the first-hit
+    argmax of the profile on all n grid points, then the same lock-step
+    refine on its bracket and the profile at alpha*.  Evaluations are
+    counted by grid_points."""
+    alphas, rest = _alpha_grid(n)
+    out = [np.empty(len(g1)), np.empty(len(g1)), np.empty(len(g1), dtype=bool),
+           np.empty(len(g1), dtype=bool), np.empty(len(g1), dtype=np.intp)]
+    k = _draw(p, g1, g2, g3)
+    for rows in np.flatnonzero(k.q == 0.0), np.flatnonzero(k.q != 0.0):
+        kr = rows_of(k, rows)
+        logf = np.concatenate([_profile(rows_of(k, rows[j:j + 16, None]), alphas, rest)[3]
+                               for j in range(0, rows.size, 16)] or [np.empty((0, n))])
+        i = logf.argmax(axis=1)
+        top = logf[np.arange(rows.size), i]
+        a, probes = _golden_rows(kr, alphas[np.maximum(i - 1, 0)],
+                                 alphas[np.minimum(i + 1, n - 1)], alphas[i], top)
+        rho, interior, lower, _ = _profile(kr, a, 1.0 - a)
+        points = np.array([grid_points(row) for row in logf], dtype=np.intp)
+        for field, value in zip(out, (a, rho, interior, lower, points + probes + 1)):
+            field[rows] = value
+    return out
+
+
+class TestCoarseToFine:
+    """The grid stage evaluates a coarse grid, then a window around its
+    argmax or, for a coarse profile that is not single-peaked, every point;
+    the search returns what the whole grid's argmax gives."""
+
+    @staticmethod
+    def blocks(seed, count):
+        """Swap-ordered unit-mean draws with every seventh relay link dead."""
+        g = -np.log1p(-np.random.default_rng(seed).random((count, 3)))
+        g1, g2 = np.maximum(g[:, 0], g[:, 1]), np.minimum(g[:, 0], g[:, 1])
+        g3 = g[:, 2].copy()
+        g3[::7] = 0.0
+        return g1, g2, g3
+
+    @pytest.mark.parametrize("n", [200, 1000])
+    def test_search_matches_the_whole_grid(self, n):
+        pool = [(ch.g1, ch.g2, ch.g3) for _, ch in random_instances(1001, 60)]
+        g1, g2, g3 = (np.concatenate([x, y]) for x, y in
+                      zip(zip(*pool), self.blocks(n, 100)))
+        branches, fallback = set(), 0
+        for snr_db in (0.0, 10.0, 20.0, 30.0, 40.0):
+            for ratio in (1.5, 2.0, 5.0, 10.0):
+                for mu in (0.0, 1.0):
+                    p = SystemParams(avg_snr=10.0 ** (snr_db / 10.0), mu=mu, w1=1.0, w2=ratio)
+                    got, want = _search(p, g1, g2, g3, n), full_grid_search(p, g1, g2, g3, n)
+                    assert hex_rows(got) == hex_rows(want), (snr_db, ratio, mu)
+                    branches |= set(zip(got[2].tolist(), got[3].tolist()))
+                    fallback += int((got[4] > n).sum())
+        assert branches == {(True, False), (False, True), (False, False)}
+        assert fallback > 0  # some draws took every grid point
+
+    @pytest.mark.parametrize("n", [2, 3, 33, 34])
+    def test_small_grids_match_the_whole_grid(self, n):
+        g1, g2, g3 = self.blocks(n, 60)
+        for snr_db in (0.0, 20.0, 40.0):
+            p = SystemParams(avg_snr=10.0 ** (snr_db / 10.0), mu=1.0, w1=1.0, w2=3.0)
+            assert hex_rows(_search(p, g1, g2, g3, n)) == hex_rows(full_grid_search(p, g1, g2, g3, n))
+
+    def test_alpha_floor_and_dead_relay_draws(self):
+        # the whole grid's argmax at index 0 (alpha* = ALPHA_MIN), and a
+        # draw with q == 0 (rho* = 0 at every alpha)
+        got = {}
+        for name in ('alpha_floor', 'dead_relay'):
+            fields, gains, n = _FROZEN_DRAWS[name]
+            p, g = SystemParams(**fields), [np.array([x]) for x in gains]
+            got[name] = _search(p, *g, n)
+            assert hex_rows(got[name]) == hex_rows(full_grid_search(p, *g, n))
+        assert got['alpha_floor'][0].item() == ALPHA_MIN
+        assert got['dead_relay'][3].item() and got['dead_relay'][1].item() == 0.0
+
+    # A draw whose profile on 200 points peaks at grid index 154, while its
+    # coarse profile peaks at index 0 and again near 154: a window around
+    # the coarse argmax alone would miss the whole grid's argmax.
+    TWO_PEAKS = (dict(avg_snr=6.936431481550722, mu=0.5, eta=0.20220143216495234, w1=1.0,
+                      w2=10.78773869695332),
+                 (0.5806515073417523, 0.010934465946294552, 0.3157404775920605))
+
+    def test_second_coarse_peak_takes_every_point(self):
+        fields, gains = self.TWO_PEAKS
+        p, n = SystemParams(**fields), 200
+        k = _draw(p, *gains)
+        alphas, rest = _alpha_grid(n)
+        logf = _profile(k, alphas, rest)[3]
+        assert int(np.argmax(logf)) == 154
+        coarse = list(range(0, n, 16)) + [n - 1]
+        at, f_coarse, single = _grid_argmax(k, n, cols=np.array(coarse))
+        assert coarse[at] == 0 and not single
+        assert logf[154] - f_coarse > 0.007
+        g = [np.array([x]) for x in gains]
+        got = _search(p, *g, n)
+        assert hex_rows(got) == hex_rows(full_grid_search(p, *g, n))
+        assert got[4].item() > len(coarse) + n
+        assert abs(got[0].item() - alphas[154]) < alphas[1] - alphas[0]
 
 
 class TestAlphaGridCache:
