@@ -40,6 +40,7 @@ import numpy as np
 from .errors import DomainError
 from .model import DesignPoint, SystemParams
 from .specfun import (
+    _XGK,
     EULER_GAMMA,
     QuadratureSpec,
     _float_or_array,
@@ -202,17 +203,25 @@ def prob_w_exceeds(p: SystemParams, d: DesignPoint, z,
 def ergodic_rate_u2(p: SystemParams, d: DesignPoint):
     """Ergodic rate of the weak user under the factored-tail approximation.
 
-    Integrates Pr[Y > z] Pr[W > z] / (1 + z) over (0, (1-alpha)/alpha) and
-    scales by 1 / (2 ln 2).  Each outer panel's 21 z nodes go to
-    ``prob_w_exceeds`` in one call, whose convolution integrals share one
-    inner panel tree; each z still meets the inner tolerance on its own, 10x
-    tighter than the default ``QuadratureSpec`` of the outer rule.  Returns
-    ``(rate, error_estimate)`` where the estimate covers the outer
-    quadrature.
+    Integrates Pr[Y > z] Pr[W > z] / (1 + z) over (0, zmax), zmax =
+    (1-alpha)/alpha, and scales by 1 / (2 ln 2).  At z = 0 the integrand
+    decays no faster than Pr[Y > z] Pr[W1 > z] (W >= W1), whose 1/e length
+    there is ``length``.  A rule with every node beyond it (low SNR, rho
+    near 1) sees only underflow, so zmax is cut by 4 until the first node of
+    [0, cut] lies within it, one rule per piece.  Each outer panel's 21 z
+    nodes go to ``prob_w_exceeds`` in one call, whose convolution integrals
+    share one inner panel tree; each z still meets the inner tolerance on
+    its own, 10x tighter than the default ``QuadratureSpec`` of the outer
+    rule.  Returns ``(rate, error_estimate)`` where the estimate covers the
+    outer quadrature.
     """
     spec = QuadratureSpec()
     inner_spec = replace(spec, rel_tol=spec.rel_tol * 0.1, abs_tol=spec.abs_tol * 0.1)
     zmax = (1.0 - d.alpha) / d.alpha
+    length = (1.0 - d.alpha) / (d.alpha * _k_factor(p, d) + (1.0 + p.mu) / (p.avg_snr * p.var2))
+    cuts = [zmax]
+    while 0.5 * (1.0 - _XGK[0]) * cuts[0] > length:
+        cuts.insert(0, 0.25 * cuts[0])
 
     def integrand(z):
         py = prob_y_exceeds(p, d, z)
@@ -222,7 +231,8 @@ def ergodic_rate_u2(p: SystemParams, d: DesignPoint):
             out[live] = py[live] * prob_w_exceeds(p, d, z[live], inner_spec) / (1.0 + z[live])
         return out
 
-    value, err = integrate(integrand, 0.0, zmax, spec)
+    pieces = [integrate(integrand, lo, hi, spec) for lo, hi in zip([0.0, *cuts], cuts)]
+    value, err = (math.fsum(x) for x in zip(*pieces))
     return max(0.0, _HALF_LN2_INV * value), _HALF_LN2_INV * err
 
 

@@ -35,10 +35,10 @@ matters on [0, 1).  Case split per candidate alpha:
 * theta > 0 and rho_bar <= 0:               f_alpha decreasing, rho* = 0;
 * otherwise:                                f_alpha nondecreasing on the
                                             feasible set, rho* = rho_tilde;
-* q == 0 (dead relay link):                 N = (d - e*t)*p <= 0, f_alpha is
-                                            nonincreasing, rho* = 0.  The
+* q == 0 (dead relay link), per row:       N = (d - e*t)*p <= 0, f_alpha is
+                                            nonincreasing, rho* = 0 (the
                                             "otherwise" rule above would pick
-                                            the boundary here, which is wrong.
+                                            the boundary, which is wrong).
 
 The 1D search finds the first-hit argmax of log f(alpha, rho*(alpha)) on a
 uniform n-point alpha grid (built once per grid size and cached read-only)
@@ -379,25 +379,27 @@ def _profile(k: _Draw, alpha, rest, ws: _Workspace | None = None):
     f = ws.f
     positive, lower, interior, flag = ws.b
     rho = f[7]
-    if not np.count_nonzero(q):
-        # dead relay link (in every row): rho* = 0 at every alpha (never
-        # interior, always lower)
-        np.less(alpha, 0.0, out=interior)
-        np.greater(alpha, 0.0, out=lower)
-        rho.fill(0.0)
-    else:
-        # rb in f[11]; rt in f[6], once lead, beta and constant are spent
-        rb = _stationary_root(lead, beta, constant, theta, _Workspace(f[10:13], ws.b[1:3]))
-        np.greater(theta, 0.0, out=positive)
-        rt = _feasibility_root(a, b, c, _Workspace(f[6:9], ws.b[1:2]))
-        # interior = positive & (rb > 0) & (rb < rt);  lower = positive & (rb <= 0)
-        np.bitwise_and(positive, np.greater(rb, 0.0, out=flag), out=lower)
-        np.bitwise_and(lower, np.less(rb, rt, out=flag), out=interior)
-        np.bitwise_and(positive, np.less_equal(rb, 0.0, out=flag), out=lower)
-        # rho = where(interior, rb, where(lower, 0, min(rt, _RHO_CAP)))
-        np.minimum(rt, _RHO_CAP, out=rho)
-        np.copyto(rho, 0.0, where=lower)
-        np.copyto(rho, rb, where=interior)
+    dead = np.count_nonzero(q) < np.size(q)
+    if dead:
+        # rows with q == 0: theta is +0 (positive false), and lower |= dead
+        # below gives rho* = 0.  Their lead and b (with g1 = 0) are 0, which
+        # would make both unused roots 0/0, so they take 1 instead
+        np.copyto(lead, 1.0, where=np.equal(q, 0.0, out=flag))
+        np.copyto(b, 1.0, where=flag)
+    # rb in f[11]; rt in f[6], once lead, beta and constant are spent
+    rb = _stationary_root(lead, beta, constant, theta, _Workspace(f[10:13], ws.b[1:3]))
+    np.greater(theta, 0.0, out=positive)
+    rt = _feasibility_root(a, b, c, _Workspace(f[6:9], ws.b[1:2]))
+    # interior = positive & (rb > 0) & (rb < rt);  lower = positive & (rb <= 0)
+    np.bitwise_and(positive, np.greater(rb, 0.0, out=flag), out=lower)
+    np.bitwise_and(lower, np.less(rb, rt, out=flag), out=interior)
+    np.bitwise_and(positive, np.less_equal(rb, 0.0, out=flag), out=lower)
+    if dead:
+        np.copyto(lower, True, where=np.equal(q, 0.0, out=flag))
+    # rho = where(interior, rb, where(lower, 0, min(rt, _RHO_CAP)))
+    np.minimum(rt, _RHO_CAP, out=rho)
+    np.copyto(rho, 0.0, where=lower)
+    np.copyto(rho, rb, where=interior)
     # log f = log(d - e rho) - log(1 + mu - rho) + wr log(pp + q rho)
     log_f, x, log_t, log_p = f[8], f[9], f[10], f[12]
     np.log(np.subtract(d, np.multiply(e, rho, out=log_f), out=x), out=log_f)
@@ -449,20 +451,18 @@ def optimal_rho_for_alpha(p: SystemParams, ch: ChannelRealization, alpha: float)
     return rho.item(), _branch(interior.item(), lower.item())
 
 
-def _grid_argmax(k: _Draw, n: int, ws: _Workspace | None = None, cols=None):
+def _grid_argmax(k: _Draw, n: int, cols, ws: _Workspace | None = None):
     """The grid kernel: log f at the grid indices ``cols`` of the n-point
-    alpha grid, an int array of shape (m,) for every row or (rows, m), or
-    at all n points when None.  Returns per row the position in ``cols``
-    of the first-hit argmax (the smallest alpha wins ties), log f there,
-    and whether log f over ``cols`` is single-peaked: it rises strictly to
-    its maximum and falls strictly after it, with no tie and no NaN.
-    ``k`` holds a chunk's inputs as (rows, 1) columns with q == 0 in every
-    row or in none; the profile is then (rows x m), in ``ws`` when given,
+    alpha grid, an int array of shape (m,) for every row or (rows, m).
+    Returns per row the position in ``cols`` of the first-hit argmax (the
+    smallest alpha wins ties), log f there, and whether log f over ``cols``
+    is single-peaked: it rises strictly to its maximum and falls strictly
+    after it, with no tie and no NaN.  ``k`` holds a chunk's inputs as
+    (rows, 1) columns; the profile is then (rows x m), in ``ws`` when given,
     and each of its points gets the same float operations, and so the same
     bits, as it gets alone."""
     alphas, rest = _alpha_grid(n)
-    if cols is not None:
-        alphas, rest = alphas[cols], rest[cols]
+    alphas, rest = alphas[cols], rest[cols]
     ws = ws or _workspace(_shape(alphas, k.g1, k.q))
     logf = _profile(k, alphas, rest, ws)[3]
     after, before = logf[..., 1:], logf[..., :-1]
@@ -476,23 +476,21 @@ def _grid_argmax(k: _Draw, n: int, ws: _Workspace | None = None, cols=None):
     return logf.argmax(axis=-1), logf.max(axis=-1), single
 
 
-def _grid_rows(p: SystemParams, g1, g2, g3, n: int, ws: _Workspace, offsets=None, start=None):
+def _grid_rows(p: SystemParams, g1, g2, g3, n: int, ws: _Workspace, offsets, start=None):
     """The grid kernel on every draw of the (rows,) gain arrays, in chunks
-    of as many draws as a (rows x m) view of ``ws`` holds, at the grid
-    indices ``offsets`` (all n when None), moved per draw by ``start``
-    when given.  Returns per draw the grid index of its first-hit argmax,
-    log f there and whether its profile is single-peaked."""
-    m = n if offsets is None else offsets.size
+    of as many draws as a (rows x m) view of ``ws`` holds, at the m grid
+    indices ``offsets``, moved per draw by ``start`` when given.  Returns
+    per draw the grid index of its first-hit argmax, log f there and
+    whether its profile is single-peaked."""
+    m = offsets.size
     chunk = max(1, ws.f[0].size // m)
-    index = np.empty(g1.size, dtype=np.intp)
-    top = np.empty(g1.size)
-    single = np.empty(g1.size, dtype=bool)
+    index, top, single = (np.empty(g1.size, dtype=t) for t in (np.intp, float, bool))
     for lo in range(0, g1.size, chunk):
         s = slice(lo, lo + chunk)
         k = _draw(p, g1[s, None], g2[s, None], g3[s, None])
         cols = offsets if start is None else start[s, None] + offsets
-        j, top[s], single[s] = _grid_argmax(k, n, ws.take(len(k.q), m), cols)
-        index[s] = j if offsets is None else offsets[j]
+        j, top[s], single[s] = _grid_argmax(k, n, cols, ws.take(len(k.q), m))
+        index[s] = offsets[j]
     if start is not None:
         index += start
     return index, top, single
@@ -500,17 +498,17 @@ def _grid_rows(p: SystemParams, g1, g2, g3, n: int, ws: _Workspace, offsets=None
 
 def _golden_rows(k: _Draw, lo, hi, x0, f0, ws: _Workspace | None = None):
     """Golden-section maximization of each row's profile on [lo, hi], all
-    rows in lock-step.  ``k`` holds the rows' inputs as (rows,) arrays, with
-    q == 0 in every row or in none.  Each row takes the probes, the tie rule
-    (the left probe wins ties) and the stop of the section on its own: a row
-    stops once its bracket is no wider than _REFINE_TOL, and a bracket that
-    starts that narrow takes one probe at its midpoint (c = d).  Every row
-    stays in the loop until the last one stops: a stopped row probes its
-    best point again, after which c = d = that point, so it never evaluates
-    a point its draw alone would not.  Every probe's profile is computed in
-    ``ws`` (one fresh workspace for all of them without it).  Returns per
-    row alpha*, the best probe where it beats the incumbent (x0, f0)
-    strictly and x0 otherwise, and the number of probes."""
+    rows in lock-step, with ``k`` holding their inputs as (rows,) arrays.
+    Each row takes the probes, the tie rule (the left probe wins ties) and
+    the stop of the section on its own: a row stops once its bracket is no
+    wider than _REFINE_TOL, and a bracket that starts that narrow takes one
+    probe at its midpoint (c = d).  Every row stays in the loop until the
+    last one stops: a stopped row probes its best point again, after which
+    c = d = that point, so it never evaluates a point its draw alone would
+    not.  Every probe's profile is computed in ``ws`` (one fresh workspace
+    for all of them without it).  Returns per row alpha*, the best probe
+    where it beats the incumbent (x0, f0) strictly and x0 otherwise, and
+    the number of probes."""
     ws = ws or _workspace(np.shape(lo))
 
     def g(x):
@@ -543,52 +541,45 @@ def _golden_rows(k: _Draw, lo, hi, x0, f0, ws: _Workspace | None = None):
 
 
 def _search(p: SystemParams, g1, g2, g3, n: int):
-    """The 1D search for each draw of equal-length gain arrays: returns the
-    arrays alpha*, rho*, the interior and lower masks of the case taken at
-    alpha*, and the evaluation count (profile points of the grid stage,
-    refine probes and the profile at alpha*).  The draws are split once
-    into dead-relay (q == 0, which take the rho* = 0 case) and live sets.
-    Each set runs the grid stage's coarse step on every draw, then the
+    """The 1D search for each draw of equal-length gain arrays, dead relay
+    links (q == 0) included: returns the arrays alpha*, rho*, the interior
+    and lower masks of the case taken at alpha*, and the evaluation count
+    (profile points of the grid stage, refine probes and the profile at
+    alpha*).  The grid stage's coarse step runs on every draw, then the
     window around the coarse argmax of each single-peaked draw and all n
-    points on the others, then the refine in slices of at most
-    _REFINE_ROWS draws, on each draw's grid bracket: one grid step either
-    side of its incumbent, inside the grid.  Each slice ends with one
-    profile at its draws' alpha*.  One workspace of
-    (max(1, _GRID_CELLS // n) x n) cells serves every chunk of the grid
-    stage and one of up to _REFINE_ROWS rows every slice, each through
-    views of its leading cells."""
+    points on the others, then the refine in slices of at most _REFINE_ROWS
+    draws, on each draw's grid bracket: one grid step either side of its
+    incumbent, inside the grid.  Each slice ends with one profile at its
+    draws' alpha*.  One workspace of (max(1, _GRID_CELLS // n) x n) cells
+    serves every chunk of the grid stage and one of up to _REFINE_ROWS rows
+    every slice, each through views of its leading cells."""
     alphas = _alpha_grid(n)[0]
     # every _COARSE_STEP-th grid index and n - 1; a window's column offsets
     coarse = np.array([*range(0, n - 1, _COARSE_STEP), n - 1])
     window = np.arange(min(2 * _COARSE_STEP + 1, n))
     grid_ws = _workspace((min(max(1, _GRID_CELLS // n), len(g1)), n))
     refine_ws = _workspace((min(_REFINE_ROWS, len(g1)),))
-    alpha_star, rho_star = np.empty(len(g1)), np.empty(len(g1))
-    interior, lower = np.empty(len(g1), dtype=bool), np.empty(len(g1), dtype=bool)
-    evaluations = np.empty(len(g1), dtype=np.intp)
-    dead = _draw(p, g1, g2, g3).q == 0.0
-    for part in (np.flatnonzero(dead), np.flatnonzero(~dead)):
-        h1, h2, h3 = g1[part], g2[part], g3[part]
-        peak, _, single = _grid_rows(p, h1, h2, h3, n, grid_ws, coarse)
-        index = np.empty(part.size, dtype=np.intp)
-        top = np.empty(part.size)
-        one, many = np.flatnonzero(single), np.flatnonzero(~single)
-        # the window holds the coarse argmax's two coarse neighbours
-        start = np.minimum(np.maximum(peak[one] - _COARSE_STEP, 0), n - window.size)
-        index[one], top[one], _ = _grid_rows(p, h1[one], h2[one], h3[one], n, grid_ws,
-                                             window, start)
-        index[many], top[many], _ = _grid_rows(p, h1[many], h2[many], h3[many], n, grid_ws)
-        points = coarse.size + np.where(single, window.size, n)
-        for lo in range(0, part.size, _REFINE_ROWS):
-            s = slice(lo, lo + _REFINE_ROWS)
-            i, rows = index[s], part[s]
-            k = _draw(p, h1[s], h2[s], h3[s])
-            ws = refine_ws.take(rows.size)
-            a, probes = _golden_rows(k, alphas[np.maximum(i - 1, 0)],
-                                     alphas[np.minimum(i + 1, n - 1)], alphas[i], top[s], ws)
-            alpha_star[rows] = a
-            rho_star[rows], interior[rows], lower[rows], _ = _profile(k, a, 1.0 - a, ws)
-            evaluations[rows] = points[s] + probes + 1
+    alpha_star, rho_star, interior, lower, evaluations = (
+        np.empty(len(g1), dtype=t) for t in (float, float, bool, bool, np.intp))
+    peak, _, single = _grid_rows(p, g1, g2, g3, n, grid_ws, coarse)
+    index, top = np.empty(len(g1), dtype=np.intp), np.empty(len(g1))
+    one, many = np.flatnonzero(single), np.flatnonzero(~single)
+    # the window holds the coarse argmax's two coarse neighbours
+    start = np.minimum(np.maximum(peak[one] - _COARSE_STEP, 0), n - window.size)
+    index[one], top[one], _ = _grid_rows(p, g1[one], g2[one], g3[one], n, grid_ws, window, start)
+    index[many], top[many], _ = _grid_rows(p, g1[many], g2[many], g3[many], n, grid_ws,
+                                           np.arange(n))
+    points = coarse.size + np.where(single, window.size, n)
+    for lo in range(0, len(g1), _REFINE_ROWS):
+        s = slice(lo, lo + _REFINE_ROWS)
+        i = index[s]
+        k = _draw(p, g1[s], g2[s], g3[s])
+        ws = refine_ws.take(i.size)
+        a, probes = _golden_rows(k, alphas[np.maximum(i - 1, 0)],
+                                 alphas[np.minimum(i + 1, n - 1)], alphas[i], top[s], ws)
+        alpha_star[s] = a
+        rho_star[s], interior[s], lower[s], _ = _profile(k, a, 1.0 - a, ws)
+        evaluations[s] = points[s] + probes + 1
     return alpha_star, rho_star, interior, lower, evaluations
 
 
@@ -607,8 +598,7 @@ def solve_1d(p: SystemParams, ch: ChannelRealization,
     c2, weighted sum) from those two calls, as Python scalars, when the
     caller has made them already, as the Monte Carlo blocks do for all their
     draws at once; without it both run on this draw alone, as one-row
-    arrays.  Alone, a solve costs 1.6-3.4 ms on a 2-core VM with numpy 2.4,
-    about 1.1x its cost with a one-step all-points grid stage: it is mostly
+    arrays.  Alone, a solve is a one-row ``_search``: its cost is mostly
     numpy's per-call cost on the one-row arrays of the two grid steps and
     the refine; with ``row`` it is only the objective and the outcome.
     """

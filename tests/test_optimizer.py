@@ -536,11 +536,22 @@ class TestProfile:
                 p = SystemParams(avg_snr=10.0 ** (snr_db / 10.0), mu=mu, w1=1.0, w2=3.0)
                 alpha = rng.uniform(ALPHA_MIN, 1.0 - ALPHA_MIN, len(gains))
                 k = _draw(p, g1, g2, g3)
-                for rows in np.flatnonzero(k.q == 0.0), np.flatnonzero(k.q != 0.0):
-                    a = alpha[rows]
-                    assert_rows_are_alone(
-                        _profile(rows_of(k, rows), a, 1.0 - a),
-                        [one_row_profile(_draw(p, *gains[j]), alpha[j]) for j in rows])
+                alone = [one_row_profile(_draw(p, *x), a) for x, a in zip(gains, alpha)]
+                # the refine's (rows,) profile and the grid's (rows, 1) x
+                # (m,) one, each on the whole mixed block
+                got = _profile(k, alpha, 1.0 - alpha)
+                assert_rows_are_alone(got, alone)
+                dead = k.q == 0.0
+                assert dead.any() and (~dead).any()
+                # dead-relay rows: lower, never interior, rho* = 0
+                assert got[2][dead].all() and not (got[1][dead].any() or got[0][dead].any())
+                cols = rng.choice(1000, 5, replace=False)
+                grid_alpha, grid_rest = _alpha_grid(1000)
+                grid_alpha, grid_rest = grid_alpha[cols], grid_rest[cols]
+                got = _profile(rows_of(k, np.s_[:, None]), grid_alpha, grid_rest)
+                assert_rows_are_alone(got, [_profile(_draw(p, *x), grid_alpha, grid_rest)
+                                            for x in gains])
+                assert got[2][dead].all() and not (got[1][dead].any() or got[0][dead].any())
                 block = _search(p, g1, g2, g3, 1000)
                 assert_rows_are_alone(
                     block, [_search(p, *(np.array([x]) for x in draw), 1000) for draw in gains])
@@ -983,11 +994,10 @@ class TestWorkspace:
     def test_profile_twice_on_one_workspace(self):
         g1, g2, g3 = (x[:, None] for x in self.block(16))
         alphas, rest = _alpha_grid(200)
-        # four live rows, then four dead-relay ones on the same buffers
-        live, dead = [1, 2, 3, 5], [0, 4, 8, 12]
-        first_k = _draw(self.P, g1[live], g2[live], g3[live])
-        second_k = _draw(self.P, g1[dead], g2[dead], g3[dead])
-        ws = _workspace((4, 200))
+        # eight rows, then eight others on the same buffers
+        first_k = _draw(self.P, g1[:8], g2[:8], g3[:8])
+        second_k = _draw(self.P, g1[8:], g2[8:], g3[8:])
+        ws = _workspace((8, 200))
         first = _profile(first_k, alphas, rest, ws=ws)
         kept = [x.copy() for x in first]
         second = _profile(second_k, alphas, rest, ws=ws)
@@ -999,21 +1009,20 @@ class TestWorkspace:
             assert [x.tobytes() for x in got] == [x.tobytes() for x in fresh]
 
     def test_stage_results_do_not_share_the_workspace(self):
-        g1, g2, g3 = self.block(8)
-        live = g3 != 0.0
-        g1, g2, g3 = g1[live], g2[live], g3[live]
+        g1, g2, g3 = self.block(6)  # rows 0 and 4 dead
         n = 200
         alphas = _alpha_grid(n)[0]
         grid_ws, refine_ws = _workspace((3, n)), _workspace((3,))
         index, top, single = _grid_argmax(
-            _draw(self.P, g1[:3, None], g2[:3, None], g3[:3, None]), n, grid_ws)
+            _draw(self.P, g1[:3, None], g2[:3, None], g3[:3, None]), n, np.arange(n), grid_ws)
         k = _draw(self.P, g1[:3], g2[:3], g3[:3])
         alpha, probes = _golden_rows(k, alphas[np.maximum(index - 1, 0)],
                                      alphas[np.minimum(index + 1, n - 1)], alphas[index],
                                      top, refine_ws)
         kept = [x.copy() for x in (index, top, single, alpha, probes)]
         # the next chunk and the final profile reuse both workspaces
-        _grid_argmax(_draw(self.P, g1[3:, None], g2[3:, None], g3[3:, None]), n, grid_ws)
+        _grid_argmax(_draw(self.P, g1[3:, None], g2[3:, None], g3[3:, None]), n, np.arange(n),
+                     grid_ws)
         _profile(k, alpha, 1.0 - alpha, ws=refine_ws)
         for got, before in zip((index, top, single, alpha, probes), kept):
             assert got.tobytes() == before.tobytes()
@@ -1035,10 +1044,10 @@ class TestWorkspace:
             p = dataclasses.replace(self.P, mu=mu)
             k = _draw(p, g1[:, None], g2[:, None], g3[:, None])
             ws = _workspace((rows, n))
-            _grid_argmax(k, n, ws)  # the alpha grid's cache aside
+            _grid_argmax(k, n, np.arange(n), ws)  # the alpha grid's cache aside
             tracemalloc.start()
             try:
-                _grid_argmax(k, n, ws)
+                _grid_argmax(k, n, np.arange(n), ws)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -1051,22 +1060,16 @@ def full_grid_search(p, g1, g2, g3, n):
     refine on its bracket and the profile at alpha*.  Evaluations are
     counted by grid_points."""
     alphas, rest = _alpha_grid(n)
-    out = [np.empty(len(g1)), np.empty(len(g1)), np.empty(len(g1), dtype=bool),
-           np.empty(len(g1), dtype=bool), np.empty(len(g1), dtype=np.intp)]
     k = _draw(p, g1, g2, g3)
-    for rows in np.flatnonzero(k.q == 0.0), np.flatnonzero(k.q != 0.0):
-        kr = rows_of(k, rows)
-        logf = np.concatenate([_profile(rows_of(k, rows[j:j + 16, None]), alphas, rest)[3]
-                               for j in range(0, rows.size, 16)] or [np.empty((0, n))])
-        i = logf.argmax(axis=1)
-        top = logf[np.arange(rows.size), i]
-        a, probes = _golden_rows(kr, alphas[np.maximum(i - 1, 0)],
-                                 alphas[np.minimum(i + 1, n - 1)], alphas[i], top)
-        rho, interior, lower, _ = _profile(kr, a, 1.0 - a)
-        points = np.array([grid_points(row) for row in logf], dtype=np.intp)
-        for field, value in zip(out, (a, rho, interior, lower, points + probes + 1)):
-            field[rows] = value
-    return out
+    logf = np.concatenate([_profile(rows_of(k, np.s_[j:j + 16, None]), alphas, rest)[3]
+                           for j in range(0, len(g1), 16)])
+    i = logf.argmax(axis=1)
+    top = logf[np.arange(len(g1)), i]
+    a, probes = _golden_rows(k, alphas[np.maximum(i - 1, 0)],
+                             alphas[np.minimum(i + 1, n - 1)], alphas[i], top)
+    rho, interior, lower, _ = _profile(k, a, 1.0 - a)
+    points = np.array([grid_points(row) for row in logf], dtype=np.intp)
+    return [a, rho, interior, lower, points + probes + 1]
 
 
 class TestCoarseToFine:
@@ -1134,7 +1137,7 @@ class TestCoarseToFine:
         logf = _profile(k, alphas, rest)[3]
         assert int(np.argmax(logf)) == 154
         coarse = list(range(0, n, 16)) + [n - 1]
-        at, f_coarse, single = _grid_argmax(k, n, cols=np.array(coarse))
+        at, f_coarse, single = _grid_argmax(k, n, np.array(coarse))
         assert coarse[at] == 0 and not single
         assert logf[154] - f_coarse > 0.007
         g = [np.array([x]) for x in gains]
