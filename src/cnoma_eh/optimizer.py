@@ -56,15 +56,19 @@ everywhere.  It and its kernels (``_coeffs``, ``_feasibility_root``,
 ``_stationary_root``) write every intermediate into the buffers of a
 ``_Workspace`` with numpy's ``out=``, each element through the float
 operations of the plain expression, so a profile allocates no array of its
-own size.  ``_search`` runs the search for a set of draws: the grid stage's
-coarse, window and all-n steps, each through the one grid kernel
-(``_grid_argmax``) on chunks of rows, then the refine (``_golden_rows``)
-on slices of up to ``_REFINE_ROWS`` draws in lock-step, each draw stopping
-after the probes it would take alone, and one last profile at each draw's
-alpha* for rho* and the branch; one workspace serves every chunk of the
-three steps and one all the probes.  Every operation on the way, each log
-included, is an elementwise numpy call, so a row gets the bits its draw
-gets alone and outcomes do not depend on the block.
+own size.  ``_search`` runs the search at a list of points
+(``SystemParams``) for a set of draws.  Per point, the grid stage's coarse,
+window and all-n steps (``_grid_stage``) each go through the one grid
+kernel (``_grid_argmax``) on chunks of rows, with the point's parameters as
+floats.  Then the refine (``_golden_rows``) runs over every (point, draw)
+row, on slices of up to ``_REFINE_ROWS`` rows in lock-step, each row with
+its own point's parameters (a ``_Draw`` holds floats or per-row arrays) and
+stopping after the probes it would take alone, and one last profile at each
+row's alpha* gives rho* and the branch.  One workspace serves every chunk
+of every point's grid stage and is released before one serves all the
+probes.  Every operation on the way, each log included, is an elementwise
+numpy call, so a row gets the bits its draw gets alone, at its point alone,
+and outcomes do not depend on the block or on the points beside it.
 ``solve_1d`` packs one draw's row of that result with its rates; alone it
 is a batch of one.
 ``solve_2d_exhaustive`` is the independent benchmark: a plain grid argmax of
@@ -128,11 +132,13 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 # Width in alpha at which the golden-section refine stops.
 _REFINE_TOL = 1e-6
 
-# Draws of one refine slice.  Per draw, the lock-step refine and the final
-# profile, all in one workspace of the slice's rows, took 109 us at 16 rows,
-# 25 us at 256, 16 us at 1024 and 14 us at 8192 on a 2-core VM with numpy
-# 2.4 (level with a fresh temporary per operation), while the tracemalloc
-# peak grew with the slice: 10 KB, 79 KB, 294 KB and 2.3 MB.
+# Rows, (point, draw) pairs, of one refine slice; the Monte Carlo jobs
+# stack as many points into one search as fit in it.  Per row, the lock-step
+# refine and the final profile, all in one workspace of the slice's rows,
+# took 109 us at 16 rows, 25 us at 256, 16 us at 1024 and 14 us at 8192 on
+# a 2-core VM with numpy 2.4 (level with a fresh temporary per operation),
+# while the tracemalloc peak grew with the slice: 10 KB, 79 KB, 294 KB and
+# 2.3 MB.
 _REFINE_ROWS = 1024
 
 # Cells of the grid stage's workspace: max(1, _GRID_CELLS // n) rows of n,
@@ -239,18 +245,34 @@ def _workspace(shape) -> _Workspace:
 
 
 class _Draw(NamedTuple):
-    """The inputs of the profile for one (params, channel) pair: floats, or
-    for a set of draws (rows,) arrays (the refine) or (rows, 1) columns (the
-    grid stage), one draw per row."""
+    """The inputs of the profile: the parameters it reads and one channel,
+    as floats, or for a set of draws (rows,) arrays (the refine) or (rows,
+    1) columns (the grid stage), one draw per row.  The grid stage takes
+    one point's parameters as floats, the refine each row's point's as
+    (rows,) arrays: an elementwise operation gives the same bits either
+    way."""
 
-    p: SystemParams
+    snr: float
+    mu: float
+    wr: float       # w2 / w1
     g1: float
     g2: float
     q: float        # eta*snr*g1*g3 / (1 + mu)
 
 
-def _draw(p: SystemParams, g1, g2, g3) -> _Draw:
-    return _Draw(p, g1, g2, p.eta * p.avg_snr * g1 * g3 / (1.0 + p.mu))
+class _RowParams(NamedTuple):
+    """The fields of ``SystemParams`` that ``_draw`` reads, as (rows,)
+    arrays: one point's values per row."""
+
+    avg_snr: np.ndarray
+    mu: np.ndarray
+    eta: np.ndarray
+    wtilde2: np.ndarray
+
+
+def _draw(p: SystemParams | _RowParams, g1, g2, g3) -> _Draw:
+    return _Draw(p.avg_snr, p.mu, p.wtilde2, g1, g2,
+                 p.eta * p.avg_snr * g1 * g3 / (1.0 + p.mu))
 
 
 @functools.lru_cache(maxsize=8)
@@ -282,8 +304,7 @@ def _coeffs(k: _Draw, alpha, rest, ws: _Workspace | None = None):
     broadcast against the draw's arrays; without it a fresh one is made.
     Each element takes the float operations, in order, of the expressions
     in the comments."""
-    p, g1, g2, q = k
-    snr, mu, w = p.avg_snr, p.mu, p.wtilde2
+    snr, mu, w, g1, g2, q = k
     ws = ws or _workspace(_shape(alpha, g1, q))
     d, e, pp, a, b, c, lead, beta, constant, theta, s, u = ws.f[:12]
     t = 1.0 + mu
@@ -375,7 +396,7 @@ def _profile(k: _Draw, alpha, rest, ws: _Workspace | None = None):
     against ``k``.  See the module docstring for the case split."""
     ws = ws or _workspace(_shape(alpha, k.g1, k.q))
     d, e, pp, a, b, c, lead, beta, constant, theta = _coeffs(k, alpha, rest, ws)
-    p, q = k.p, k.q
+    q = k.q
     f = ws.f
     positive, lower, interior, flag = ws.b
     rho = f[7]
@@ -403,9 +424,9 @@ def _profile(k: _Draw, alpha, rest, ws: _Workspace | None = None):
     # log f = log(d - e rho) - log(1 + mu - rho) + wr log(pp + q rho)
     log_f, x, log_t, log_p = f[8], f[9], f[10], f[12]
     np.log(np.subtract(d, np.multiply(e, rho, out=log_f), out=x), out=log_f)
-    np.log(np.subtract(1.0 + p.mu, rho, out=x), out=log_t)
+    np.log(np.subtract(1.0 + k.mu, rho, out=x), out=log_t)
     np.log(np.add(pp, np.multiply(q, rho, out=x), out=log_p), out=x)
-    np.multiply(p.wtilde2, x, out=log_p)
+    np.multiply(k.wr, x, out=log_p)
     np.add(np.subtract(log_f, log_t, out=x), log_p, out=log_f)
     return rho, interior, lower, log_f
 
@@ -540,40 +561,61 @@ def _golden_rows(k: _Draw, lo, hi, x0, f0, ws: _Workspace | None = None):
     return np.where(f_ref > f0, x_ref, x0), probes
 
 
-def _search(p: SystemParams, g1, g2, g3, n: int):
-    """The 1D search for each draw of equal-length gain arrays, dead relay
-    links (q == 0) included: returns the arrays alpha*, rho*, the interior
-    and lower masks of the case taken at alpha*, and the evaluation count
-    (profile points of the grid stage, refine probes and the profile at
-    alpha*).  The grid stage's coarse step runs on every draw, then the
-    window around the coarse argmax of each single-peaked draw and all n
-    points on the others, then the refine in slices of at most _REFINE_ROWS
-    draws, on each draw's grid bracket: one grid step either side of its
-    incumbent, inside the grid.  Each slice ends with one profile at its
-    draws' alpha*.  One workspace of (max(1, _GRID_CELLS // n) x n) cells
-    serves every chunk of the grid stage and one of up to _REFINE_ROWS rows
-    every slice, each through views of its leading cells."""
-    alphas = _alpha_grid(n)[0]
+def _grid_stage(p: SystemParams, g1, g2, g3, n: int, ws: _Workspace):
+    """The grid stage of one point's search on every draw of the (rows,)
+    gain arrays, in ``ws``: the coarse step, then the window around the
+    coarse argmax of each single-peaked draw and all n points on the
+    others.  Returns per draw the grid index of its incumbent, log f there
+    and the number of profile points evaluated."""
     # every _COARSE_STEP-th grid index and n - 1; a window's column offsets
     coarse = np.array([*range(0, n - 1, _COARSE_STEP), n - 1])
     window = np.arange(min(2 * _COARSE_STEP + 1, n))
-    grid_ws = _workspace((min(max(1, _GRID_CELLS // n), len(g1)), n))
-    refine_ws = _workspace((min(_REFINE_ROWS, len(g1)),))
-    alpha_star, rho_star, interior, lower, evaluations = (
-        np.empty(len(g1), dtype=t) for t in (float, float, bool, bool, np.intp))
-    peak, _, single = _grid_rows(p, g1, g2, g3, n, grid_ws, coarse)
+    peak, _, single = _grid_rows(p, g1, g2, g3, n, ws, coarse)
     index, top = np.empty(len(g1), dtype=np.intp), np.empty(len(g1))
     one, many = np.flatnonzero(single), np.flatnonzero(~single)
     # the window holds the coarse argmax's two coarse neighbours
     start = np.minimum(np.maximum(peak[one] - _COARSE_STEP, 0), n - window.size)
-    index[one], top[one], _ = _grid_rows(p, g1[one], g2[one], g3[one], n, grid_ws, window, start)
-    index[many], top[many], _ = _grid_rows(p, g1[many], g2[many], g3[many], n, grid_ws,
+    index[one], top[one], _ = _grid_rows(p, g1[one], g2[one], g3[one], n, ws, window, start)
+    index[many], top[many], _ = _grid_rows(p, g1[many], g2[many], g3[many], n, ws,
                                            np.arange(n))
-    points = coarse.size + np.where(single, window.size, n)
-    for lo in range(0, len(g1), _REFINE_ROWS):
+    return index, top, coarse.size + np.where(single, window.size, n)
+
+
+def _search(params, g1, g2, g3, n: int):
+    """The 1D search at each ``SystemParams`` of ``params`` for each draw of
+    equal-length gain arrays, dead relay links (q == 0) included.  Returns
+    the arrays alpha*, rho*, the interior and lower masks of the case taken
+    at alpha*, and the evaluation count (profile points of the grid stage,
+    refine probes and the profile at alpha*), with one row per (point,
+    draw), point-major: the rows of ``params[j]`` are j*len(g1) on.
+
+    The grid stage (``_grid_stage``) runs once per point, with its float
+    parameters, in one workspace of (max(1, _GRID_CELLS // n) x n) cells
+    that every chunk of every point takes views of.  That workspace is
+    released before the refine, which runs on every row in slices of at
+    most _REFINE_ROWS rows, each row with its own point's parameters, on
+    the row's grid bracket: one grid step either side of its incumbent,
+    inside the grid.  Each slice ends with one profile at its rows' alpha*,
+    and one workspace of up to _REFINE_ROWS rows serves every slice.  A row
+    takes the bits of its (point, draw) searched alone."""
+    m = len(g1)
+    rows = len(params) * m
+    index, top, points = (np.empty(rows, dtype=t) for t in (np.intp, float, np.intp))
+    grid_ws = _workspace((min(max(1, _GRID_CELLS // n), m), n))
+    for j, p in enumerate(params):
+        s = slice(j * m, (j + 1) * m)
+        index[s], top[s], points[s] = _grid_stage(p, g1, g2, g3, n, grid_ws)
+    del grid_ws  # before the refine's buffers, so that the two never coexist
+    alphas = _alpha_grid(n)[0]
+    table = np.array([(p.avg_snr, p.mu, p.eta, p.wtilde2) for p in params]).T
+    refine_ws = _workspace((min(_REFINE_ROWS, rows),))
+    alpha_star, rho_star, interior, lower, evaluations = (
+        np.empty(rows, dtype=t) for t in (float, float, bool, bool, np.intp))
+    for lo in range(0, rows, _REFINE_ROWS):
         s = slice(lo, lo + _REFINE_ROWS)
+        point, draw = np.divmod(np.arange(lo, min(lo + _REFINE_ROWS, rows)), m)
         i = index[s]
-        k = _draw(p, g1[s], g2[s], g3[s])
+        k = _draw(_RowParams(*table[:, point]), g1[draw], g2[draw], g3[draw])
         ws = refine_ws.take(i.size)
         a, probes = _golden_rows(k, alphas[np.maximum(i - 1, 0)],
                                  alphas[np.minimum(i + 1, n - 1)], alphas[i], top[s], ws)
@@ -596,9 +638,10 @@ def solve_1d(p: SystemParams, ch: ChannelRealization,
     branch at alpha* (``_search``), then the rates there (``_rate_tuple``).
     ``row`` is this draw's (alpha*, rho*, interior, lower, evaluations, c1,
     c2, weighted sum) from those two calls, as Python scalars, when the
-    caller has made them already, as the Monte Carlo blocks do for all their
-    draws at once; without it both run on this draw alone, as one-row
-    arrays.  Alone, a solve is a one-row ``_search``: its cost is mostly
+    caller has made them already, as the Monte Carlo jobs do for a stack of
+    points on their draws at once; without it both run on this draw alone,
+    as one-row arrays.  Alone, a solve is a one-point, one-row ``_search``:
+    its cost is mostly
     numpy's per-call cost on the one-row arrays of the two grid steps and
     the refine; with ``row`` it is only the objective and the outcome.
     """
@@ -609,7 +652,7 @@ def solve_1d(p: SystemParams, ch: ChannelRealization,
     _require_ordered(ch)
     if row is None:
         gains = [np.array([ch.g1]), np.array([ch.g2]), np.array([ch.g3])]
-        solved = _search(p, *gains, (grid or AlphaGridSpec()).n)
+        solved = _search([p], *gains, (grid or AlphaGridSpec()).n)
         rated = _rate_tuple(p.avg_snr, p.mu, p.eta, *gains, solved[0], solved[1], p.w1, p.w2)
         row = [v.item() for v in (*solved, *rated)]
     alpha_star, rho_star, interior, lower, evaluations, *rated = row

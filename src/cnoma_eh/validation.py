@@ -392,8 +392,8 @@ def check_determinism(seed=1009) -> CheckResult:
     """run_fig2 twice with different worker counts must give identical CSVs
     (timestamp line aside).  Blocks of 256 draws give each of the four
     points 8 blocks; at workers=2 the figure's one sweep call opens one pool
-    of two processes for all four points, each point as two jobs of 4
-    blocks, so the block-order combination of the jobs' per-block sums is
+    of two processes and makes two jobs of 4 blocks, each for all four
+    points, so the block-order combination of the jobs' per-block sums is
     compared with the parent doing all 8."""
     import tempfile
     from pathlib import Path

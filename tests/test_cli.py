@@ -167,6 +167,7 @@ def forbid_estimators(monkeypatch):
 
     for module, name in ((montecarlo, "estimate_ergodic"),
                          (montecarlo, "estimate_optimized"),
+                         (montecarlo, "estimate_optimized_sweep"),
                          (analysis, "ergodic_weighted_sum"),
                          (cli, "solve_1d"),
                          (validation, "run_all")):
@@ -183,6 +184,12 @@ class _Ones:
         return 1.0
 
 
+def _ones_sweep(sampler, params, *args, **kwargs):
+    """Stands in for ``montecarlo.estimate_optimized_sweep``: one ``_Ones``
+    per point."""
+    return [_Ones() for _ in params]
+
+
 @pytest.mark.parametrize("kind, samples, ordering, wtilde2", [
     ("fig1", 1_000_000, "unordered", None),  # fig1 takes no weight ratios
     ("fig2", 100_000, "swap", "2.0,5.0"),
@@ -196,8 +203,11 @@ def test_default_run_records_resolved_defaults(kind, samples, ordering, wtilde2,
         samplers.append(sampler)
         return _Ones()
 
+    def fake_sweep(sampler, params, *args, **kwargs):
+        return [fake(sampler) for _ in params]  # one sampler per point, as for fig1
+
     monkeypatch.setattr(montecarlo, "estimate_ergodic", fake)
-    monkeypatch.setattr(montecarlo, "estimate_optimized", fake)
+    monkeypatch.setattr(montecarlo, "estimate_optimized_sweep", fake_sweep)
     monkeypatch.setattr(analysis, "ergodic_weighted_sum", lambda *a, **k: _Ones())
     out = tmp_path / f"{kind}.csv"
     assert main([kind, "--out", str(out)]) == 0
@@ -263,7 +273,7 @@ def test_provenance_lists_exactly_the_fields_read(argv, read, tmp_path, monkeypa
     monkeypatch.setattr(cli, "ExperimentConfig", Recording)
     monkeypatch.setattr(cli, "_flat_config", flat_config)
     monkeypatch.setattr(montecarlo, "estimate_ergodic", lambda *a, **k: _Ones())
-    monkeypatch.setattr(montecarlo, "estimate_optimized", lambda *a, **k: _Ones())
+    monkeypatch.setattr(montecarlo, "estimate_optimized_sweep", _ones_sweep)
     monkeypatch.setattr(analysis, "ergodic_weighted_sum", lambda *a, **k: _Ones())
     monkeypatch.setattr(cli, "solve_1d", lambda *a, **k: solved)
     monkeypatch.setattr(validation, "run_all", lambda **kw: [
@@ -473,7 +483,7 @@ class TestValidateCommand:
         count(analysis, "ergodic_rate_u2", lambda *a, **k: (1.0, 0.0))
         count(optimizer, "solve_1d", optimizer.solve_1d)
         monkeypatch.setattr(montecarlo, "estimate_ergodic", lambda *a, **k: _Ones())
-        monkeypatch.setattr(montecarlo, "estimate_optimized", lambda *a, **k: _Ones())
+        monkeypatch.setattr(montecarlo, "estimate_optimized_sweep", _ones_sweep)
         results = validation.run_all()
         assert len(results) == 18
         assert calls == {"ergodic_rate_u2": 4, "solve_1d": 200}

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -379,15 +380,15 @@ class TestEstimateOptimized:
                                             "# config.workers="))]
 
         # a sweep of six points of three blocks: one pool of min(workers, 3)
-        # processes serves them all, one map per point, and is shut down
-        # before run_figure returns
+        # processes serves them all, one map in all (each job runs every
+        # point on its blocks), and is shut down before run_figure returns
         for workers, size, runs in ((2, 2, [2, 1]), (10**6, 3, [1, 1, 1])):
             recording_pools.clear()
             lines = fig3(150, workers)
             assert [pool["size"] for pool in recording_pools] == [size]
             [pool] = recording_pools
             assert not pool["open"]
-            assert [[len(run) for run in jobs] for jobs in pool["maps"]] == [runs] * 6
+            assert [[len(run) for run in jobs] for jobs in pool["maps"]] == [runs]
             assert lines == fig3(150, 1)
         # a one-block sweep opens none
         recording_pools.clear()
@@ -424,6 +425,74 @@ class TestEstimateOptimized:
         peak(1024)  # the first call's one-off allocations (caches, imports) aside
         one, eight = peak(1024), peak(8 * 1024)
         assert eight <= 1.2 * one, (one, eight)
+
+    # 18 points over shared draws: mu 0 and 1, 0, 20 and 40 dB, w2/w1 of
+    # 1.5, 3 and 20
+    SWEEP = [params(snr_db, w2=w2, mu=mu)
+             for mu in (0.0, 1.0) for snr_db in (0.0, 20.0, 40.0) for w2 in (1.5, 3.0, 20.0)]
+
+    @pytest.mark.parametrize("workers, runs", [(1, [5]), (2, [3, 2]), (3, [2, 2, 1])])
+    def test_sweep_points_equal_points_alone(self, monkeypatch, recording_pools, workers, runs):
+        # five 40-draw blocks, with skipped ties and dead relay links in each
+        monkeypatch.setattr(montecarlo, "sample_gains",
+                            ties_and_dead_relays(montecarlo.sample_gains))
+        cfg = SamplerConfig(seed=53, ordering=Ordering.SWAP_ORDERED,
+                            sample_count=200, block_size=40)
+        grid = AlphaGridSpec(n=200)
+        alone = [estimate_optimized(cfg, p, grid, BASE) for p in self.SWEEP]
+        assert {pt["skipped"] for pt in alone} == {15}
+        assert [len(run) for run in montecarlo._runs(cfg, workers)] == runs
+        # 1024 rows: 5 points per search on a run's 185 (or fewer) kept
+        # rows; 80: groups of two blocks, one or two points per search, and
+        # refine slices across points
+        for refine_rows in (montecarlo._REFINE_ROWS, 80):
+            monkeypatch.setattr(montecarlo, "_REFINE_ROWS", refine_rows)
+            monkeypatch.setattr(optimizer, "_REFINE_ROWS", refine_rows)
+            recording_pools.clear()
+            sweep = montecarlo.estimate_optimized_sweep(cfg, self.SWEEP, grid, BASE, workers)
+            assert sweep == alone, refine_rows
+            # one pool and one map for the whole sweep
+            assert [(pool["size"], len(pool["maps"])) for pool in recording_pools] == (
+                [(workers, 1)] if workers > 1 else [])
+
+    def test_sweep_memory_does_not_grow_with_its_points(self):
+        # one 256-draw block, as in fig2_opt: a job stacks 4 points per
+        # search and holds one stack's rows, whose refine workspace is not
+        # held with the grid stage's, so 18 points peak about where one does
+        import tracemalloc
+
+        cfg = SamplerConfig(seed=55, ordering=Ordering.SWAP_ORDERED, sample_count=256)
+        sweep = [params(snr_db, w2=w2) for w2 in (2.0, 5.0) for snr_db in range(0, 41, 5)]
+
+        def peak(points):
+            tracemalloc.start()
+            try:
+                montecarlo.estimate_optimized_sweep(cfg, points, baseline=BASE)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(sweep)  # the first call's one-off allocations (caches, imports) aside
+        one = max(peak([p]) for p in sweep)
+        eighteen = peak(sweep)
+        assert eighteen <= 1.1 * one, (one, eighteen)
+
+    def test_sweep_points_share_their_draws(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a block was sampled")
+
+        monkeypatch.setattr(montecarlo, "sample_gains", never)
+        cfg = SamplerConfig(seed=57, ordering=Ordering.SWAP_ORDERED, sample_count=50)
+        p = params(10, w2=2.0)
+        for name in ("var1", "var2", "var3"):
+            other = dataclasses.replace(params(20, w2=3.0), **{name: 2.0})
+            for workers in (1, 2):
+                with pytest.raises(DomainError, match="share their draws"):
+                    montecarlo.estimate_optimized_sweep(cfg, [p, other], workers=workers)
+        # equal variances at every point are the sweep's draws
+        same = dataclasses.replace(params(20, w2=3.0), var3=p.var3)
+        monkeypatch.undo()
+        assert len(montecarlo.estimate_optimized_sweep(cfg, [p, same])) == 2
 
     def test_coarser_grid_is_close(self):
         cfg = SamplerConfig(seed=39, ordering=Ordering.SWAP_ORDERED, sample_count=500)

@@ -173,7 +173,7 @@ def scalar_search(p, g1, g2, g3, n):
 
 def search_rows(p, g1, g2, g3, n):
     """_search on gain arrays, as one tuple of Python scalars per draw."""
-    return list(zip(*(v.tolist() for v in _search(p, g1, g2, g3, n))))
+    return list(zip(*(v.tolist() for v in _search([p], g1, g2, g3, n))))
 
 
 class TestInnerCoefficients:
@@ -552,9 +552,9 @@ class TestProfile:
                 assert_rows_are_alone(got, [_profile(_draw(p, *x), grid_alpha, grid_rest)
                                             for x in gains])
                 assert got[2][dead].all() and not (got[1][dead].any() or got[0][dead].any())
-                block = _search(p, g1, g2, g3, 1000)
+                block = _search([p], g1, g2, g3, 1000)
                 assert_rows_are_alone(
-                    block, [_search(p, *(np.array([x]) for x in draw), 1000) for draw in gains])
+                    block, [_search([p], *(np.array([x]) for x in draw), 1000) for draw in gains])
                 cases |= set(zip(block[2].tolist(), block[3].tolist()))
         # interior, lower and boundary all reached at alpha*
         assert cases == {(True, False), (False, True), (False, False)}
@@ -890,7 +890,7 @@ class TestLockStepRefine:
         # the draw as the first row of a slice with six others
         block = [draw] + [[ch.g1, ch.g2, ch.g3] for _, ch in random_instances(1001, 6)]
         g1, g2, g3 = (np.array(x) for x in zip(*block))
-        got = _search(p, g1, g2, g3, 1000)[0][0].hex()
+        got = _search([p], g1, g2, g3, 1000)[0][0].hex()
         assert got == solve_1d(p, ChannelRealization(*draw)).alpha_star.hex()
         assert got == scalar_search(p, *draw, 1000)[0][0].hex()
 
@@ -948,11 +948,11 @@ class TestGridChunks:
                 solve_1d(self.P, ChannelRealization(2.5, 0.5, 0.8))
             for n in (1000, 200):
                 with pytest.raises(NumericalFailure) as block:
-                    _search(self.P, self.G1, self.G2, g3, n)
+                    _search([self.P], self.G1, self.G2, g3, n)
                 assert str(block.value) == str(alone.value)
                 assert where in [entry.name for entry in block.traceback]
             good = self.G1 != 2.5
-            alpha = _search(self.P, self.G1[good], self.G2[good], g3[good], 1000)[0]
+            alpha = _search([self.P], self.G1[good], self.G2[good], g3[good], 1000)[0]
             assert alpha.shape == (5,)
 
 
@@ -981,15 +981,15 @@ class TestWorkspace:
     def test_search_outcomes_do_not_depend_on_chunk_or_slice_rows(self, monkeypatch):
         g1, g2, g3 = self.block()
         n = 1000
-        want = hex_rows(_search(self.P, g1, g2, g3, n))
-        alone = [hex_rows(_search(self.P, *(np.array([x]) for x in draw), n))
+        want = hex_rows(_search([self.P], g1, g2, g3, n))
+        alone = [hex_rows(_search([self.P], *(np.array([x]) for x in draw), n))
                  for draw in zip(g1, g2, g3)]
         assert want == [[row[j][0] for row in alone] for j in range(5)]
         for chunk_rows in (1, 3, 16, 64):
             monkeypatch.setattr(optimizer, "_GRID_CELLS", chunk_rows * n)
             for refine_rows in (7, 1024):
                 monkeypatch.setattr(optimizer, "_REFINE_ROWS", refine_rows)
-                assert hex_rows(_search(self.P, g1, g2, g3, n)) == want, (chunk_rows, refine_rows)
+                assert hex_rows(_search([self.P], g1, g2, g3, n)) == want, (chunk_rows, refine_rows)
 
     def test_profile_twice_on_one_workspace(self):
         g1, g2, g3 = (x[:, None] for x in self.block(16))
@@ -1054,6 +1054,39 @@ class TestWorkspace:
             assert peak < rows * n * 8, peak
 
 
+class TestStackedPoints:
+    """``_search`` at several points over shared draws: the grid stage runs
+    once per point, the refine over every point's rows in lock-step with
+    per-row parameters, and each point's rows are the bytes of that point
+    searched alone."""
+
+    # mu 0 and 1, 0, 20 and 40 dB, w2/w1 of 1.5 and 20: twelve points
+    POINTS = [SystemParams(avg_snr=10.0 ** (db / 10.0), mu=mu, w1=1.0, w2=wr)
+              for mu in (0.0, 1.0) for db in (0.0, 20.0, 40.0) for wr in (1.5, 20.0)]
+
+    def test_rows_are_each_point_searched_alone(self, monkeypatch):
+        g1, g2, g3 = TestWorkspace.block()  # 27 live and 10 dead-relay rows
+        n = 1000
+        alone = [hex_rows(_search([p], g1, g2, g3, n)) for p in self.POINTS]
+        want = [[x for point in alone for x in point[j]] for j in range(5)]
+        # dead rows take the lower branch at rho* = 0, at every point
+        for point in alone:
+            assert all(point[3][i] and point[1][i] == (0.0).hex() for i in range(0, 37, 4))
+        # one slice of all 444 rows; nine slices of 50 rows, each across a
+        # boundary between points; slices of 7 rows, most inside one point
+        for refine_rows in (1024, 50, 7):
+            monkeypatch.setattr(optimizer, "_REFINE_ROWS", refine_rows)
+            assert hex_rows(_search(self.POINTS, g1, g2, g3, n)) == want, refine_rows
+
+    def test_points_in_any_order_and_repeated(self):
+        g1, g2, g3 = TestWorkspace.block(9)
+        p, q = self.POINTS[1], self.POINTS[10]
+        one = hex_rows(_search([p], g1, g2, g3, 200))
+        other = hex_rows(_search([q], g1, g2, g3, 200))
+        got = hex_rows(_search([q, p, q], g1, g2, g3, 200))
+        assert got == [b + a + b for a, b in zip(one, other)]
+
+
 def full_grid_search(p, g1, g2, g3, n):
     """_search's five arrays from the whole grid: per draw, the first-hit
     argmax of the profile on all n grid points, then the same lock-step
@@ -1096,7 +1129,7 @@ class TestCoarseToFine:
             for ratio in (1.5, 2.0, 5.0, 10.0):
                 for mu in (0.0, 1.0):
                     p = SystemParams(avg_snr=10.0 ** (snr_db / 10.0), mu=mu, w1=1.0, w2=ratio)
-                    got, want = _search(p, g1, g2, g3, n), full_grid_search(p, g1, g2, g3, n)
+                    got, want = _search([p], g1, g2, g3, n), full_grid_search(p, g1, g2, g3, n)
                     assert hex_rows(got) == hex_rows(want), (snr_db, ratio, mu)
                     branches |= set(zip(got[2].tolist(), got[3].tolist()))
                     fallback += int((got[4] > n).sum())
@@ -1108,7 +1141,7 @@ class TestCoarseToFine:
         g1, g2, g3 = self.blocks(n, 60)
         for snr_db in (0.0, 20.0, 40.0):
             p = SystemParams(avg_snr=10.0 ** (snr_db / 10.0), mu=1.0, w1=1.0, w2=3.0)
-            assert hex_rows(_search(p, g1, g2, g3, n)) == hex_rows(full_grid_search(p, g1, g2, g3, n))
+            assert hex_rows(_search([p], g1, g2, g3, n)) == hex_rows(full_grid_search(p, g1, g2, g3, n))
 
     def test_alpha_floor_and_dead_relay_draws(self):
         # the whole grid's argmax at index 0 (alpha* = ALPHA_MIN), and a
@@ -1117,7 +1150,7 @@ class TestCoarseToFine:
         for name in ('alpha_floor', 'dead_relay'):
             fields, gains, n = _FROZEN_DRAWS[name]
             p, g = SystemParams(**fields), [np.array([x]) for x in gains]
-            got[name] = _search(p, *g, n)
+            got[name] = _search([p], *g, n)
             assert hex_rows(got[name]) == hex_rows(full_grid_search(p, *g, n))
         assert got['alpha_floor'][0].item() == ALPHA_MIN
         assert got['dead_relay'][3].item() and got['dead_relay'][1].item() == 0.0
@@ -1141,7 +1174,7 @@ class TestCoarseToFine:
         assert coarse[at] == 0 and not single
         assert logf[154] - f_coarse > 0.007
         g = [np.array([x]) for x in gains]
-        got = _search(p, *g, n)
+        got = _search([p], *g, n)
         assert hex_rows(got) == hex_rows(full_grid_search(p, *g, n))
         assert got[4].item() > len(coarse) + n
         assert abs(got[0].item() - alphas[154]) < alphas[1] - alphas[0]
