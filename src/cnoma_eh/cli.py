@@ -215,7 +215,7 @@ def _write_sweep(out: Path, cfg: ExperimentConfig, experiment: str, columns, row
     out.parent.mkdir(parents=True, exist_ok=True)
     if cfg.fmt == "json":
         _write_json(out, experiment, cfg, columns=list(columns),
-                    rows=[[float(v) for v in row] for row in rows])
+                    rows=[[v if isinstance(v, str) else float(v) for v in row] for row in rows])
     else:
         _write_csv(out, experiment, columns, rows, cfg)
     return out
@@ -308,7 +308,7 @@ run_fig1 = run_fig2 = run_fig3 = run_figure
 
 
 _SOLVE_COLUMNS = ("alpha_star", "rho_star", "objective_f", "c1", "c2", "weighted_sum",
-                  "evaluations")
+                  "branch", "evaluations")
 
 
 def run_solve(cfg: ExperimentConfig) -> Path | None:
@@ -316,8 +316,9 @@ def run_solve(cfg: ExperimentConfig) -> Path | None:
     path = _output_path(cfg, "solve")
     out = solve_1d(cfg.system_params(cfg.snr_db), cfg.channel(), cfg.solver_grid())
     row = [out.alpha_star, out.rho_star, out.objective_f, out.rate_triple.c1,
-           out.rate_triple.c2, out.rate_triple.weighted_sum, float(out.evaluations)]
-    for name, v in zip(_SOLVE_COLUMNS[:-1], row):
+           out.rate_triple.c2, out.rate_triple.weighted_sum, out.branch.value,
+           float(out.evaluations)]
+    for name, v in zip(_SOLVE_COLUMNS[:-2], row):
         print(f"{name:<12} = {v!r}")
     print(f"branch       = {out.branch.value}")
     print(f"evaluations  = {out.evaluations}")

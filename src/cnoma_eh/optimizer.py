@@ -52,11 +52,8 @@ evaluated point is a point of the same grid and gets the same float
 operations, so the incumbent is the full grid's whenever the full grid's
 argmax lies in the window: that held on every draw checked, which is not
 a proof.  One array function, ``_profile``, evaluates the profile
-everywhere.  It and its kernels (``_coeffs``, ``_feasibility_root``,
-``_stationary_root``) write every intermediate into the buffers of a
-``_Workspace`` with numpy's ``out=``, each element through the float
-operations of the plain expression, so a profile allocates no array of its
-own size.  ``_search`` runs the search at a list of points
+everywhere, through its kernels ``_coeffs``, ``_feasibility_root`` and
+``_stationary_root``.  ``_search`` runs the search at a list of points
 (``SystemParams``) for a set of draws.  Per point, the grid stage's coarse,
 window and all-n steps (``_grid_stage``) each go through the one grid
 kernel (``_grid_argmax``) on chunks of rows, with the point's parameters as
@@ -64,11 +61,10 @@ floats.  Then the refine (``_golden_rows``) runs over every (point, draw)
 row, on slices of up to ``_REFINE_ROWS`` rows in lock-step, each row with
 its own point's parameters (a ``_Draw`` holds floats or per-row arrays) and
 stopping after the probes it would take alone, and one last profile at each
-row's alpha* gives rho* and the branch.  One workspace serves every chunk
-of every point's grid stage and is released before one serves all the
-probes.  Every operation on the way, each log included, is an elementwise
-numpy call, so a row gets the bits its draw gets alone, at its point alone,
-and outcomes do not depend on the block or on the points beside it.
+row's alpha* gives rho* and the branch.  Every operation on the way, each
+log included, is an elementwise numpy call, so a row gets the bits its draw
+gets alone, at its point alone, and outcomes do not depend on the block or
+on the points beside it.
 ``solve_1d`` packs one draw's row of that result with its rates; alone it
 is a batch of one.
 ``solve_2d_exhaustive`` is the independent benchmark: a plain grid argmax of
@@ -133,29 +129,20 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _REFINE_TOL = 1e-6
 
 # Rows, (point, draw) pairs, of one refine slice; the Monte Carlo jobs
-# stack as many points into one search as fit in it.  Per row, the lock-step
-# refine and the final profile, all in one workspace of the slice's rows,
-# took 109 us at 16 rows, 25 us at 256, 16 us at 1024 and 14 us at 8192 on
-# a 2-core VM with numpy 2.4 (level with a fresh temporary per operation),
-# while the tracemalloc peak grew with the slice: 10 KB, 79 KB, 294 KB and
-# 2.3 MB.
+# stack as many points into one search as fit in it.  It bounds the refine's
+# temporaries, each of one slice's rows.  Per row, the lock-step refine and
+# the final profile took 71 us at 16 rows, 5.6 us at 256, 2.2 us at 1024 and
+# 1.7 us at 8192 on a 2-core VM with numpy 2.4, while the tracemalloc peak
+# grew with the slice: 10 KB, 77 KB, 295 KB and 2.3 MB.
 _REFINE_ROWS = 1024
 
-# Cells of the grid stage's workspace: max(1, _GRID_CELLS // n) rows of n,
-# thirteen float and four bool buffers of that shape.  Each step of the
-# stage runs on chunks of as many draws as its (rows x points) profile
-# fits into those cells: at n = 1000 that is 62 draws of the 64 coarse
-# points, 121 of a 33-point window and 4 of all 1000 points.  Per draw,
-# on 256-draw blocks at n = 1000 (2-core VM, numpy 2.4, medians of 9
-# interleaved rounds), the search took 31 us at 2048 cells, 24 us at 4096
-# and 26 us at 8192.  4096 cells keep the workspace at 0.43 MB and a
-# 256-draw search's tracemalloc peak at 0.69 MB, below the 1.05 MB of the
-# all-points grid stage at 8192 cells.  At 8192 cells the window step's
-# temporaries raised that peak to 1.30 MB.  glibc then grew the heap in
-# the first fig2 pass and kept the grown top chunk, so later code that
-# allocates arrays of up to about 0.5 MB, the benchmark's reference kernel
-# included, stopped page-faulting and ran 2-3x as fast: at 4 of 7 checkout
-# paths tried, and at none of 10 with 4096 cells.
+# Cells of one chunk of the grid stage.  Each step of the stage runs on
+# chunks of max(1, _GRID_CELLS // m) draws at its m grid points, so it
+# bounds each temporary of a chunk's (rows x m) profile to about that many
+# cells (m, if m is larger): at n = 1000, 64 draws of the 64 coarse points,
+# 124 of a 33-point window and 4 of all 1000 points.  The tracemalloc peak
+# of a 256-draw search at n = 1000 is 0.67 MB for one point and 0.69 MB for
+# four stacked points (2-core VM, numpy 2.4).
 _GRID_CELLS = 4096
 
 # Stride of the grid stage's coarse step, in grid indices.  The window
@@ -212,38 +199,6 @@ def _check_alpha(alpha: float):
         raise DomainError(f"alpha must be in (0, 1), got {alpha}")
 
 
-class _Workspace(NamedTuple):
-    """Buffers of one shape that the profile's kernels write into, in place
-    of the temporaries each numpy expression would allocate: ``f`` holds
-    float buffers, ``b`` bool ones.  Every result a kernel returns is one of
-    them, valid until the next kernel call on the same buffers; a caller
-    that keeps one copies it.  Outside the guards' rare branches no ufunc
-    call writes into one of its own inputs: numpy 2.4 runs such a call
-    through its general iterator, whose set-up costs more than the
-    arithmetic on the refine's few rows."""
-
-    f: tuple
-    b: tuple
-
-    def take(self, *shape) -> _Workspace:
-        """Views of ``shape`` over the leading cells of every buffer, each
-        contiguous: the buffers of a smaller profile."""
-        return _Workspace(tuple(_cells(x, shape) for x in self.f),
-                          tuple(_cells(x, shape) for x in self.b))
-
-
-def _cells(x, shape):
-    """A view of ``shape`` over the leading cells of the contiguous array x."""
-    return np.ndarray(shape, x.dtype, x)
-
-
-def _workspace(shape) -> _Workspace:
-    """A fresh workspace of ``shape``: the thirteen float buffers and four
-    bool buffers one ``_profile`` uses."""
-    return _Workspace(tuple(np.empty(shape) for _ in range(13)),
-                      tuple(np.empty(shape, dtype=bool) for _ in range(4)))
-
-
 class _Draw(NamedTuple):
     """The inputs of the profile: the parameters it reads and one channel,
     as floats, or for a set of draws (rows,) arrays (the refine) or (rows,
@@ -286,11 +241,7 @@ def _alpha_grid(n: int):
     return alphas, rest
 
 
-def _shape(*arrays):
-    return np.broadcast_shapes(*map(np.shape, arrays))
-
-
-def _coeffs(k: _Draw, alpha, rest, ws: _Workspace | None = None):
+def _coeffs(k: _Draw, alpha, rest):
     """Everything f_alpha and its two quadratics need at alpha (a float or
     an array, with rest = 1 - alpha):
 
@@ -298,136 +249,76 @@ def _coeffs(k: _Draw, alpha, rest, ws: _Workspace | None = None):
         a, b, c                        feasibility quadratic a rho^2 - b rho + c
         lead, beta, constant, theta    stationary quadratic lead rho^2 - 2 beta rho
                                        + constant; its discriminant is 4 theta
-
-    written into ``ws.f[0:10]`` in that order (``ws.f[10:12]`` are
-    scratch) and returned as those buffers.  ``ws`` has the shape of alpha
-    broadcast against the draw's arrays; without it a fresh one is made.
-    Each element takes the float operations, in order, of the expressions
-    in the comments."""
+    """
     snr, mu, w, g1, g2, q = k
-    ws = ws or _workspace(_shape(alpha, g1, q))
-    d, e, pp, a, b, c, lead, beta, constant, theta, s, u = ws.f[:12]
     t = 1.0 + mu
     half_q, q_w = 0.5 * q, q * w
     a_snr = alpha * snr
     r_snr = rest * snr
-    # e = 1 + a_snr g1;  d = e + mu
-    np.add(np.multiply(a_snr, g1, out=d), 1.0, out=e)
-    np.add(e, mu, out=d)
-    # pp = 1 + r_snr g2 / (a_snr g2 + 1 + mu);  direct = pp - 1, in u
-    np.add(np.add(np.multiply(a_snr, g2, out=u), 1.0, out=pp), mu, out=u)
-    np.divide(np.multiply(r_snr, g2, out=pp), u, out=a)
-    np.add(a, 1.0, out=pp)
-    np.subtract(pp, 1.0, out=u)
-    # a = q e;  b = q d - direct e + r_snr g1;  c = r_snr g1 - direct d
-    np.multiply(r_snr, g1, out=s)
-    np.multiply(q, e, out=a)
-    np.add(np.subtract(np.multiply(q, d, out=b), np.multiply(u, e, out=c), out=lead), s, out=b)
-    np.subtract(s, np.multiply(u, d, out=lead), out=c)
-    # lead = q_w e;  beta = half_q d (w - 1) + half_q e t (w + 1)
-    np.multiply(q_w, e, out=lead)
-    np.multiply(np.multiply(half_q, d, out=u), w - 1.0, out=s)
-    np.multiply(np.multiply(np.multiply(half_q, e, out=u), t, out=beta), w + 1.0, out=u)
-    np.add(s, u, out=beta)
-    # constant = (d - e t) pp + q_w t d;  theta = beta beta - lead constant
-    np.multiply(np.subtract(d, np.multiply(e, t, out=s), out=u), pp, out=s)
-    np.add(s, np.multiply(q_w * t, d, out=u), out=constant)
-    np.subtract(np.multiply(beta, beta, out=s), np.multiply(lead, constant, out=u), out=theta)
-    return d, e, pp, a, b, c, lead, beta, constant, theta
+    s = r_snr * g1
+    e = a_snr * g1 + 1.0
+    d = e + mu
+    pp = r_snr * g2 / (a_snr * g2 + 1.0 + mu) + 1.0
+    direct = pp - 1.0
+    lead = q_w * e
+    beta = half_q * d * (w - 1.0) + half_q * e * t * (w + 1.0)
+    constant = (d - e * t) * pp + q_w * t * d
+    return (d, e, pp, q * e, q * d - direct * e + s, s - direct * d,
+            lead, beta, constant, beta * beta - lead * constant)
 
 
-def _feasibility_root(a, b, c, ws: _Workspace | None = None):
-    """rho_tilde: the smaller root 2c / (b + sqrt(b^2 - 4ac)), capped at 1,
-    written into ``ws.f[0]`` (``ws.f[1:3]`` and ``ws.b[0]`` are scratch)
-    and returned as that buffer.  The guard's scale is formed only when
-    some discriminant is negative: a non-negative or NaN one can never trip
-    it."""
-    ws = ws or _workspace(_shape(a, b, c))
-    out, disc, tmp = ws.f[:3]
-    # disc = b b - 4 a c
-    np.multiply(np.multiply(4.0, a, out=tmp), c, out=out)
-    np.subtract(np.multiply(b, b, out=tmp), out, out=disc)
-    if np.count_nonzero(np.less(disc, 0.0, out=ws.b[0])):
-        # scale = max(|a|, max(|b|, |c|));  disc < -guard scale scale
-        np.maximum(np.abs(b, out=out), np.abs(c, out=tmp), out=out)
-        scale = np.maximum(np.abs(a, out=tmp), out, out=tmp)
-        np.multiply(np.multiply(-_DISC_GUARD, scale, out=out), scale, out=out)
-        if np.count_nonzero(np.less(disc, out, out=ws.b[0])):
+def _feasibility_root(a, b, c):
+    """rho_tilde: the smaller root 2c / (b + sqrt(b^2 - 4ac)), capped at 1.
+    The guard's scale is formed only when some discriminant is negative: a
+    non-negative or NaN one can never trip it."""
+    disc = b * b - 4.0 * a * c
+    if np.count_nonzero(disc < 0.0):
+        scale = np.maximum(abs(a), np.maximum(abs(b), abs(c)))
+        if np.count_nonzero(disc < -_DISC_GUARD * scale * scale):
             raise NumericalFailure("feasibility discriminant below roundoff guard")
-    # min(2c / (b + sqrt(max(disc, 0))), 1)
-    np.add(b, np.sqrt(np.maximum(disc, 0.0, out=out), out=tmp), out=out)
-    np.divide(np.multiply(2.0, c, out=tmp), out, out=disc)
-    return np.minimum(disc, 1.0, out=out)
+    return np.minimum(2.0 * c / (b + np.sqrt(np.maximum(disc, 0.0))), 1.0)
 
 
-def _stationary_root(lead, beta, constant, theta, ws: _Workspace | None = None):
+def _stationary_root(lead, beta, constant, theta):
     """rho_bar: the smaller stationary root, in whichever of its two forms
-    does not cancel, written into ``ws.f[1]`` (``ws.f[0]``, ``ws.f[2]`` and
-    ``ws.b[0:2]`` are scratch) and returned as that buffer.  The guard's
-    scale is formed only when some theta is negative."""
-    ws = ws or _workspace(_shape(lead, beta, constant, theta))
-    num, root, den = ws.f[:3]
-    positive, other = ws.b[:2]
-    if np.count_nonzero(np.equal(lead, 0.0, out=positive)):
+    does not cancel.  The guard's scale is formed only when some theta is
+    negative."""
+    if np.count_nonzero(lead == 0.0):
         raise DivisionDegenerate(
             "stationary-point quadratic degenerates when q * wtilde2 * e == 0"
         )
-    if np.count_nonzero(np.less(theta, 0.0, out=positive)):
-        # scale = max(beta beta, |lead constant|);  theta < -guard scale
-        np.abs(np.multiply(lead, constant, out=num), out=root)
-        scale = np.maximum(np.multiply(beta, beta, out=num), root, out=den)
-        if np.count_nonzero(np.less(theta, np.multiply(-_DISC_GUARD, scale, out=num),
-                                    out=positive)):
+    if np.count_nonzero(theta < 0.0):
+        scale = np.maximum(beta * beta, abs(lead * constant))
+        if np.count_nonzero(theta < -_DISC_GUARD * scale):
             raise NumericalFailure("stationary-point discriminant below roundoff guard")
-    np.sqrt(np.maximum(theta, 0.0, out=num), out=root)
-    # where(beta > 0, constant, beta - root) / where(beta > 0, beta + root, lead)
-    np.greater(beta, 0.0, out=positive)
-    np.copyto(np.subtract(beta, root, out=num), constant, where=positive)
-    np.copyto(np.add(beta, root, out=den), lead, where=np.logical_not(positive, out=other))
-    return np.divide(num, den, out=root)
+    root = np.sqrt(np.maximum(theta, 0.0))
+    positive = beta > 0.0
+    return (np.where(positive, constant, beta - root)
+            / np.where(positive, beta + root, lead))
 
 
-def _profile(k: _Draw, alpha, rest, ws: _Workspace | None = None):
+def _profile(k: _Draw, alpha, rest):
     """rho*(alpha), the interior and lower masks of the case split, and
     log f(alpha, rho*(alpha)): the profile the 1D search maximizes.
     ``alpha`` is an array inside (0, 1) that broadcasts against the arrays
-    in ``k``, with rest = 1 - alpha.  The four results are buffers of ``ws``
-    (a fresh workspace without it), each of the shape of alpha broadcast
-    against ``k``.  See the module docstring for the case split."""
-    ws = ws or _workspace(_shape(alpha, k.g1, k.q))
-    d, e, pp, a, b, c, lead, beta, constant, theta = _coeffs(k, alpha, rest, ws)
+    in ``k``, with rest = 1 - alpha; each result has the shape of alpha
+    broadcast against ``k``.  See the module docstring for the case split."""
+    d, e, pp, a, b, c, lead, beta, constant, theta = _coeffs(k, alpha, rest)
     q = k.q
-    f = ws.f
-    positive, lower, interior, flag = ws.b
-    rho = f[7]
-    dead = np.count_nonzero(q) < np.size(q)
-    if dead:
+    dead = q == 0.0
+    if np.count_nonzero(dead):
         # rows with q == 0: theta is +0 (positive false), and lower |= dead
-        # below gives rho* = 0.  Their lead and b (with g1 = 0) are 0, which
-        # would make both unused roots 0/0, so they take 1 instead
-        np.copyto(lead, 1.0, where=np.equal(q, 0.0, out=flag))
-        np.copyto(b, 1.0, where=flag)
-    # rb in f[11]; rt in f[6], once lead, beta and constant are spent
-    rb = _stationary_root(lead, beta, constant, theta, _Workspace(f[10:13], ws.b[1:3]))
-    np.greater(theta, 0.0, out=positive)
-    rt = _feasibility_root(a, b, c, _Workspace(f[6:9], ws.b[1:2]))
-    # interior = positive & (rb > 0) & (rb < rt);  lower = positive & (rb <= 0)
-    np.bitwise_and(positive, np.greater(rb, 0.0, out=flag), out=lower)
-    np.bitwise_and(lower, np.less(rb, rt, out=flag), out=interior)
-    np.bitwise_and(positive, np.less_equal(rb, 0.0, out=flag), out=lower)
-    if dead:
-        np.copyto(lower, True, where=np.equal(q, 0.0, out=flag))
-    # rho = where(interior, rb, where(lower, 0, min(rt, _RHO_CAP)))
-    np.minimum(rt, _RHO_CAP, out=rho)
-    np.copyto(rho, 0.0, where=lower)
-    np.copyto(rho, rb, where=interior)
-    # log f = log(d - e rho) - log(1 + mu - rho) + wr log(pp + q rho)
-    log_f, x, log_t, log_p = f[8], f[9], f[10], f[12]
-    np.log(np.subtract(d, np.multiply(e, rho, out=log_f), out=x), out=log_f)
-    np.log(np.subtract(1.0 + k.mu, rho, out=x), out=log_t)
-    np.log(np.add(pp, np.multiply(q, rho, out=x), out=log_p), out=x)
-    np.multiply(k.wr, x, out=log_p)
-    np.add(np.subtract(log_f, log_t, out=x), log_p, out=log_f)
+        # gives rho* = 0.  Their lead and b (with g1 = 0) are 0, which would
+        # make both unused roots 0/0, so they take 1 instead.  Live blocks
+        # skip the two full-size where calls, 2-3% of a search
+        lead, b = np.where(dead, 1.0, lead), np.where(dead, 1.0, b)
+    rb = _stationary_root(lead, beta, constant, theta)
+    rt = _feasibility_root(a, b, c)
+    positive = theta > 0.0
+    interior = positive & (rb > 0.0) & (rb < rt)
+    lower = positive & (rb <= 0.0) | dead
+    rho = np.where(interior, rb, np.where(lower, 0.0, np.minimum(rt, _RHO_CAP)))
+    log_f = np.log(d - e * rho) - np.log(1.0 + k.mu - rho) + k.wr * np.log(pp + q * rho)
     return rho, interior, lower, log_f
 
 
@@ -472,52 +363,48 @@ def optimal_rho_for_alpha(p: SystemParams, ch: ChannelRealization, alpha: float)
     return rho.item(), _branch(interior.item(), lower.item())
 
 
-def _grid_argmax(k: _Draw, n: int, cols, ws: _Workspace | None = None):
+def _grid_argmax(k: _Draw, n: int, cols):
     """The grid kernel: log f at the grid indices ``cols`` of the n-point
     alpha grid, an int array of shape (m,) for every row or (rows, m).
     Returns per row the position in ``cols`` of the first-hit argmax (the
     smallest alpha wins ties), log f there, and whether log f over ``cols``
     is single-peaked: it rises strictly to its maximum and falls strictly
     after it, with no tie and no NaN.  ``k`` holds a chunk's inputs as
-    (rows, 1) columns; the profile is then (rows x m), in ``ws`` when given,
-    and each of its points gets the same float operations, and so the same
-    bits, as it gets alone."""
+    (rows, 1) columns; the profile is then (rows x m), and each of its
+    points gets the same float operations, and so the same bits, as it gets
+    alone."""
     alphas, rest = _alpha_grid(n)
-    alphas, rest = alphas[cols], rest[cols]
-    ws = ws or _workspace(_shape(alphas, k.g1, k.q))
-    logf = _profile(k, alphas, rest, ws)[3]
+    logf = _profile(k, alphas[cols], rest[cols])[3]
     after, before = logf[..., 1:], logf[..., :-1]
-    up = np.greater(after, before, out=_cells(ws.b[0], after.shape))
-    down = np.less(after, before, out=_cells(ws.b[1], after.shape))
+    up = after > before
     # a step neither up nor down (a tie or a NaN), or an up step after one
     # that was not up
-    flat = np.equal(up, down, out=_cells(ws.b[2], after.shape))
-    rise = np.greater(up[..., 1:], up[..., :-1], out=_cells(ws.b[3], up[..., 1:].shape))
+    flat = up == (after < before)
+    rise = up[..., 1:] > up[..., :-1]
     single = ~(flat.any(axis=-1) | rise.any(axis=-1))
     return logf.argmax(axis=-1), logf.max(axis=-1), single
 
 
-def _grid_rows(p: SystemParams, g1, g2, g3, n: int, ws: _Workspace, offsets, start=None):
+def _grid_rows(p: SystemParams, g1, g2, g3, n: int, offsets, start=None):
     """The grid kernel on every draw of the (rows,) gain arrays, in chunks
-    of as many draws as a (rows x m) view of ``ws`` holds, at the m grid
-    indices ``offsets``, moved per draw by ``start`` when given.  Returns
-    per draw the grid index of its first-hit argmax, log f there and
-    whether its profile is single-peaked."""
-    m = offsets.size
-    chunk = max(1, ws.f[0].size // m)
+    of max(1, _GRID_CELLS // m) draws, at the m grid indices ``offsets``,
+    moved per draw by ``start`` when given.  Returns per draw the grid
+    index of its first-hit argmax, log f there and whether its profile is
+    single-peaked."""
+    chunk = max(1, _GRID_CELLS // offsets.size)
     index, top, single = (np.empty(g1.size, dtype=t) for t in (np.intp, float, bool))
     for lo in range(0, g1.size, chunk):
         s = slice(lo, lo + chunk)
         k = _draw(p, g1[s, None], g2[s, None], g3[s, None])
         cols = offsets if start is None else start[s, None] + offsets
-        j, top[s], single[s] = _grid_argmax(k, n, cols, ws.take(len(k.q), m))
+        j, top[s], single[s] = _grid_argmax(k, n, cols)
         index[s] = offsets[j]
     if start is not None:
         index += start
     return index, top, single
 
 
-def _golden_rows(k: _Draw, lo, hi, x0, f0, ws: _Workspace | None = None):
+def _golden_rows(k: _Draw, lo, hi, x0, f0):
     """Golden-section maximization of each row's profile on [lo, hi], all
     rows in lock-step, with ``k`` holding their inputs as (rows,) arrays.
     Each row takes the probes, the tie rule (the left probe wins ties) and
@@ -526,14 +413,12 @@ def _golden_rows(k: _Draw, lo, hi, x0, f0, ws: _Workspace | None = None):
     probe at its midpoint (c = d).  Every row stays in the loop until the
     last one stops: a stopped row probes its best point again, after which
     c = d = that point, so it never evaluates a point its draw alone would
-    not.  Every probe's profile is computed in ``ws`` (one fresh workspace
-    for all of them without it).  Returns per row alpha*, the best probe
-    where it beats the incumbent (x0, f0) strictly and x0 otherwise, and
-    the number of probes."""
-    ws = ws or _workspace(np.shape(lo))
+    not.  Returns per row alpha*, the best probe where it beats the
+    incumbent (x0, f0) strictly and x0 otherwise, and the number of
+    probes."""
 
     def g(x):
-        return _profile(k, x, 1.0 - x, ws)[3]
+        return _profile(k, x, 1.0 - x)[3]
 
     a, b = lo, hi
     width = b - a
@@ -542,8 +427,7 @@ def _golden_rows(k: _Draw, lo, hi, x0, f0, ws: _Workspace | None = None):
     step = _INVPHI * width
     c = np.where(narrow, mid, b - step)
     d = np.where(narrow, mid, a + step)
-    fc = g(c).copy()  # g's result is a view of ws, which the next probe reuses
-    fd = g(d).copy()
+    fc, fd = g(c), g(d)
     probes = np.where(narrow, 1, 2)
     while (go := width > _REFINE_TOL).any():
         left = fc >= fd
@@ -561,23 +445,22 @@ def _golden_rows(k: _Draw, lo, hi, x0, f0, ws: _Workspace | None = None):
     return np.where(f_ref > f0, x_ref, x0), probes
 
 
-def _grid_stage(p: SystemParams, g1, g2, g3, n: int, ws: _Workspace):
+def _grid_stage(p: SystemParams, g1, g2, g3, n: int):
     """The grid stage of one point's search on every draw of the (rows,)
-    gain arrays, in ``ws``: the coarse step, then the window around the
-    coarse argmax of each single-peaked draw and all n points on the
-    others.  Returns per draw the grid index of its incumbent, log f there
-    and the number of profile points evaluated."""
+    gain arrays: the coarse step, then the window around the coarse argmax
+    of each single-peaked draw and all n points on the others, each step in
+    chunks of rows (``_grid_rows``).  Returns per draw the grid index of its
+    incumbent, log f there and the number of profile points evaluated."""
     # every _COARSE_STEP-th grid index and n - 1; a window's column offsets
     coarse = np.array([*range(0, n - 1, _COARSE_STEP), n - 1])
     window = np.arange(min(2 * _COARSE_STEP + 1, n))
-    peak, _, single = _grid_rows(p, g1, g2, g3, n, ws, coarse)
+    peak, _, single = _grid_rows(p, g1, g2, g3, n, coarse)
     index, top = np.empty(len(g1), dtype=np.intp), np.empty(len(g1))
     one, many = np.flatnonzero(single), np.flatnonzero(~single)
     # the window holds the coarse argmax's two coarse neighbours
     start = np.minimum(np.maximum(peak[one] - _COARSE_STEP, 0), n - window.size)
-    index[one], top[one], _ = _grid_rows(p, g1[one], g2[one], g3[one], n, ws, window, start)
-    index[many], top[many], _ = _grid_rows(p, g1[many], g2[many], g3[many], n, ws,
-                                           np.arange(n))
+    index[one], top[one], _ = _grid_rows(p, g1[one], g2[one], g3[one], n, window, start)
+    index[many], top[many], _ = _grid_rows(p, g1[many], g2[many], g3[many], n, np.arange(n))
     return index, top, coarse.size + np.where(single, window.size, n)
 
 
@@ -590,25 +473,19 @@ def _search(params, g1, g2, g3, n: int):
     draw), point-major: the rows of ``params[j]`` are j*len(g1) on.
 
     The grid stage (``_grid_stage``) runs once per point, with its float
-    parameters, in one workspace of (max(1, _GRID_CELLS // n) x n) cells
-    that every chunk of every point takes views of.  That workspace is
-    released before the refine, which runs on every row in slices of at
-    most _REFINE_ROWS rows, each row with its own point's parameters, on
-    the row's grid bracket: one grid step either side of its incumbent,
-    inside the grid.  Each slice ends with one profile at its rows' alpha*,
-    and one workspace of up to _REFINE_ROWS rows serves every slice.  A row
+    parameters.  Then the refine runs on every row in slices of at most
+    _REFINE_ROWS rows, each row with its own point's parameters, on the
+    row's grid bracket: one grid step either side of its incumbent, inside
+    the grid.  Each slice ends with one profile at its rows' alpha*.  A row
     takes the bits of its (point, draw) searched alone."""
     m = len(g1)
     rows = len(params) * m
     index, top, points = (np.empty(rows, dtype=t) for t in (np.intp, float, np.intp))
-    grid_ws = _workspace((min(max(1, _GRID_CELLS // n), m), n))
     for j, p in enumerate(params):
         s = slice(j * m, (j + 1) * m)
-        index[s], top[s], points[s] = _grid_stage(p, g1, g2, g3, n, grid_ws)
-    del grid_ws  # before the refine's buffers, so that the two never coexist
+        index[s], top[s], points[s] = _grid_stage(p, g1, g2, g3, n)
     alphas = _alpha_grid(n)[0]
     table = np.array([(p.avg_snr, p.mu, p.eta, p.wtilde2) for p in params]).T
-    refine_ws = _workspace((min(_REFINE_ROWS, rows),))
     alpha_star, rho_star, interior, lower, evaluations = (
         np.empty(rows, dtype=t) for t in (float, float, bool, bool, np.intp))
     for lo in range(0, rows, _REFINE_ROWS):
@@ -616,11 +493,10 @@ def _search(params, g1, g2, g3, n: int):
         point, draw = np.divmod(np.arange(lo, min(lo + _REFINE_ROWS, rows)), m)
         i = index[s]
         k = _draw(_RowParams(*table[:, point]), g1[draw], g2[draw], g3[draw])
-        ws = refine_ws.take(i.size)
         a, probes = _golden_rows(k, alphas[np.maximum(i - 1, 0)],
-                                 alphas[np.minimum(i + 1, n - 1)], alphas[i], top[s], ws)
+                                 alphas[np.minimum(i + 1, n - 1)], alphas[i], top[s])
         alpha_star[s] = a
-        rho_star[s], interior[s], lower[s], _ = _profile(k, a, 1.0 - a, ws)
+        rho_star[s], interior[s], lower[s], _ = _profile(k, a, 1.0 - a)
         evaluations[s] = points[s] + probes + 1
     return alpha_star, rho_star, interior, lower, evaluations
 
@@ -674,11 +550,11 @@ def solve_2d_exhaustive(p: SystemParams, ch: ChannelRealization,
         raise DomainError("2D grid needs at least 2 points per axis")
     alphas = np.linspace(ALPHA_MIN, 1.0 - ALPHA_MIN, n_alpha)
     rhos = np.linspace(0.0, _GRID2D_RHO_MAX, n_rho)
-    c1, c2, ws = _rate_tuple(
+    c1, c2, wsum = _rate_tuple(
         p.avg_snr, p.mu, p.eta, ch.g1, ch.g2, ch.g3,
         alphas[:, None], rhos[None, :], p.w1, p.w2,
     )
-    flat = int(np.argmax(ws))  # C order: first max is smallest alpha, then rho
+    flat = int(np.argmax(wsum))  # C order: first max is smallest alpha, then rho
     i, j = divmod(flat, n_rho)
     d = DesignPoint(alpha=float(alphas[i]), rho=float(rhos[j]))
     return OptimizationOutcome(
@@ -686,7 +562,7 @@ def solve_2d_exhaustive(p: SystemParams, ch: ChannelRealization,
         rho_star=d.rho,
         objective_f=f_objective(p, ch, d),
         rate_triple=RateTriple(
-            c1=float(c1[i, j]), c2=float(c2[i, j]), weighted_sum=float(ws[i, j])
+            c1=float(c1[i, j]), c2=float(c2[i, j]), weighted_sum=float(wsum[i, j])
         ),
         branch=SolverBranch.GRID,
         evaluations=n_alpha * n_rho,

@@ -330,13 +330,23 @@ class TestSolve:
         assert rc == 1
 
     def test_json_output_validates(self, tmp_path, capsys):
-        out = tmp_path / "solve.json"
-        rc = main(["solve", "--snr-db", "10", "--g1", "1.5", "--g2", "0.5",
-                   "--g3", "0.8", "--out", str(out), "--format", "json"])
-        assert rc == 0
-        doc = json.loads(out.read_text())
         schema = json.loads((SCHEMA_DIR / "sweep.schema.json").read_text())
-        jsonschema.validate(doc, schema)
+        # the example draw sits on the feasibility boundary; a dead relay
+        # link (g3 = 0) takes rho* = 0
+        for g3, branch in (("0.8", "boundary"), ("0", "lower")):
+            argv = ["solve", "--snr-db", "10", "--g1", "1.5", "--g2", "0.5", "--g3", g3]
+            out = tmp_path / f"solve_{g3}.json"
+            assert main([*argv, "--out", str(out), "--format", "json"]) == 0
+            doc = json.loads(out.read_text())
+            jsonschema.validate(doc, schema)
+            assert doc["columns"][-2:] == ["branch", "evaluations"]
+            assert doc["rows"][0][-2] == branch
+            out = tmp_path / f"solve_{g3}.csv"
+            assert main([*argv, "--out", str(out)]) == 0
+            header, row = out.read_text().splitlines()[-2:]
+            assert header.split(",") == doc["columns"]
+            assert row.split(",")[-2] == branch
+            assert f"branch       = {branch}\n" in capsys.readouterr().out
 
 
 class TestConfigFile:
@@ -461,7 +471,7 @@ class TestValidateCommand:
 
         # the shared stationary-root helper feeds the alpha grid, the
         # golden-section refine and the final rho*
-        def corrupted(lead, beta, constant, theta, ws=None):
+        def corrupted(lead, beta, constant, theta):
             return (beta - np.sqrt(np.maximum(theta, 0.0))) / (2.0 * lead)
 
         monkeypatch.setattr(optimizer, "_stationary_root", corrupted)

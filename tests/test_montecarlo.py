@@ -457,8 +457,9 @@ class TestEstimateOptimized:
 
     def test_sweep_memory_does_not_grow_with_its_points(self):
         # one 256-draw block, as in fig2_opt: a job stacks 4 points per
-        # search and holds one stack's rows, whose refine workspace is not
-        # held with the grid stage's, so 18 points peak about where one does
+        # search and holds one stack's rows, and the search's temporaries
+        # are of one grid chunk or refine slice, so 18 points peak about
+        # where one does
         import tracemalloc
 
         cfg = SamplerConfig(seed=55, ordering=Ordering.SWAP_ORDERED, sample_count=256)

@@ -37,7 +37,6 @@ from cnoma_eh.optimizer import (
     _profile,
     _search,
     _stationary_root,
-    _workspace,
     f_objective,
     optimal_rho_for_alpha,
     rho_tilde,
@@ -78,14 +77,14 @@ def f_coeffs(p, ch, alpha):
     """(d, e, t, pp, q) of f_alpha at a float alpha, from the solver's
     kernel, as floats."""
     k = _draw(p, ch.g1, ch.g2, ch.g3)
-    d, e, pp = (v.item() for v in _coeffs(k, alpha, 1.0 - alpha)[:3])
+    d, e, pp = (float(v) for v in _coeffs(k, alpha, 1.0 - alpha)[:3])
     return d, e, 1.0 + p.mu, pp, k.q
 
 
 def stationary_terms(p, ch, alpha):
     """(lead, beta, constant, theta) of the stationary-point quadratic, from
     the solver's kernel, as floats."""
-    return [v.item() for v in _coeffs(_draw(p, ch.g1, ch.g2, ch.g3), alpha, 1.0 - alpha)[6:]]
+    return [float(v) for v in _coeffs(_draw(p, ch.g1, ch.g2, ch.g3), alpha, 1.0 - alpha)[6:]]
 
 
 def theta_beta(p, ch, alpha):
@@ -931,14 +930,13 @@ class TestGridChunks:
         # refine a slice's as (rows,) arrays; the bad row trips one of them
         stage = {"ndim": 0}
 
-        def corrupted(k, alpha, rest, ws=None):
-            # the draw with g1 == 2.5 gets coefficients below the guard,
-            # written into the buffers the kernel returns
-            out = real(k, alpha, rest, ws)
+        def corrupted(k, alpha, rest):
+            # the draw with g1 == 2.5 gets coefficients below the guard
+            out = list(real(k, alpha, rest))
             if np.ndim(k.g1) == stage["ndim"]:
                 bad = np.equal(k.g1, 2.5)
                 for slot, value in zip(slots, values):
-                    np.copyto(out[slot], value, where=bad)
+                    out[slot] = np.where(bad, value, out[slot])
             return out
 
         monkeypatch.setattr(optimizer, "_coeffs", corrupted)
@@ -961,9 +959,9 @@ def hex_rows(solved):
     return [[x.hex() if isinstance(x, float) else x for x in v.tolist()] for v in solved]
 
 
-class TestWorkspace:
-    """The profile's kernels write into reused buffers; what they return
-    stays the same whatever the buffers held before."""
+class TestChunkRows:
+    """The grid stage runs on chunks of rows and the refine on slices of
+    rows; a row's outcome does not depend on either."""
 
     P = SystemParams(avg_snr=100.0, mu=1.0, w1=1.0, w2=3.0)
 
@@ -991,68 +989,6 @@ class TestWorkspace:
                 monkeypatch.setattr(optimizer, "_REFINE_ROWS", refine_rows)
                 assert hex_rows(_search([self.P], g1, g2, g3, n)) == want, (chunk_rows, refine_rows)
 
-    def test_profile_twice_on_one_workspace(self):
-        g1, g2, g3 = (x[:, None] for x in self.block(16))
-        alphas, rest = _alpha_grid(200)
-        # eight rows, then eight others on the same buffers
-        first_k = _draw(self.P, g1[:8], g2[:8], g3[:8])
-        second_k = _draw(self.P, g1[8:], g2[8:], g3[8:])
-        ws = _workspace((8, 200))
-        first = _profile(first_k, alphas, rest, ws=ws)
-        kept = [x.copy() for x in first]
-        second = _profile(second_k, alphas, rest, ws=ws)
-        # the views of the first call now hold the second's profile ...
-        assert all(a is b for a, b in zip(first, second))
-        # ... and each call gave what a fresh workspace gives
-        for got, k in ((kept, first_k), (second, second_k)):
-            fresh = _profile(k, alphas, rest)
-            assert [x.tobytes() for x in got] == [x.tobytes() for x in fresh]
-
-    def test_stage_results_do_not_share_the_workspace(self):
-        g1, g2, g3 = self.block(6)  # rows 0 and 4 dead
-        n = 200
-        alphas = _alpha_grid(n)[0]
-        grid_ws, refine_ws = _workspace((3, n)), _workspace((3,))
-        index, top, single = _grid_argmax(
-            _draw(self.P, g1[:3, None], g2[:3, None], g3[:3, None]), n, np.arange(n), grid_ws)
-        k = _draw(self.P, g1[:3], g2[:3], g3[:3])
-        alpha, probes = _golden_rows(k, alphas[np.maximum(index - 1, 0)],
-                                     alphas[np.minimum(index + 1, n - 1)], alphas[index],
-                                     top, refine_ws)
-        kept = [x.copy() for x in (index, top, single, alpha, probes)]
-        # the next chunk and the final profile reuse both workspaces
-        _grid_argmax(_draw(self.P, g1[3:, None], g2[3:, None], g3[3:, None]), n, np.arange(n),
-                     grid_ws)
-        _profile(k, alpha, 1.0 - alpha, ws=refine_ws)
-        for got, before in zip((index, top, single, alpha, probes), kept):
-            assert got.tobytes() == before.tobytes()
-            assert not any(np.shares_memory(got, buf)
-                           for ws in (grid_ws, refine_ws) for buf in ws.f + ws.b)
-
-    def test_grid_stage_allocates_no_chunk_sized_temporary(self):
-        # every (rows x n) array of the grid stage is a buffer of the
-        # workspace.  What it allocates is of the grid's or the rows' size,
-        # and numpy's own buffers for a broadcast operand, of at most
-        # np.getbufsize() elements each (two per call)
-        import tracemalloc
-
-        rows, n = 32, 1000
-        assert rows * n > 2 * np.getbufsize() + 2 * n
-        g1, g2, g3 = self.block(rows)
-        g3 = np.where(g3 == 0.0, 0.5, g3)  # one live chunk
-        for mu in (0.0, 1.0):
-            p = dataclasses.replace(self.P, mu=mu)
-            k = _draw(p, g1[:, None], g2[:, None], g3[:, None])
-            ws = _workspace((rows, n))
-            _grid_argmax(k, n, np.arange(n), ws)  # the alpha grid's cache aside
-            tracemalloc.start()
-            try:
-                _grid_argmax(k, n, np.arange(n), ws)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak < rows * n * 8, peak
-
 
 class TestStackedPoints:
     """``_search`` at several points over shared draws: the grid stage runs
@@ -1065,7 +1001,7 @@ class TestStackedPoints:
               for mu in (0.0, 1.0) for db in (0.0, 20.0, 40.0) for wr in (1.5, 20.0)]
 
     def test_rows_are_each_point_searched_alone(self, monkeypatch):
-        g1, g2, g3 = TestWorkspace.block()  # 27 live and 10 dead-relay rows
+        g1, g2, g3 = TestChunkRows.block()  # 27 live and 10 dead-relay rows
         n = 1000
         alone = [hex_rows(_search([p], g1, g2, g3, n)) for p in self.POINTS]
         want = [[x for point in alone for x in point[j]] for j in range(5)]
@@ -1079,7 +1015,7 @@ class TestStackedPoints:
             assert hex_rows(_search(self.POINTS, g1, g2, g3, n)) == want, refine_rows
 
     def test_points_in_any_order_and_repeated(self):
-        g1, g2, g3 = TestWorkspace.block(9)
+        g1, g2, g3 = TestChunkRows.block(9)
         p, q = self.POINTS[1], self.POINTS[10]
         one = hex_rows(_search([p], g1, g2, g3, 200))
         other = hex_rows(_search([q], g1, g2, g3, 200))
