@@ -190,34 +190,34 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
-def _write_csv(path: Path, experiment: str, columns, rows, cfg: ExperimentConfig):
-    lines = [f"# cnoma-eh {__version__} {experiment}", f"# timestamp={_timestamp()}"]
+def _write_csv(path: Path, cfg: ExperimentConfig, columns, rows):
+    lines = [f"# cnoma-eh {__version__} {cfg.kind}", f"# timestamp={_timestamp()}"]
     lines += [f"# {k}={v}" for k, v in _flat_config(cfg).items() if k != "version"]
     lines.append(",".join(columns))
     lines += [",".join(_fmt_cell(v) for v in row) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_json(path: Path, experiment: str, cfg: ExperimentConfig, **body):
-    doc = {"experiment": experiment, **body, "provenance": {
+def _write_json(path: Path, cfg: ExperimentConfig, **body):
+    doc = {"experiment": cfg.kind, **body, "provenance": {
         "version": __version__, "timestamp": _timestamp(), "config": _flat_config(cfg)}}
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _output_path(cfg: ExperimentConfig, experiment: str) -> Path:
+def _output_path(cfg: ExperimentConfig) -> Path:
     """Where a runner writes; checks the format before any work is done."""
     if cfg.fmt not in ("csv", "json"):
         raise ConfigError(f"unknown output format {cfg.fmt!r} (use csv|json)")
-    return Path(cfg.out or f"{experiment}.{cfg.fmt}")
+    return Path(cfg.out or f"{cfg.kind}.{cfg.fmt}")
 
 
-def _write_sweep(out: Path, cfg: ExperimentConfig, experiment: str, columns, rows) -> Path:
+def _write_sweep(out: Path, cfg: ExperimentConfig, columns, rows) -> Path:
     out.parent.mkdir(parents=True, exist_ok=True)
     if cfg.fmt == "json":
-        _write_json(out, experiment, cfg, columns=list(columns),
+        _write_json(out, cfg, columns=list(columns),
                     rows=[[v if isinstance(v, str) else float(v) for v in row] for row in rows])
     else:
-        _write_csv(out, experiment, columns, rows, cfg)
+        _write_csv(out, cfg, columns, rows)
     return out
 
 
@@ -296,14 +296,14 @@ _FIGURES = {
 def run_figure(cfg: ExperimentConfig) -> Path:
     """Run the figure named by ``cfg.kind`` and write its file."""
     fig = _FIGURES[cfg.kind]
-    out = _output_path(cfg, cfg.kind)
+    out = _output_path(cfg)
     if fig.wtilde2 and any(wt <= 1.0 for wt in cfg.wtilde2_values):
         raise ConfigError(f"{cfg.kind} requires w2 > w1, i.e. every wtilde2 > 1")
     rows = list(fig.rows(cfg, cfg.sampler()))  # a sweep's pool is shut down by now
-    return _write_sweep(out, cfg, cfg.kind, fig.columns, rows)
+    return _write_sweep(out, cfg, fig.columns, rows)
 
 
-# the benchmark, validation.check_determinism and the tests call these names
+# the benchmark calls these names
 run_fig1 = run_fig2 = run_fig3 = run_figure
 
 
@@ -313,7 +313,7 @@ _SOLVE_COLUMNS = ("alpha_star", "rho_star", "objective_f", "c1", "c2", "weighted
 
 def run_solve(cfg: ExperimentConfig) -> Path | None:
     """Solve one channel realization and print the outcome."""
-    path = _output_path(cfg, "solve")
+    path = _output_path(cfg)
     out = solve_1d(cfg.system_params(cfg.snr_db), cfg.channel(), cfg.solver_grid())
     row = [out.alpha_star, out.rho_star, out.objective_f, out.rate_triple.c1,
            out.rate_triple.c2, out.rate_triple.weighted_sum, out.branch.value,
@@ -322,7 +322,7 @@ def run_solve(cfg: ExperimentConfig) -> Path | None:
         print(f"{name:<12} = {v!r}")
     print(f"branch       = {out.branch.value}")
     print(f"evaluations  = {out.evaluations}")
-    return None if cfg.out is None else _write_sweep(path, cfg, "solve", _SOLVE_COLUMNS, [row])
+    return None if cfg.out is None else _write_sweep(path, cfg, _SOLVE_COLUMNS, [row])
 
 
 def run_validate(cfg: ExperimentConfig) -> int:
@@ -337,7 +337,7 @@ def run_validate(cfg: ExperimentConfig) -> int:
     all_passed = all(bool(c.passed) for c in checks)
     out = Path(cfg.out or "validate_report.json")
     out.parent.mkdir(parents=True, exist_ok=True)
-    _write_json(out, "validate", cfg, passed=all_passed, checks=[
+    _write_json(out, cfg, passed=all_passed, checks=[
         {"name": c.name, "value": float(c.value), "passed": bool(c.passed), "detail": c.detail,
          "tolerance": c.tolerance if isinstance(c.tolerance, str) else float(c.tolerance)}
         for c in checks])

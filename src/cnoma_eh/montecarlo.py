@@ -112,23 +112,26 @@ def _runs(cfg: SamplerConfig, workers: int) -> list[list[tuple[int, int]]]:
 
 
 def _run_blocks(job, cfg: SamplerConfig, args: tuple,
-                pool: ProcessPoolExecutor | None = None) -> list[dict[str, Any]]:
+                workers: int = 1) -> list[dict[str, Any]]:
     """Run ``job(cfg, *args, run)`` on runs of ``cfg``'s blocks; return its
     points, in order, each with ``n`` (draws kept), ``skipped``, and
     ``mean_<name>``, ``se_<name>`` for each name a block sums.
 
     A job returns one ``([{name: (sum, sum of squares)} per point],
     skipped)`` per block of its run.  Each point's sums are added in block
-    order, so no point depends on how the blocks were split.  Without
-    ``pool`` the parent runs every block as one run; with one, the blocks
-    are split by ``_runs`` into one run per process of ``pool`` and each run
-    is one job of one ``pool.map``, which serves every point.
+    order, so no point depends on how the blocks were split.  The blocks are
+    split once into ``_runs(cfg, workers)``.  One run is done in this
+    process; two or more go to one pool of one process per run, in one
+    ``map`` that serves every point, and the pool is shut down before this
+    returns.
     """
     task = partial(job, cfg, *args)
-    if pool is None:
-        results = [task(list(_blocks(cfg)))]
+    runs = _runs(cfg, workers)
+    if len(runs) < 2:
+        results = [task(run) for run in runs]
     else:
-        results = pool.map(task, _runs(cfg, pool._max_workers))  # sized to its runs
+        with ProcessPoolExecutor(max_workers=len(runs)) as pool:
+            results = list(pool.map(task, runs))
     blocks = [block for result in results for block in result]
     skipped = sum(skip for _, skip in blocks)
     n = cfg.sample_count - skipped
@@ -251,11 +254,10 @@ def estimate_optimized_sweep(cfg: SamplerConfig, params: list[SystemParams],
     Each block is sampled once for all the points, so the points must agree
     on ``var1``, ``var2`` and ``var3``; like the other preconditions this is
     checked before anything is sampled.  The blocks are split once into
-    ``_runs(cfg, workers)`` and one job per run serves every point
-    (``_optimized_job``).  With two or more runs, one pool of one process
-    per run takes them all in one ``map`` and is shut down before this
-    returns; with one run the parent does the work.  The points are the
-    same for any ``workers``, and each is the point it would be alone.
+    runs, and one job per run serves every point (``_optimized_job``);
+    ``_run_blocks`` does one run in this process and gives two or more to
+    one pool, shut down before this returns.  The points are the same for
+    any ``workers``, and each is the point it would be alone.
     """
     if not all(p.w2 > p.w1 for p in params):
         raise DomainError("optimized sweeps require w2 > w1")
@@ -266,13 +268,8 @@ def estimate_optimized_sweep(cfg: SamplerConfig, params: list[SystemParams],
                           "must be equal at every point")
     if not params:
         return []
-    args = (list(params), grid or AlphaGridSpec(), baseline)
-    size = len(_runs(cfg, workers))
-    if size < 2:
-        points = _run_blocks(_optimized_job, cfg, args)
-    else:
-        with ProcessPoolExecutor(max_workers=size) as pool:
-            points = _run_blocks(_optimized_job, cfg, args, pool)
+    points = _run_blocks(_optimized_job, cfg, (list(params), grid or AlphaGridSpec(), baseline),
+                         workers)
     if baseline is not None:
         for point in points:
             f_m = point["mean_wsum_fixed"]

@@ -232,18 +232,16 @@ def _draw(p: SystemParams | _RowParams, g1, g2, g3) -> _Draw:
 
 @functools.lru_cache(maxsize=8)
 def _alpha_grid(n: int):
-    """The n-point alpha grid on [ALPHA_MIN, 1 - ALPHA_MIN] and 1 - alpha on
-    it, both read-only; built on the first solve at each n."""
+    """The n-point alpha grid on [ALPHA_MIN, 1 - ALPHA_MIN], read-only;
+    built on the first solve at each n."""
     alphas = np.linspace(ALPHA_MIN, 1.0 - ALPHA_MIN, n)
-    rest = 1.0 - alphas
     alphas.setflags(write=False)
-    rest.setflags(write=False)
-    return alphas, rest
+    return alphas
 
 
-def _coeffs(k: _Draw, alpha, rest):
+def _coeffs(k: _Draw, alpha):
     """Everything f_alpha and its two quadratics need at alpha (a float or
-    an array, with rest = 1 - alpha):
+    an array):
 
         d, e, pp                       f_alpha = (d - e rho)/(t - rho)*(pp + q rho)^wr
         a, b, c                        feasibility quadratic a rho^2 - b rho + c
@@ -254,7 +252,7 @@ def _coeffs(k: _Draw, alpha, rest):
     t = 1.0 + mu
     half_q, q_w = 0.5 * q, q * w
     a_snr = alpha * snr
-    r_snr = rest * snr
+    r_snr = (1.0 - alpha) * snr
     s = r_snr * g1
     e = a_snr * g1 + 1.0
     d = e + mu
@@ -297,13 +295,13 @@ def _stationary_root(lead, beta, constant, theta):
             / np.where(positive, beta + root, lead))
 
 
-def _profile(k: _Draw, alpha, rest):
+def _profile(k: _Draw, alpha):
     """rho*(alpha), the interior and lower masks of the case split, and
     log f(alpha, rho*(alpha)): the profile the 1D search maximizes.
     ``alpha`` is an array inside (0, 1) that broadcasts against the arrays
-    in ``k``, with rest = 1 - alpha; each result has the shape of alpha
-    broadcast against ``k``.  See the module docstring for the case split."""
-    d, e, pp, a, b, c, lead, beta, constant, theta = _coeffs(k, alpha, rest)
+    in ``k``; each result has the shape of alpha broadcast against ``k``.
+    See the module docstring for the case split."""
+    d, e, pp, a, b, c, lead, beta, constant, theta = _coeffs(k, alpha)
     q = k.q
     dead = q == 0.0
     if np.count_nonzero(dead):
@@ -340,8 +338,7 @@ def rho_tilde(p: SystemParams, ch: ChannelRealization, alpha: float) -> float:
     """
     _require_ordered(ch)
     _check_alpha(alpha)
-    x = np.array([alpha])
-    a, b, c = _coeffs(_draw(p, ch.g1, ch.g2, ch.g3), x, 1.0 - x)[3:6]
+    a, b, c = _coeffs(_draw(p, ch.g1, ch.g2, ch.g3), np.array([alpha]))[3:6]
     return _feasibility_root(a, b, c).item()
 
 
@@ -358,8 +355,7 @@ def optimal_rho_for_alpha(p: SystemParams, ch: ChannelRealization, alpha: float)
     """
     _require_ordered(ch)
     _check_alpha(alpha)
-    x = np.array([alpha])
-    rho, interior, lower, _ = _profile(_draw(p, ch.g1, ch.g2, ch.g3), x, 1.0 - x)
+    rho, interior, lower, _ = _profile(_draw(p, ch.g1, ch.g2, ch.g3), np.array([alpha]))
     return rho.item(), _branch(interior.item(), lower.item())
 
 
@@ -373,8 +369,7 @@ def _grid_argmax(k: _Draw, n: int, cols):
     (rows, 1) columns; the profile is then (rows x m), and each of its
     points gets the same float operations, and so the same bits, as it gets
     alone."""
-    alphas, rest = _alpha_grid(n)
-    logf = _profile(k, alphas[cols], rest[cols])[3]
+    logf = _profile(k, _alpha_grid(n)[cols])[3]
     after, before = logf[..., 1:], logf[..., :-1]
     up = after > before
     # a step neither up nor down (a tie or a NaN), or an up step after one
@@ -418,7 +413,7 @@ def _golden_rows(k: _Draw, lo, hi, x0, f0):
     probes."""
 
     def g(x):
-        return _profile(k, x, 1.0 - x)[3]
+        return _profile(k, x)[3]
 
     a, b = lo, hi
     width = b - a
@@ -484,7 +479,7 @@ def _search(params, g1, g2, g3, n: int):
     for j, p in enumerate(params):
         s = slice(j * m, (j + 1) * m)
         index[s], top[s], points[s] = _grid_stage(p, g1, g2, g3, n)
-    alphas = _alpha_grid(n)[0]
+    alphas = _alpha_grid(n)
     table = np.array([(p.avg_snr, p.mu, p.eta, p.wtilde2) for p in params]).T
     alpha_star, rho_star, interior, lower, evaluations = (
         np.empty(rows, dtype=t) for t in (float, float, bool, bool, np.intp))
@@ -496,7 +491,7 @@ def _search(params, g1, g2, g3, n: int):
         a, probes = _golden_rows(k, alphas[np.maximum(i - 1, 0)],
                                  alphas[np.minimum(i + 1, n - 1)], alphas[i], top[s])
         alpha_star[s] = a
-        rho_star[s], interior[s], lower[s], _ = _profile(k, a, 1.0 - a)
+        rho_star[s], interior[s], lower[s], _ = _profile(k, a)
         evaluations[s] = points[s] + probes + 1
     return alpha_star, rho_star, interior, lower, evaluations
 

@@ -143,7 +143,7 @@ def check_stationarity(seed=1003) -> CheckResult:
         k = optimizer._draw(p, ch.g1, ch.g2, ch.g3)
         if k.q == 0.0:
             continue
-        d, e, pp, _, _, _, lead, beta, constant, theta = optimizer._coeffs(k, x, 1.0 - x)
+        d, e, pp, _, _, _, lead, beta, constant, theta = optimizer._coeffs(k, x)
         if theta[0] <= 0.0:
             continue
         rb = optimizer._stationary_root(lead, beta, constant, theta).item()
@@ -389,8 +389,8 @@ def check_fig3_trends(seed=1008, samples=100_000, workers=1) -> list[CheckResult
 
 
 def check_determinism(seed=1009) -> CheckResult:
-    """run_fig2 twice with different worker counts must give identical CSVs
-    (timestamp line aside).  Blocks of 256 draws give each of the four
+    """fig2 run twice with different worker counts must give identical
+    CSVs (timestamp line aside).  Blocks of 256 draws give each of the four
     points 8 blocks; at workers=2 the figure's one sweep call opens one pool
     of two processes and makes two jobs of 4 blocks, each for all four
     points, so the block-order combination of the jobs' per-block sums is
@@ -410,7 +410,7 @@ def check_determinism(seed=1009) -> CheckResult:
                 snr_db_values=(0.0, 10.0), wtilde2_values=(2.0, 5.0),
                 out=str(out),
             )
-            cli.run_fig2(cfg)
+            cli.run_figure(cfg)
             paths.append(out)
 
         def payload(path):

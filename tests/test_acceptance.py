@@ -128,4 +128,4 @@ def test_09_fig3_trends():
 
 def test_10_worker_count_determinism():
     report(10, validation.check_determinism(seed=SEED + 8))
-    assert multiprocessing.active_children() == []  # run_fig2's pool is shut down
+    assert multiprocessing.active_children() == []  # the workers=2 run's pool is shut down

@@ -14,9 +14,7 @@ from cnoma_eh.cli import (
     _parse_float_list,
     _parse_snr_values,
     main,
-    run_fig1,
-    run_fig2,
-    run_fig3,
+    run_figure,
 )
 from cnoma_eh.errors import ConfigError
 from cnoma_eh.model import DesignPoint, SystemParams, db_to_linear
@@ -64,7 +62,7 @@ class TestParsers:
 def fig1_result(tmp_path_factory):
     out = tmp_path_factory.mktemp("fig1") / "fig1.csv"
     cfg = ExperimentConfig(kind="fig1", seed=41, samples=2000, out=str(out))
-    run_fig1(cfg)
+    run_figure(cfg)
     return cfg, out
 
 
@@ -73,7 +71,7 @@ def fig2_result(tmp_path_factory):
     out = tmp_path_factory.mktemp("fig2") / "fig2.csv"
     cfg = ExperimentConfig(kind="fig2", seed=43, samples=1500,
                            snr_db_values=(0.0, 10.0, 20.0), out=str(out))
-    run_fig2(cfg)
+    run_figure(cfg)
     return cfg, out
 
 
@@ -137,7 +135,7 @@ class TestFig2:
         out2 = tmp_path / "again.csv"
         cfg2 = ExperimentConfig(kind="fig2", seed=43, samples=1500,
                                 snr_db_values=(0.0, 10.0, 20.0), out=str(out2))
-        run_fig2(cfg2)
+        run_figure(cfg2)
         a = [l for l in strip_timestamp(out) if not l.startswith("# config.out=")]
         b = [l for l in strip_timestamp(out2) if not l.startswith("# config.out=")]
         assert a == b
@@ -146,14 +144,14 @@ class TestFig2:
         cfg = ExperimentConfig(kind="fig2", wtilde2_values=(0.5, 2.0),
                                out=str(tmp_path / "x.csv"))
         with pytest.raises(ConfigError):
-            run_fig2(cfg)
+            run_figure(cfg)
 
     def test_json_format_validates_against_schema(self, tmp_path):
         out = tmp_path / "fig2.json"
         cfg = ExperimentConfig(kind="fig2", seed=43, samples=500,
                                snr_db_values=(10.0,), wtilde2_values=(2.0,),
                                out=str(out), fmt="json")
-        run_fig2(cfg)
+        run_figure(cfg)
         doc = json.loads(out.read_text())
         schema = json.loads((SCHEMA_DIR / "sweep.schema.json").read_text())
         jsonschema.validate(doc, schema)
@@ -305,7 +303,7 @@ class TestFig3:
         out = tmp_path / "fig3.csv"
         cfg = ExperimentConfig(kind="fig3", seed=47, samples=1500,
                                wtilde2_values=(1.5, 3.0), out=str(out))
-        run_fig3(cfg)
+        run_figure(cfg)
         _, header, rows = read_csv(out)
         assert header == ["wtilde2", "mean_alpha_star", "mean_alpha_star_se",
                           "mean_rho_star", "mean_rho_star_se"]
@@ -604,14 +602,13 @@ class TestMainEntry:
         cfg = ExperimentConfig(kind="fig3", samples=100, wtilde2_values=(2.0,),
                                out=str(tmp_path / "x.bin"), fmt="xml")
         with pytest.raises(ConfigError):
-            run_fig3(cfg)
+            run_figure(cfg)
 
     @pytest.mark.parametrize("kind", ["fig1", "fig2", "fig3"])
     def test_unknown_format_fails_before_any_work(self, kind, tmp_path, monkeypatch, capsys):
         forbid_estimators(monkeypatch)
-        runner = {"fig1": run_fig1, "fig2": run_fig2, "fig3": run_fig3}[kind]
         with pytest.raises(ConfigError):
-            runner(ExperimentConfig(kind=kind, out=str(tmp_path / "x.xml"), fmt="xml"))
+            run_figure(ExperimentConfig(kind=kind, out=str(tmp_path / "x.xml"), fmt="xml"))
 
         ini = tmp_path / "xml.ini"
         ini.write_text("[output]\nformat = xml\n")

@@ -49,7 +49,6 @@ def recording_pools(monkeypatch):
 
     class RecordingExecutor:
         def __init__(self, max_workers):
-            self._max_workers = max_workers  # the split _run_blocks reads
             self.record = {"size": max_workers, "maps": [], "open": True}
             made.append(self.record)
 

@@ -77,14 +77,14 @@ def f_coeffs(p, ch, alpha):
     """(d, e, t, pp, q) of f_alpha at a float alpha, from the solver's
     kernel, as floats."""
     k = _draw(p, ch.g1, ch.g2, ch.g3)
-    d, e, pp = (float(v) for v in _coeffs(k, alpha, 1.0 - alpha)[:3])
+    d, e, pp = (float(v) for v in _coeffs(k, alpha)[:3])
     return d, e, 1.0 + p.mu, pp, k.q
 
 
 def stationary_terms(p, ch, alpha):
     """(lead, beta, constant, theta) of the stationary-point quadratic, from
     the solver's kernel, as floats."""
-    return [float(v) for v in _coeffs(_draw(p, ch.g1, ch.g2, ch.g3), alpha, 1.0 - alpha)[6:]]
+    return [float(v) for v in _coeffs(_draw(p, ch.g1, ch.g2, ch.g3), alpha)[6:]]
 
 
 def theta_beta(p, ch, alpha):
@@ -132,8 +132,7 @@ def rows_of(k, rows):
 def one_row_profile(k, alpha):
     """_profile of one draw at a float alpha as the refine takes it: on
     one-row arrays."""
-    x = np.array([alpha])
-    return _profile(k, x, 1.0 - x)
+    return _profile(k, np.array([alpha]))
 
 
 def float_profile(k):
@@ -160,8 +159,8 @@ def scalar_search(p, g1, g2, g3, n):
     then rho* and the case at alpha*.  Returns ((alpha*, rho*, interior,
     lower, evaluations), incumbent index)."""
     k = _draw(p, g1, g2, g3)
-    alphas, rest = _alpha_grid(n)
-    logf = _profile(k, alphas, rest)[3]
+    alphas = _alpha_grid(n)
+    logf = _profile(k, alphas)[3]
     i = int(np.argmax(logf))
     lo, hi = float(alphas[max(i - 1, 0)]), float(alphas[min(i + 1, n - 1)])
     a_ref, f_ref, n_ref = golden_max(float_profile(k), lo, hi, _REFINE_TOL)
@@ -211,7 +210,7 @@ class TestInnerCoefficients:
 class TestBoundary:
     def test_coefficient_signs(self):
         for p, ch in random_instances(3, 50):
-            a, _, c = _coeffs(_draw(p, ch.g1, ch.g2, ch.g3), 0.4, 0.6)[3:6]
+            a, _, c = _coeffs(_draw(p, ch.g1, ch.g2, ch.g3), 0.4)[3:6]
             if p.eta > 0 and ch.g1 > 0 and ch.g3 > 0:
                 assert a > 0
             assert c > 0  # holds whenever g1 > g2
@@ -538,18 +537,16 @@ class TestProfile:
                 alone = [one_row_profile(_draw(p, *x), a) for x, a in zip(gains, alpha)]
                 # the refine's (rows,) profile and the grid's (rows, 1) x
                 # (m,) one, each on the whole mixed block
-                got = _profile(k, alpha, 1.0 - alpha)
+                got = _profile(k, alpha)
                 assert_rows_are_alone(got, alone)
                 dead = k.q == 0.0
                 assert dead.any() and (~dead).any()
                 # dead-relay rows: lower, never interior, rho* = 0
                 assert got[2][dead].all() and not (got[1][dead].any() or got[0][dead].any())
                 cols = rng.choice(1000, 5, replace=False)
-                grid_alpha, grid_rest = _alpha_grid(1000)
-                grid_alpha, grid_rest = grid_alpha[cols], grid_rest[cols]
-                got = _profile(rows_of(k, np.s_[:, None]), grid_alpha, grid_rest)
-                assert_rows_are_alone(got, [_profile(_draw(p, *x), grid_alpha, grid_rest)
-                                            for x in gains])
+                grid_alpha = _alpha_grid(1000)[cols]
+                got = _profile(rows_of(k, np.s_[:, None]), grid_alpha)
+                assert_rows_are_alone(got, [_profile(_draw(p, *x), grid_alpha) for x in gains])
                 assert got[2][dead].all() and not (got[1][dead].any() or got[0][dead].any())
                 block = _search([p], g1, g2, g3, 1000)
                 assert_rows_are_alone(
@@ -624,7 +621,7 @@ class TestSolve1D:
         alphas = np.linspace(grid.margin, 1.0 - grid.margin, grid.n)
         for p, ch in random_instances(89, 30):
             k = _draw(p, ch.g1, ch.g2, ch.g3)
-            rho, _, _, logf = _profile(k, alphas, 1.0 - alphas)
+            rho, _, _, logf = _profile(k, alphas)
             i = int(np.argmax(logf))
             on_grid = rates(p, ch, DesignPoint(float(alphas[i]), float(rho[i]))).weighted_sum
             assert solve_1d(p, ch, grid).rate_triple.weighted_sum >= on_grid - 1e-12
@@ -848,16 +845,16 @@ class TestLockStepRefine:
         p = SystemParams(avg_snr=100.0, mu=1.0, w1=1.0, w2=3.0)
         k = _draw(p, np.array([1.5, 2.5, 0.9, 1.2, 1.9]), np.array([0.5, 0.4, 0.3, 1.1, 0.7]),
                   np.array([0.8, 1.7, 0.2, 0.6, 0.9]))
-        alphas = _alpha_grid(1000)[0]
+        alphas = _alpha_grid(1000)
         # one grid step at either edge, two steps inside, and a narrow bracket
         lo = np.array([alphas[0], alphas[998], alphas[400], 0.3, alphas[10]])
         hi = np.array([alphas[1], alphas[999], alphas[402], 0.3 + 0.5 * _REFINE_TOL, alphas[12]])
         seen = []
         real = optimizer._profile
 
-        def spy(draws, alpha, rest, *args):
+        def spy(draws, alpha):
             seen.append(alpha.tolist())
-            return real(draws, alpha, rest, *args)
+            return real(draws, alpha)
 
         monkeypatch.setattr(optimizer, "_profile", spy)
 
@@ -930,9 +927,9 @@ class TestGridChunks:
         # refine a slice's as (rows,) arrays; the bad row trips one of them
         stage = {"ndim": 0}
 
-        def corrupted(k, alpha, rest):
+        def corrupted(k, alpha):
             # the draw with g1 == 2.5 gets coefficients below the guard
-            out = list(real(k, alpha, rest))
+            out = list(real(k, alpha))
             if np.ndim(k.g1) == stage["ndim"]:
                 bad = np.equal(k.g1, 2.5)
                 for slot, value in zip(slots, values):
@@ -1028,15 +1025,15 @@ def full_grid_search(p, g1, g2, g3, n):
     argmax of the profile on all n grid points, then the same lock-step
     refine on its bracket and the profile at alpha*.  Evaluations are
     counted by grid_points."""
-    alphas, rest = _alpha_grid(n)
+    alphas = _alpha_grid(n)
     k = _draw(p, g1, g2, g3)
-    logf = np.concatenate([_profile(rows_of(k, np.s_[j:j + 16, None]), alphas, rest)[3]
+    logf = np.concatenate([_profile(rows_of(k, np.s_[j:j + 16, None]), alphas)[3]
                            for j in range(0, len(g1), 16)])
     i = logf.argmax(axis=1)
     top = logf[np.arange(len(g1)), i]
     a, probes = _golden_rows(k, alphas[np.maximum(i - 1, 0)],
                              alphas[np.minimum(i + 1, n - 1)], alphas[i], top)
-    rho, interior, lower, _ = _profile(k, a, 1.0 - a)
+    rho, interior, lower, _ = _profile(k, a)
     points = np.array([grid_points(row) for row in logf], dtype=np.intp)
     return [a, rho, interior, lower, points + probes + 1]
 
@@ -1102,8 +1099,8 @@ class TestCoarseToFine:
         fields, gains = self.TWO_PEAKS
         p, n = SystemParams(**fields), 200
         k = _draw(p, *gains)
-        alphas, rest = _alpha_grid(n)
-        logf = _profile(k, alphas, rest)[3]
+        alphas = _alpha_grid(n)
+        logf = _profile(k, alphas)[3]
         assert int(np.argmax(logf)) == 154
         coarse = list(range(0, n, 16)) + [n - 1]
         at, f_coarse, single = _grid_argmax(k, n, np.array(coarse))
@@ -1119,13 +1116,11 @@ class TestCoarseToFine:
 class TestAlphaGridCache:
     def test_grid_is_linspace_bit_for_bit_and_read_only(self):
         for n in (2, 200, 1000):
-            alphas, rest = _alpha_grid(n)
+            alphas = _alpha_grid(n)
             ref = np.linspace(ALPHA_MIN, 1.0 - ALPHA_MIN, n)
             assert alphas.tobytes() == ref.tobytes()
-            assert rest.tobytes() == (1.0 - ref).tobytes()
-            for arr in (alphas, rest):
-                with pytest.raises(ValueError):
-                    arr[0] = 0.5
+            with pytest.raises(ValueError):
+                alphas[0] = 0.5
 
     def test_outcomes_do_not_depend_on_cache_state(self):
         pool = random_instances(1001, 6)
