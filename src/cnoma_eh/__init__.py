@@ -36,6 +36,7 @@ from .montecarlo import (
     Ordering,
     SamplerConfig,
     estimate_ergodic,
+    estimate_ergodic_sweep,
     estimate_optimized,
     estimate_optimized_sweep,
 )

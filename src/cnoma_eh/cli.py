@@ -226,8 +226,9 @@ def _write_sweep(out: Path, cfg: ExperimentConfig, columns, rows) -> Path:
 
 def _fig1_rows(cfg: ExperimentConfig, sampler: montecarlo.SamplerConfig):
     d = cfg.baseline()
-    for snr_db, _, p in cfg.system_points():
-        mc = montecarlo.estimate_ergodic(sampler, p, d)
+    points = cfg.system_points()
+    sweep = montecarlo.estimate_ergodic_sweep(sampler, [(p, d) for _, _, p in points])
+    for (snr_db, _, p), mc in zip(points, sweep):
         an = analysis.ergodic_weighted_sum(p, d)
         yield [float(snr_db), mc["mean_c1"], mc["se_c1"], mc["mean_c2"], mc["se_c2"],
                mc["mean_wsum"], mc["se_wsum"], an.c1_e, an.c2_e, an.c_sum_e,
@@ -255,9 +256,9 @@ def _fig3_rows(cfg: ExperimentConfig, sampler: montecarlo.SamplerConfig):
 
 class _Figure(NamedTuple):
     """Everything one figure decides: its defaults, its file layout, and a
-    row builder ``rows(cfg, sampler)`` yielding one row per sweep point.  An
-    optimized figure's builder makes one ``montecarlo.estimate_optimized_sweep``
-    call, which owns the worker pool for all its points."""
+    row builder ``rows(cfg, sampler)`` yielding one row per sweep point.  A
+    builder makes one ``montecarlo`` sweep call, which samples each block
+    once for all its points; an optimized sweep owns the worker pool."""
 
     help: str
     samples: int

@@ -9,11 +9,12 @@ take contiguous runs of whole blocks and per-block partial sums are
 combined in block order, which makes every aggregate bit-identical for any
 worker count.
 
-An optimized sweep makes one job per run of blocks for all its points: the
-job samples each block once, and stacks as many points as fit in
-``_REFINE_ROWS`` rows into one ``_search`` over the kept draws, whose refine
-takes each row's own point's parameters.  Each (point, block) sum still
-adds its draws in draw order, so every point is the point it is alone.
+A sweep makes one job per run of blocks for all its points, and the job
+samples each block once.  A fixed-design sweep then rates the block at each
+point; an optimized sweep stacks as many points as fit in ``_REFINE_ROWS``
+rows into one ``_search`` over the kept draws, whose refine takes each
+row's own point's parameters.  Each (point, block) sum still adds its draws
+in draw order, so every point is the point it is alone.
 
 Two ordering policies are exposed: UNORDERED draws match the plain
 exponential marginals assumed by the analytic ergodic rates; SWAP_ORDERED
@@ -42,6 +43,7 @@ __all__ = [
     "SamplerConfig",
     "sample_gains",
     "estimate_ergodic",
+    "estimate_ergodic_sweep",
     "estimate_optimized",
     "estimate_optimized_sweep",
 ]
@@ -149,26 +151,54 @@ def _run_blocks(job, cfg: SamplerConfig, args: tuple,
     return points
 
 
-def _ergodic_job(cfg: SamplerConfig, p: SystemParams, d: DesignPoint, run: list):
-    """Per block of ``run``: (sum, sum of squares) of c1, c2 and the weighted
-    sum at the fixed design ``d``, for the one point ``p``; no draw is
-    skipped."""
+def _check_shared_draws(params: list[SystemParams]):
+    """A sweep samples each block once for all its points, so the points
+    must agree on ``var1``, ``var2`` and ``var3``."""
+    if len({(p.var1, p.var2, p.var3) for p in params}) > 1:
+        raise DomainError("a sweep's points share their draws: var1, var2 and var3 "
+                          "must be equal at every point")
+
+
+def _ergodic_job(cfg: SamplerConfig, points: list[tuple[SystemParams, DesignPoint]],
+                 run: list):
+    """Per block of ``run``: per ``(p, d)`` pair of ``points``, (sum, sum of
+    squares) of c1, c2 and the weighted sum at the fixed design ``d``; the
+    block is sampled once for every pair, and no draw is skipped."""
     out = []
     for block_index, count in run:
-        g1, g2, g3 = sample_gains(cfg, p, block_index, count)
-        c1, c2, ws = _rate_tuple(p.avg_snr, p.mu, p.eta, g1, g2, g3,
-                                 d.alpha, d.rho, p.w1, p.w2)
-        out.append(([{"c1": _moments(c1), "c2": _moments(c2), "wsum": _moments(ws)}], 0))
+        # every pair has the draws' variances (the sweep checks them)
+        g1, g2, g3 = sample_gains(cfg, points[0][0], block_index, count)
+        sums = []
+        for p, d in points:
+            c1, c2, ws = _rate_tuple(p.avg_snr, p.mu, p.eta, g1, g2, g3,
+                                     d.alpha, d.rho, p.w1, p.w2)
+            sums.append({"c1": _moments(c1), "c2": _moments(c2), "wsum": _moments(ws)})
+        out.append((sums, 0))
     return out
 
 
 def estimate_ergodic(cfg: SamplerConfig, p: SystemParams, d: DesignPoint) -> dict[str, Any]:
-    """Monte Carlo ergodic rates at a fixed design point.
+    """Monte Carlo ergodic rates at a fixed design point: the one-pair
+    ``estimate_ergodic_sweep``, in this process."""
+    return estimate_ergodic_sweep(cfg, [(p, d)])[0]
 
-    Returns the point ``n``, ``skipped`` (always 0), and ``mean_<name>`` and
-    ``se_<name>`` for ``c1``, ``c2`` and ``wsum`` (the weighted sum).
+
+def estimate_ergodic_sweep(cfg: SamplerConfig,
+                           points: list[tuple[SystemParams, DesignPoint]],
+                           workers: int = 1) -> list[dict[str, Any]]:
+    """Monte Carlo ergodic rates at each ``(SystemParams, DesignPoint)`` pair
+    of ``points``, in order, on the draws of ``cfg``, which every pair shares.
+
+    Returns per pair the point ``n``, ``skipped`` (always 0: draws with g1 ==
+    g2 are kept), and ``mean_<name>`` and ``se_<name>`` for ``c1``, ``c2``
+    and ``wsum`` (the weighted sum).  The blocks are run as in
+    ``estimate_optimized_sweep``, with the same check of the variances, and
+    each point is the point it would be alone, for any ``workers``.
     """
-    return _run_blocks(_ergodic_job, cfg, (p, d))[0]
+    _check_shared_draws([p for p, _ in points])
+    if not points:
+        return []
+    return _run_blocks(_ergodic_job, cfg, (list(points),), workers)
 
 
 def _optimized_job(cfg: SamplerConfig, params: list[SystemParams], grid: AlphaGridSpec,
@@ -263,9 +293,7 @@ def estimate_optimized_sweep(cfg: SamplerConfig, params: list[SystemParams],
         raise DomainError("optimized sweeps require w2 > w1")
     if cfg.ordering is not Ordering.SWAP_ORDERED:
         raise DomainError("optimized sweeps require swap-ordered draws (g1 >= g2)")
-    if len({(p.var1, p.var2, p.var3) for p in params}) > 1:
-        raise DomainError("a sweep's points share their draws: var1, var2 and var3 "
-                          "must be equal at every point")
+    _check_shared_draws(params)
     if not params:
         return []
     points = _run_blocks(_optimized_job, cfg, (list(params), grid or AlphaGridSpec(), baseline),

@@ -344,8 +344,13 @@ def rho_tilde(p: SystemParams, ch: ChannelRealization, alpha: float) -> float:
 
 def f_objective(p: SystemParams, ch: ChannelRealization, d: DesignPoint) -> float:
     """(1 + sinr_x1) * (1 + sinr_mrc)^(w2/w1); its scaled log is the weighted
-    sum rate with the weak user's rate taken at the combiner."""
-    return (1.0 + sinr_x1_at_u1(p, ch, d)) * (1.0 + sinr_mrc_at_u2(p, ch, d)) ** p.wtilde2
+    sum rate with the weak user's rate taken at the combiner.  Returns
+    ``math.inf`` where the power overflows a float (high SNR with a large
+    w2/w1)."""
+    try:
+        return (1.0 + sinr_x1_at_u1(p, ch, d)) * (1.0 + sinr_mrc_at_u2(p, ch, d)) ** p.wtilde2
+    except OverflowError:
+        return math.inf
 
 
 def optimal_rho_for_alpha(p: SystemParams, ch: ChannelRealization, alpha: float):
@@ -493,7 +498,9 @@ def _search(params, g1, g2, g3, n: int):
         alpha_star[s] = a
         rho_star[s], interior[s], lower[s], _ = _profile(k, a)
         evaluations[s] = points[s] + probes + 1
-    return alpha_star, rho_star, interior, lower, evaluations
+    # a near tie (g2 -> g1) can cancel c in the feasibility quadratic and
+    # leave rho_tilde a roundoff below 0
+    return alpha_star, np.maximum(rho_star, 0.0), interior, lower, evaluations
 
 
 def solve_1d(p: SystemParams, ch: ChannelRealization,

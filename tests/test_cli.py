@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 from collections import Counter
 from pathlib import Path
@@ -140,6 +141,15 @@ class TestFig2:
         b = [l for l in strip_timestamp(out2) if not l.startswith("# config.out=")]
         assert a == b
 
+    def test_high_snr_and_weight_ratio_run(self, tmp_path, capsys):
+        # at 40 dB and w2/w1 = 80 the objective f of some draws is past the
+        # largest float; it is inf there, and no column reads it
+        out = tmp_path / "fig2.csv"
+        assert main(["fig2", "--samples", "2000", "--snr-db", "40", "--wtilde2", "80",
+                     "--out", str(out)]) == 0
+        _, _, rows = read_csv(out)
+        assert len(rows) == 1 and all(map(math.isfinite, rows[0]))
+
     def test_requires_weight_ratio_above_one(self, tmp_path):
         cfg = ExperimentConfig(kind="fig2", wtilde2_values=(0.5, 2.0),
                                out=str(tmp_path / "x.csv"))
@@ -164,6 +174,7 @@ def forbid_estimators(monkeypatch):
         raise AssertionError("an estimator or the release gate ran")
 
     for module, name in ((montecarlo, "estimate_ergodic"),
+                         (montecarlo, "estimate_ergodic_sweep"),
                          (montecarlo, "estimate_optimized"),
                          (montecarlo, "estimate_optimized_sweep"),
                          (analysis, "ergodic_weighted_sum"),
@@ -183,8 +194,8 @@ class _Ones:
 
 
 def _ones_sweep(sampler, params, *args, **kwargs):
-    """Stands in for ``montecarlo.estimate_optimized_sweep``: one ``_Ones``
-    per point."""
+    """Stands in for ``montecarlo.estimate_optimized_sweep`` and
+    ``montecarlo.estimate_ergodic_sweep``: one ``_Ones`` per point."""
     return [_Ones() for _ in params]
 
 
@@ -202,9 +213,10 @@ def test_default_run_records_resolved_defaults(kind, samples, ordering, wtilde2,
         return _Ones()
 
     def fake_sweep(sampler, params, *args, **kwargs):
-        return [fake(sampler) for _ in params]  # one sampler per point, as for fig1
+        return [fake(sampler) for _ in params]  # one sampler per point
 
     monkeypatch.setattr(montecarlo, "estimate_ergodic", fake)
+    monkeypatch.setattr(montecarlo, "estimate_ergodic_sweep", fake_sweep)
     monkeypatch.setattr(montecarlo, "estimate_optimized_sweep", fake_sweep)
     monkeypatch.setattr(analysis, "ergodic_weighted_sum", lambda *a, **k: _Ones())
     out = tmp_path / f"{kind}.csv"
@@ -271,6 +283,7 @@ def test_provenance_lists_exactly_the_fields_read(argv, read, tmp_path, monkeypa
     monkeypatch.setattr(cli, "ExperimentConfig", Recording)
     monkeypatch.setattr(cli, "_flat_config", flat_config)
     monkeypatch.setattr(montecarlo, "estimate_ergodic", lambda *a, **k: _Ones())
+    monkeypatch.setattr(montecarlo, "estimate_ergodic_sweep", _ones_sweep)
     monkeypatch.setattr(montecarlo, "estimate_optimized_sweep", _ones_sweep)
     monkeypatch.setattr(analysis, "ergodic_weighted_sum", lambda *a, **k: _Ones())
     monkeypatch.setattr(cli, "solve_1d", lambda *a, **k: solved)
@@ -491,6 +504,7 @@ class TestValidateCommand:
         count(analysis, "ergodic_rate_u2", lambda *a, **k: (1.0, 0.0))
         count(optimizer, "solve_1d", optimizer.solve_1d)
         monkeypatch.setattr(montecarlo, "estimate_ergodic", lambda *a, **k: _Ones())
+        monkeypatch.setattr(montecarlo, "estimate_ergodic_sweep", _ones_sweep)
         monkeypatch.setattr(montecarlo, "estimate_optimized_sweep", _ones_sweep)
         results = validation.run_all()
         assert len(results) == 18

@@ -172,6 +172,48 @@ class TestEstimateErgodic:
         assert ratio == pytest.approx(2.0, rel=0.2)
 
 
+class TestEstimateErgodicSweep:
+    # 16 pairs over shared draws: mu 0 and 1, 0 and 30 dB, w2/w1 of 2 and 5,
+    # two design points
+    PAIRS = [(params(snr_db, w2=w2, mu=mu), d)
+             for mu in (0.0, 1.0) for snr_db in (0.0, 30.0) for w2 in (2.0, 5.0)
+             for d in (BASE, DesignPoint(alpha=0.6, rho=0.05))]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_points_equal_points_alone(self, monkeypatch, recording_pools, workers):
+        # five blocks, the last of 20 draws, with g1 == g2 draws, which an
+        # ergodic estimate keeps
+        monkeypatch.setattr(montecarlo, "sample_gains",
+                            ties_and_dead_relays(montecarlo.sample_gains))
+        cfg = SamplerConfig(seed=59, ordering=Ordering.UNORDERED,
+                            sample_count=180, block_size=40)
+        alone = [estimate_ergodic(cfg, p, d) for p, d in self.PAIRS]
+        assert {(pt["n"], pt["skipped"]) for pt in alone} == {(180, 0)}
+        sweep = montecarlo.estimate_ergodic_sweep(cfg, self.PAIRS, workers)
+        assert [{k: float(v).hex() for k, v in pt.items()} for pt in sweep] == [
+            {k: float(v).hex() for k, v in pt.items()} for pt in alone]
+        # one pool and one map for the whole sweep
+        assert [(pool["size"], len(pool["maps"])) for pool in recording_pools] == (
+            [(workers, 1)] if workers > 1 else [])
+
+    def test_fig1_samples_each_block_once(self, monkeypatch, tmp_path):
+        # three SNR points on four blocks, the last partial: four samplings,
+        # not twelve
+        sampled = []
+        real = montecarlo.sample_gains
+
+        def spy(cfg, p, block_index, count):
+            sampled.append(block_index)
+            return real(cfg, p, block_index, count)
+
+        monkeypatch.setattr(montecarlo, "sample_gains", spy)
+        cfg = cli.ExperimentConfig(kind="fig1", seed=61, samples=1000, block_size=300,
+                                   snr_db_values=(0.0, 20.0, 40.0),
+                                   out=str(tmp_path / "fig1.csv"))
+        cli.run_figure(cfg)
+        assert sampled == [0, 1, 2, 3]
+
+
 class TestEstimateOptimized:
     def test_requires_prioritized_weak_user(self):
         cfg = SamplerConfig(seed=31, sample_count=10)
@@ -481,18 +523,26 @@ class TestEstimateOptimized:
         def never(*args, **kwargs):
             raise AssertionError("a block was sampled")
 
+        sweeps = (
+            lambda cfg, ps, workers=1: montecarlo.estimate_optimized_sweep(cfg, ps,
+                                                                           workers=workers),
+            lambda cfg, ps, workers=1: montecarlo.estimate_ergodic_sweep(
+                cfg, [(p, BASE) for p in ps], workers),
+        )
         monkeypatch.setattr(montecarlo, "sample_gains", never)
         cfg = SamplerConfig(seed=57, ordering=Ordering.SWAP_ORDERED, sample_count=50)
         p = params(10, w2=2.0)
-        for name in ("var1", "var2", "var3"):
-            other = dataclasses.replace(params(20, w2=3.0), **{name: 2.0})
-            for workers in (1, 2):
-                with pytest.raises(DomainError, match="share their draws"):
-                    montecarlo.estimate_optimized_sweep(cfg, [p, other], workers=workers)
+        for sweep in sweeps:
+            for name in ("var1", "var2", "var3"):
+                other = dataclasses.replace(params(20, w2=3.0), **{name: 2.0})
+                for workers in (1, 2):
+                    with pytest.raises(DomainError, match="share their draws"):
+                        sweep(cfg, [p, other], workers)
+            assert sweep(cfg, []) == []
         # equal variances at every point are the sweep's draws
         same = dataclasses.replace(params(20, w2=3.0), var3=p.var3)
         monkeypatch.undo()
-        assert len(montecarlo.estimate_optimized_sweep(cfg, [p, same])) == 2
+        assert [len(sweep(cfg, [p, same])) for sweep in sweeps] == [2, 2]
 
     def test_coarser_grid_is_close(self):
         cfg = SamplerConfig(seed=39, ordering=Ordering.SWAP_ORDERED, sample_count=500)

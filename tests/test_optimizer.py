@@ -310,6 +310,18 @@ class TestObjective:
         assert f_objective(p1, ch, d) == pytest.approx(8.0, rel=1e-14)
         assert f_objective(p2, ch, d) == pytest.approx(16.0, rel=1e-14)
 
+    def test_overflowing_power_is_inf(self):
+        # 40 dB and w2/w1 = 80: (1 + sinr_mrc)^80 is past the largest float
+        p = SystemParams(avg_snr=1e4, mu=1.0, w1=1.0, w2=80.0)
+        ch = ChannelRealization(g1=20.0, g2=10.0, g3=1.0)
+        d = DesignPoint(alpha=ALPHA_MIN, rho=0.5)
+        with pytest.raises(OverflowError):
+            (1.0 + sinr_mrc_at_u2(p, ch, d)) ** p.wtilde2
+        assert f_objective(p, ch, d) == math.inf
+        out = solve_1d(p, ch)
+        assert out.objective_f == math.inf
+        assert all(map(math.isfinite, dataclasses.astuple(out.rate_triple)))
+
 
 class TestDerivativeNumerator:
     def test_mu_zero_form(self):
@@ -625,6 +637,20 @@ class TestSolve1D:
             i = int(np.argmax(logf))
             on_grid = rates(p, ch, DesignPoint(float(alphas[i]), float(rho[i]))).weighted_sum
             assert solve_1d(p, ch, grid).rate_triple.weighted_sum >= on_grid - 1e-12
+
+
+    def test_near_tie_draw_takes_rho_zero(self):
+        # g2 one ulp-scale step below g1: c of the feasibility quadratic
+        # cancels, and rho_tilde at alpha* comes out a roundoff below 0
+        p = SystemParams(avg_snr=1.0, mu=1000.0, w1=1.0, w2=2.0)
+        ch = ChannelRealization(g1=0.01, g2=0.01 * (1.0 - 1e-15), g3=2.0)
+        assert -1e-12 < rho_tilde(p, ch, ALPHA_MIN) < 0.0
+        out = solve_1d(p, ch)
+        assert out.alpha_star == ALPHA_MIN
+        assert out.rho_star == 0.0 and out.branch is SolverBranch.BOUNDARY
+        assert all(map(math.isfinite, dataclasses.astuple(out.rate_triple)))
+        assert out.rate_triple.weighted_sum == pytest.approx(
+            rates(p, ch, DesignPoint(ALPHA_MIN, 0.0)).weighted_sum, rel=1e-14)
 
 
 class TestSolve2D:
