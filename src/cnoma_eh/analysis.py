@@ -40,6 +40,7 @@ import numpy as np
 from .errors import DomainError
 from .model import DesignPoint, SystemParams
 from .specfun import (
+    _NODES,
     _XGK,
     EULER_GAMMA,
     QuadratureSpec,
@@ -154,12 +155,13 @@ def _w2_survival(p: SystemParams, d: DesignPoint, z: np.ndarray) -> np.ndarray:
 
 
 def _w_convolution(p: SystemParams, d: DesignPoint, z: np.ndarray,
-                   spec: QuadratureSpec) -> np.ndarray:
+                   spec: QuadratureSpec, trees=None) -> np.ndarray:
     """int_L(z)^z exp-kernel(z - y) f_W2(y) dy for every z > 0 at once.
 
     y = s^2 flattens the K0 log singularity at y = 0, and s in
     [sqrt(L(z)), sqrt(z)] maps onto u in [0, 1], so one ``integrate`` call
-    runs the (z x nodes) array on a panel tree the z values share.
+    runs the (z x nodes) array.  The z values share one panel tree, or the
+    trees ``trees`` gives them, one id per z.
     """
     lam = _lam(p, d)
     zmax = (1.0 - d.alpha) / d.alpha
@@ -175,8 +177,23 @@ def _w_convolution(p: SystemParams, d: DesignPoint, z: np.ndarray,
         kernel = _exp_tail(coeff, gap, 1.0 - d.alpha - d.alpha * gap)
         return kernel * (4.0 * lam * width) * s * bessel_k0(k0_scale * s)
 
-    conv, _ = integrate(integrand, 0.0, 1.0, spec)
+    conv, _ = integrate(integrand, 0.0, 1.0, spec, trees=trees)
     return conv
+
+
+def _w_tail(p: SystemParams, d: DesignPoint, z: np.ndarray,
+            spec: QuadratureSpec, trees=None) -> np.ndarray:
+    """Pr[W > z] at each z >= 0 of an array, the convolution integrals on the
+    panel trees ``trees`` gives (one shared tree without it)."""
+    if d.rho == 0.0:
+        return 1.0 - np.asarray(w1_cdf(p, d, z))
+    out = np.ones_like(z)
+    pos = z > 0.0
+    if pos.any():
+        zp = z[pos]
+        conv = _w_convolution(p, d, zp, spec, None if trees is None else trees[pos])
+        out[pos] = np.clip(_w2_survival(p, d, zp) + conv, 0.0, 1.0)
+    return out
 
 
 def prob_w_exceeds(p: SystemParams, d: DesignPoint, z,
@@ -185,19 +202,11 @@ def prob_w_exceeds(p: SystemParams, d: DesignPoint, z,
     array).
 
     rho = 0 uses the W1-only closed form; otherwise the Bessel tail plus the
-    convolution integral, one shared quadrature for all z.  The result is
-    clamped to [0, 1].
+    convolution integral, one quadrature call whose integrals share one
+    panel tree for all z.  The result is clamped to [0, 1].
     """
     z = _nonnegative_z(z)
-    if d.rho == 0.0:
-        return _float_or_array(1.0 - np.asarray(w1_cdf(p, d, z)))
-    out = np.ones_like(z)
-    pos = z > 0.0
-    if pos.any():
-        zp = z[pos]
-        conv = _w_convolution(p, d, zp, spec or QuadratureSpec())
-        out[pos] = np.clip(_w2_survival(p, d, zp) + conv, 0.0, 1.0)
-    return _float_or_array(out)
+    return _float_or_array(_w_tail(p, d, z, spec or QuadratureSpec()))
 
 
 def ergodic_rate_u2(p: SystemParams, d: DesignPoint):
@@ -208,12 +217,16 @@ def ergodic_rate_u2(p: SystemParams, d: DesignPoint):
     decays no faster than Pr[Y > z] Pr[W1 > z] (W >= W1), whose 1/e length
     there is ``length``.  A rule with every node beyond it (low SNR, rho
     near 1) sees only underflow, so zmax is cut by 4 until the first node of
-    [0, cut] lies within it, one rule per piece.  Each outer panel's 21 z
-    nodes go to ``prob_w_exceeds`` in one call, whose convolution integrals
-    share one inner panel tree; each z still meets the inner tolerance on
-    its own, 10x tighter than the default ``QuadratureSpec`` of the outer
-    rule.  Returns ``(rate, error_estimate)`` where the estimate covers the
-    outer quadrature.
+    [0, cut] lies within it, one rule per piece.  The outer integrand gets
+    the z nodes of both halves of a bisected outer panel at once (42 nodes;
+    21 on a piece's first call) and makes one convolution ``integrate`` call
+    for them, in which the 21 z of each outer panel share one inner panel
+    tree, as ``prob_w_exceeds`` on those 21 z alone would: the two trees
+    advance in lock-step and keep the decisions, values and error estimates
+    they take alone.  Each z meets the inner tolerance on its own, 10x
+    tighter than the default ``QuadratureSpec`` of the outer rule.  Returns
+    ``(rate, error_estimate)`` where the estimate covers the outer
+    quadrature.
     """
     spec = QuadratureSpec()
     inner_spec = replace(spec, rel_tol=spec.rel_tol * 0.1, abs_tol=spec.abs_tol * 0.1)
@@ -228,7 +241,8 @@ def ergodic_rate_u2(p: SystemParams, d: DesignPoint):
         out = np.zeros_like(z)
         live = py > 0.0
         if live.any():
-            out[live] = py[live] * prob_w_exceeds(p, d, z[live], inner_spec) / (1.0 + z[live])
+            panel = np.flatnonzero(live) // _NODES.size
+            out[live] = py[live] * _w_tail(p, d, z[live], inner_spec, panel) / (1.0 + z[live])
         return out
 
     pieces = [integrate(integrand, lo, hi, spec) for lo, hi in zip([0.0, *cuts], cuts)]

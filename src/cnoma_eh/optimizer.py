@@ -334,12 +334,14 @@ def rho_tilde(p: SystemParams, ch: ChannelRealization, alpha: float) -> float:
     Returns the smaller root of the feasibility quadratic, computed in the
     cancellation-free form 2c / (b + sqrt(b^2 - 4ac)).  Returns exactly 1.0
     when the constraint never binds on [0, 1) (possible only with mu == 0 and
-    a weak relay link); then there is no SINR crossing below 1.
+    a weak relay link); then there is no SINR crossing below 1.  A root a
+    roundoff below 0 (g2 a few ulps below g1) is returned as 0, as ``_search``
+    clamps rho*, so the result is a valid ``DesignPoint`` rho.
     """
     _require_ordered(ch)
     _check_alpha(alpha)
     a, b, c = _coeffs(_draw(p, ch.g1, ch.g2, ch.g3), np.array([alpha]))[3:6]
-    return _feasibility_root(a, b, c).item()
+    return np.maximum(_feasibility_root(a, b, c), 0.0).item()
 
 
 def f_objective(p: SystemParams, ch: ChannelRealization, d: DesignPoint) -> float:
@@ -357,11 +359,13 @@ def optimal_rho_for_alpha(p: SystemParams, ch: ChannelRealization, alpha: float)
     """Best feasible rho for this alpha, with the case actually taken.
 
     Returns ``(rho_star, branch)``; see the module docstring for the split.
+    rho_star is clamped at 0, as in ``_search``: at a near tie the boundary
+    root can be a roundoff below it.
     """
     _require_ordered(ch)
     _check_alpha(alpha)
     rho, interior, lower, _ = _profile(_draw(p, ch.g1, ch.g2, ch.g3), np.array([alpha]))
-    return rho.item(), _branch(interior.item(), lower.item())
+    return np.maximum(rho, 0.0).item(), _branch(interior.item(), lower.item())
 
 
 def _grid_argmax(k: _Draw, n: int, cols):

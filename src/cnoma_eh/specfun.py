@@ -16,13 +16,17 @@ runtime special-function dependency:
   code, so it gets the same bits as that element of an array.
 * ``integrate`` / ``integrate_semi_infinite``: globally adaptive bisection
   quadrature with the nested G10/K21 Gauss-Kronrod pair of QUADPACK qk21.
-  Each panel calls the integrand once, on the array of its 21 Kronrod
-  nodes, takes the K21 value, and uses |K21 - G10| over the 10 embedded
-  Gauss nodes as its error estimate.  An integrand may return an (m, 21)
-  array: m integrals then share one panel tree, each component must meet
-  its own tolerance, and the panel worst off relative to its tolerance is
-  bisected next.  No node touches a panel end, so an integrable endpoint
-  singularity is handled by subdivision alone; any non-finite sample raises
+  Each panel takes the K21 value on its 21 Kronrod nodes and uses
+  |K21 - G10| over the 10 embedded Gauss nodes as its error estimate.  The
+  integrand is called once on the whole range's 21 nodes, then once per
+  bisection, on the 42 nodes of both halves.  An integrand may return an
+  (m, nodes) array: m integrals then share one panel tree, each component
+  must meet its own tolerance, and the panel worst off relative to its
+  tolerance is bisected next.  ``trees`` splits the components among
+  independent panel trees that advance in lock-step, so one integrand call
+  serves every tree's bisection and each tree keeps the bits it gets alone.
+  No node touches a panel end, so an integrable endpoint singularity is
+  handled by subdivision alone; any non-finite sample raises
   ``NonFiniteSample``.
 """
 
@@ -301,17 +305,23 @@ _WG10 = np.array(_G10_HALF[:-1] + _G10_HALF[::-1])
 
 
 def _kronrod(f, a, b):
-    """(K21 value, |K21 - G10|) on [a, b], one entry per integrand component,
-    from one call of ``f`` on the 21 nodes; no node touches a or b."""
+    """(K21 value, |K21 - G10|) of each integrand component on each panel
+    [a, b], from one call of ``f``.  ``a`` and ``b`` hold p panel ends, as a
+    (p,) row for every component or an (m, p) array with one row per
+    component; ``f`` gets the panels' nodes as one (21 p,) row or as (m, 21 p)
+    rows.  Returns two arrays of shape (p,) for a scalar integrand and (m, p)
+    otherwise.  No node touches a or b."""
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
-    x = mid + half * _NODES
+    x = (mid[..., None] + half[..., None] * _NODES).reshape(*a.shape[:-1], -1)
     v = np.asarray(f(x), dtype=float)
     finite = np.isfinite(v)
     if not finite.all():
         bad = tuple(np.argwhere(~finite)[0])
-        raise NonFiniteSample(f"integrand returned {v[bad]} at x={x[bad[-1]]}")
-    # elementwise sums, not BLAS: each row's sum is the same for any m
+        raise NonFiniteSample(
+            f"integrand returned {v[bad]} at x={np.broadcast_to(x, v.shape)[bad]}")
+    # elementwise sums, not BLAS: each panel's sum is the same for any m and p
+    v = v.reshape(*v.shape[:-1], a.shape[-1], _NODES.size)
     k21 = (v * _WK21).sum(axis=-1)
     g10 = (v * _WG10).sum(axis=-1)
     return half * k21, np.abs(half * (k21 - g10))
@@ -320,72 +330,131 @@ def _kronrod(f, a, b):
 _OPEN, _RETIRED, _SPLIT = 0, 1, 2
 
 
-def integrate(f, lo: float, hi: float, spec: QuadratureSpec | None = None):
+class _Tree:
+    """One panel tree and the components that share it: each panel's
+    (a, b, depth), state and per-component (value, error), one row per panel
+    in the order the panels were made, so argmax breaks a tie in favour of
+    the older panel."""
+
+    def __init__(self, lo, hi, value, err):
+        cap = 64
+        self.vals = np.empty((cap, value.size))
+        self.errs = np.empty((cap, value.size))
+        self.state = np.full(cap, _SPLIT, dtype=np.int8)
+        self.ends = [(lo, hi, 0)]
+        self.vals[0], self.errs[0], self.state[0] = value, err, _OPEN
+        self.n = 1
+        self.stopped = False
+
+    def next_split(self, spec: QuadratureSpec):
+        """Choose the panel to bisect next and return the ends of its halves
+        as ((a, mid), (mid, b)); or return None, and stay ``stopped``, once
+        every component meets its tolerance or no panel can be bisected."""
+        vals, errs, state, n = self.vals, self.errs, self.state, self.n
+        while not self.stopped:
+            # totals over the unsplit panels, summed afresh: a running total
+            # drifts, and could stop the loop short of the tolerance
+            live = state[:n] != _SPLIT
+            total_value, total_err = vals[:n][live].sum(axis=0), errs[:n][live].sum(axis=0)
+            tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total_value))
+            if (total_err <= tol).all() or n > _MAX_PANELS:
+                break
+            # with one component tol is common to all panels: rank by err alone
+            ratio = errs[:n, 0] if vals.shape[1] == 1 else (errs[:n] / tol).max(axis=1)
+            j = int(np.argmax(np.where(state[:n] == _OPEN, ratio, -1.0)))
+            if state[j] != _OPEN:
+                break
+            a, b, depth = self.ends[j]
+            m = 0.5 * (a + b)
+            # too deep, or the interval is exhausted at float resolution
+            if depth >= _MAX_DEPTH or not a < m < b:
+                state[j] = _RETIRED
+                continue
+            self.j, self.halves = j, [(a, m, depth + 1), (m, b, depth + 1)]
+            return (a, m), (m, b)
+        self.stopped = True
+        return None
+
+    def split(self, value, err):
+        """Replace the panel ``next_split`` chose by its halves, whose
+        (value, error) are the two columns of ``value`` and ``err``."""
+        n, j = self.n, self.j
+        if n + 2 > self.state.size:
+            self.vals = np.concatenate([self.vals, self.vals])
+            self.errs = np.concatenate([self.errs, self.errs])
+            self.state = np.concatenate([self.state, np.full_like(self.state, _SPLIT)])
+        self.vals[n:n + 2] = value.T
+        self.errs[n:n + 2] = err.T
+        self.state[j], self.state[n], self.state[n + 1] = _SPLIT, _OPEN, _OPEN
+        self.ends += self.halves
+        self.n = n + 2
+
+    def totals(self):
+        """Each component's value and error, summed exactly over the final
+        disjoint panels from left to right, so the result does not depend on
+        the refinement history."""
+        final = sorted(np.flatnonzero(self.state[:self.n] != _SPLIT), key=lambda i: self.ends[i][0])
+        return ([math.fsum(col) for col in self.vals[final].T.tolist()],
+                [math.fsum(col) for col in self.errs[final].T.tolist()])
+
+
+def integrate(f, lo: float, hi: float, spec: QuadratureSpec | None = None, trees=None):
     """Adaptive quadrature of ``f`` on [lo, hi].
 
-    ``f`` takes the array of a panel's 21 nodes and returns one value per
-    node, or an (m, 21) array for m integrals over [lo, hi] that share one
-    panel tree.  Returns ``(value, error_estimate)``: two floats, or two
-    length-m arrays.  Until every component meets its own tolerance
-    ``max(spec.abs_tol, spec.rel_tol * |value|)``, the panel with the largest
-    error over tolerance in any component is bisected, down to
+    ``f`` takes an array of nodes and returns one value per node, or an
+    (m, nodes) array for m integrals over [lo, hi].  Returns
+    ``(value, error_estimate)``: two floats, or two length-m arrays.
+
+    Without ``trees`` all components share one panel tree and ``f`` gets one
+    row of nodes.  ``trees`` gives each of the m components a tree id:
+    components with the same id share a tree, each tree is refined as it
+    would be alone, and ``f`` gets an (m, nodes) array, one row of nodes per
+    component.  Within a tree, until every component meets its own
+    tolerance ``max(spec.abs_tol, spec.rel_tol * |value|)``, the panel with
+    the largest error over tolerance in any component is bisected, down to
     ``_MAX_DEPTH`` = 60 levels (for one integral: the panel with the largest
-    error).  If the tolerance cannot be met a single ``ToleranceNotMet``
-    warning is issued and the best values are returned together with the
-    achieved estimates.  A non-finite integrand value raises
-    ``NonFiniteSample``.
+    error).  The trees advance in lock-step: each call of ``f`` evaluates
+    both halves of every tree's bisected panel, 42 nodes per row (21 on the
+    first call, for [lo, hi]); a tree that has stopped gets the nodes it was
+    last evaluated on again, and those values are ignored.  If the
+    tolerance cannot be met a single ``ToleranceNotMet`` warning is issued
+    and the best values are returned together with the achieved estimates.
+    A non-finite integrand value raises ``NonFiniteSample``.
     """
     spec = spec or QuadratureSpec()
     if not lo < hi:
         raise DomainError(f"integration bounds must satisfy lo < hi, got [{lo}, {hi}]")
 
-    value, err = _kronrod(f, lo, hi)
-    scalar = value.ndim == 0
-    # One row per panel, in the order the panels were made, so argmax breaks
-    # a tie in favour of the older panel.
-    cap = 64
-    vals = np.empty((cap, value.size))
-    errs = np.empty((cap, value.size))
-    state = np.full(cap, _SPLIT, dtype=np.int8)
-    ends = [(lo, hi, 0)]
-    vals[0], errs[0], state[0] = value, err, _OPEN
-    n = 1
+    # the tree of each row of nodes: one row for all components, or one per component
+    owner = 0 if trees is None else np.unique(trees, return_inverse=True)[1].ravel()
+    count = 1 if trees is None else owner.max() + 1
+    # the panels each tree was last evaluated on
+    a, b = np.full((count, 1), float(lo)), np.full((count, 1), float(hi))
+    value, err = _kronrod(f, a[owner], b[owner])
+    scalar = value.ndim == 1
+    value, err = value.reshape(-1, 1), err.reshape(-1, 1)
+    m = value.shape[0]
+    cols = [slice(None)] if trees is None else [np.flatnonzero(owner == t) for t in range(count)]
+    forest = [_Tree(lo, hi, value[c, 0], err[c, 0]) for c in cols]
+    a, b = np.repeat(a, 2, axis=1), np.repeat(b, 2, axis=1)
 
     while True:
-        # totals over the unsplit panels, summed afresh: a running total
-        # drifts, and could stop the loop short of the tolerance
-        live = state[:n] != _SPLIT
-        total_value, total_err = vals[:n][live].sum(axis=0), errs[:n][live].sum(axis=0)
-        tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(total_value))
-        if (total_err <= tol).all() or n > _MAX_PANELS:
+        moving = []
+        for t, tree in enumerate(forest):
+            halves = tree.next_split(spec)
+            if halves is not None:
+                a[t], b[t] = halves
+                moving.append(t)
+        if not moving:
             break
-        # with one component tol is common to all panels: rank by err alone
-        ratio = errs[:n, 0] if value.size == 1 else (errs[:n] / tol).max(axis=1)
-        j = int(np.argmax(np.where(state[:n] == _OPEN, ratio, -1.0)))
-        if state[j] != _OPEN:
-            break
-        a, b, depth = ends[j]
-        m = 0.5 * (a + b)
-        # too deep, or the interval is exhausted at float resolution
-        if depth >= _MAX_DEPTH or not a < m < b:
-            state[j] = _RETIRED
-            continue
-        v1, e1 = _kronrod(f, a, m)
-        v2, e2 = _kronrod(f, m, b)
-        if n + 2 > cap:
-            vals, errs = np.concatenate([vals, vals]), np.concatenate([errs, errs])
-            state = np.concatenate([state, np.full(cap, _SPLIT, dtype=np.int8)])
-            cap *= 2
-        vals[n], errs[n], vals[n + 1], errs[n + 1] = v1, e1, v2, e2
-        state[j], state[n], state[n + 1] = _SPLIT, _OPEN, _OPEN
-        ends += [(a, m, depth + 1), (m, b, depth + 1)]
-        n += 2
+        value, err = _kronrod(f, a[owner], b[owner])
+        value, err = value.reshape(-1, 2), err.reshape(-1, 2)
+        for t in moving:
+            forest[t].split(value[cols[t]], err[cols[t]])
 
-    # Recompute totals from the final disjoint panels, left to right, so the
-    # result does not depend on the refinement history.
-    final = sorted(np.flatnonzero(state[:n] != _SPLIT), key=lambda i: ends[i][0])
-    value = np.array([math.fsum(col) for col in vals[final].T.tolist()])
-    err = np.array([math.fsum(col) for col in errs[final].T.tolist()])
+    value, err = np.empty(m), np.empty(m)
+    for c, tree in zip(cols, forest):
+        value[c], err[c] = tree.totals()
     tol = np.maximum(spec.abs_tol, spec.rel_tol * np.abs(value))
     missed = err > tol
     if missed.any():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from cnoma_eh import analysis
 from cnoma_eh.analysis import (
     _w2_survival,
     ergodic_rate_u1,
@@ -228,6 +229,39 @@ class TestErgodicU2:
             mc = float(np.mean(0.5 * np.log2(1.0 + z)))
             gaps[db] = abs(ergodic_rate_u2(p, BASE)[0] - mc) / mc
         assert gaps[30] < gaps[10] < gaps[0]
+
+    # the fig1 benchmark points, and the integrand calls the nested
+    # quadrature made there with a call per panel and an inner call per
+    # outer panel
+    @pytest.mark.parametrize("snr_db, calls_before", [(0.0, 256), (20.0, 162), (40.0, 336)])
+    def test_lock_step_trees_cut_the_integrand_calls(self, snr_db, calls_before, monkeypatch):
+        calls = []
+        real = analysis.integrate
+
+        def counted(f, *args, **kwargs):
+            return real(lambda x: calls.append(x.shape) or f(x), *args, **kwargs)
+
+        monkeypatch.setattr(analysis, "integrate", counted)
+        ergodic_rate_u2(params(snr_db), BASE)
+        assert len(calls) <= 0.35 * calls_before
+
+    @pytest.mark.parametrize("snr_db, alpha, rho", [
+        (-40.0, 0.25, 0.3), (-10.0, 0.05, 0.7), (0.0, 0.25, 0.3), (20.0, 0.5, 0.0),
+        (40.0, 0.25, 0.3), (60.0, 0.9, 1.0 - 1e-6)])
+    def test_each_outer_panel_gets_the_bits_of_its_own_inner_call(self, snr_db, alpha, rho,
+                                                                 monkeypatch):
+        p, d = params(snr_db), DesignPoint(alpha=alpha, rho=rho)
+        together = ergodic_rate_u2(p, d)
+        shared_tree = analysis._w_tail
+
+        def one_call_per_panel(p, d, z, spec, trees):
+            out = np.empty_like(z)
+            for tree in np.unique(trees):
+                out[trees == tree] = shared_tree(p, d, z[trees == tree], spec)
+            return out
+
+        monkeypatch.setattr(analysis, "_w_tail", one_call_per_panel)
+        assert [x.hex() for x in together] == [x.hex() for x in ergodic_rate_u2(p, d)]
 
 
 # (snr_db, alpha, rho, rate, error estimate) of ergodic_rate_u2 at its default

@@ -639,18 +639,29 @@ class TestSolve1D:
             assert solve_1d(p, ch, grid).rate_triple.weighted_sum >= on_grid - 1e-12
 
 
+    NEAR_TIE = (SystemParams(avg_snr=1.0, mu=1000.0, w1=1.0, w2=2.0),
+                ChannelRealization(g1=0.01, g2=0.01 * (1.0 - 1e-15), g3=2.0))
+
     def test_near_tie_draw_takes_rho_zero(self):
         # g2 one ulp-scale step below g1: c of the feasibility quadratic
-        # cancels, and rho_tilde at alpha* comes out a roundoff below 0
-        p = SystemParams(avg_snr=1.0, mu=1000.0, w1=1.0, w2=2.0)
-        ch = ChannelRealization(g1=0.01, g2=0.01 * (1.0 - 1e-15), g3=2.0)
-        assert -1e-12 < rho_tilde(p, ch, ALPHA_MIN) < 0.0
+        # cancels, and its root at alpha* comes out a roundoff below 0
+        p, ch = self.NEAR_TIE
+        a, b, c = _coeffs(_draw(p, ch.g1, ch.g2, ch.g3), np.array([ALPHA_MIN]))[3:6]
+        assert -1e-12 < _feasibility_root(a, b, c).item() < 0.0
         out = solve_1d(p, ch)
         assert out.alpha_star == ALPHA_MIN
         assert out.rho_star == 0.0 and out.branch is SolverBranch.BOUNDARY
         assert all(map(math.isfinite, dataclasses.astuple(out.rate_triple)))
         assert out.rate_triple.weighted_sum == pytest.approx(
             rates(p, ch, DesignPoint(ALPHA_MIN, 0.0)).weighted_sum, rel=1e-14)
+
+    def test_near_tie_wrappers_give_a_design_point(self):
+        # the public wrappers clamp the roundoff as _search does
+        p, ch = self.NEAR_TIE
+        rho, branch = optimal_rho_for_alpha(p, ch, ALPHA_MIN)
+        assert branch is SolverBranch.BOUNDARY
+        for r in (rho, rho_tilde(p, ch, ALPHA_MIN)):
+            assert DesignPoint(ALPHA_MIN, r).rho == 0.0  # DomainError on the roundoff
 
 
 class TestSolve2D:

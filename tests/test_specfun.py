@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -231,9 +232,9 @@ class TestGaussKronrodRule:
         # the even ones carry the check: the value is exact up to x^30 but not
         # x^32, and |K21 - G10| vanishes up to x^18 but not x^20
         for m in range(0, 34, 2):
-            value, err = specfun._kronrod(lambda x: x ** m, -1.0, 1.0)
-            assert (abs(value - 2.0 / (m + 1)) <= 1e-15) == (m <= 31), m
-            assert (err <= 1e-15) == (m <= 19), m
+            value, err = specfun._kronrod(lambda x: x ** m, np.array([-1.0]), np.array([1.0]))
+            assert (abs(value[0] - 2.0 / (m + 1)) <= 1e-15) == (m <= 31), m
+            assert (err[0] <= 1e-15) == (m <= 19), m
 
     def test_polynomial_costs_one_panel(self):
         coeffs = [(-1.0) ** k * (k + 1) / 7.0 for k in range(20)]  # degree 19
@@ -249,7 +250,7 @@ class TestGaussKronrodRule:
         value, err = integrate(poly, lo, hi)
         exact = sum(c * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1) for k, c in enumerate(coeffs))
         assert len(calls) == 21
-        assert shapes == [(21,)]  # one integrand call per panel
+        assert shapes == [(21,)]  # [lo, hi] alone: one call on its 21 nodes
         assert all(lo < x < hi for x in calls)
         assert value == pytest.approx(exact, rel=1e-13)
         assert err <= 1e-13 * abs(exact)
@@ -338,20 +339,22 @@ class TestQuadrature:
         assert math.isfinite(value)
         assert err > 0
 
-    def test_never_stops_as_converged_short_of_the_tolerance(self, monkeypatch):
+    def test_never_stops_as_converged_short_of_the_tolerance(self):
         # a stop test on running totals drifted by about an ulp of the first
         # panel: it stopped here after 29 panels as if converged, and the
         # final sum (7.9e-18) then missed the tolerance (1.7e-18) and warned
-        calls = []
-        real = specfun._kronrod
-        monkeypatch.setattr(specfun, "_kronrod",
-                            lambda f, a, b: calls.append((a, b)) or real(f, a, b))
+        panels = []
+
+        def f(x):
+            panels.append(x.size // 21)  # the halves of a bisection come in one call
+            return np.exp(-x) / (1 + 50 * x * x)
+
         spec = QuadratureSpec(rel_tol=1e-17, abs_tol=1e-300)
         with warnings.catch_warnings():
             warnings.simplefilter("error", ToleranceNotMet)
-            value, err = integrate(lambda x: np.exp(-x) / (1 + 50 * x * x), 0.0, 30.0, spec)
+            value, err = integrate(f, 0.0, 30.0, spec)
         assert err <= spec.rel_tol * abs(value)
-        assert 29 < len(calls) < specfun._MAX_PANELS
+        assert 29 < sum(panels) < specfun._MAX_PANELS
         exact = mp.quad(lambda x: mp.exp(-x) / (1 + 50 * x * x), [0, 1, 30])
         assert value == pytest.approx(float(exact), rel=1e-15)
 
@@ -402,3 +405,78 @@ class TestVectorIntegrand:
     def test_nonfinite_component_raises(self):
         with pytest.raises(NonFiniteSample):
             integrate(lambda x: np.vstack([x, np.where(x > 0.5, math.nan, x)]), 0.0, 1.0)
+
+
+# components for the tree tests on [0, 1]: smooth, log-singular at 0, and
+# one that oscillates far too fast to converge before the panel cap
+TREE_COMPONENTS = {
+    "smooth": lambda x, c: np.exp(-c * x) + np.cos(c * x),
+    "log": lambda x, c: c * np.log(x),
+    "unconvergeable": lambda x, c: np.sin(1e7 * c * x) ** 2,
+}
+
+
+class TestPanelTrees:
+    """``integrate(..., trees=t)``: each tree refined as it would be alone,
+    the trees in lock-step, one integrand call per step."""
+
+    SPEC = QuadratureSpec(rel_tol=1e-10, abs_tol=1e-14)
+
+    @staticmethod
+    def run(f, trees=None):
+        """(values, errors, whether ToleranceNotMet was warned)"""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            values, errs = integrate(f, 0.0, 1.0, TestPanelTrees.SPEC, trees=trees)
+        return values, errs, any(issubclass(w.category, ToleranceNotMet) for w in caught)
+
+    @given(st.lists(st.tuples(st.sampled_from(sorted(TREE_COMPONENTS)), st.floats(0.5, 5.0),
+                              st.integers(-1, 3)), min_size=1, max_size=6))
+    def test_each_tree_gets_the_bits_it_gets_alone(self, components):
+        ids = np.array([tree for _, _, tree in components])
+        shapes = []
+
+        def rows(x, picked):
+            return np.vstack([TREE_COMPONENTS[kind](row, c)
+                              for row, (kind, c, _) in zip(x, picked)])
+
+        def together(x):
+            shapes.append(x.shape)
+            return rows(x, components)
+
+        # a cap of 128 panels keeps an unconvergeable tree to 64 steps
+        with mock.patch.object(specfun, "_MAX_PANELS", 128):
+            values, errs, warned = self.run(together, ids)
+            alone = {}
+            for tree in np.unique(ids):
+                picked = [components[i] for i in np.flatnonzero(ids == tree)]
+                alone[tree] = self.run(lambda x, picked=picked: rows(np.broadcast_to(
+                    x, (len(picked), x.size)), picked))
+        tol = np.maximum(self.SPEC.abs_tol, self.SPEC.rel_tol * np.abs(values))
+        for tree, (v, e, tree_warned) in alone.items():
+            mine = ids == tree
+            assert values[mine].tobytes() == v.tobytes()
+            assert errs[mine].tobytes() == e.tobytes()
+            assert (errs[mine] > tol[mine]).any() == tree_warned
+        assert warned == any(w for _, _, w in alone.values())
+        # one call on [lo, hi], then both halves of every tree's bisection per call
+        assert shapes[0] == (len(ids), 21)
+        assert set(shapes[1:]) <= {(len(ids), 42)}
+
+    def test_one_call_per_step_of_the_busiest_tree(self):
+        calls = []
+
+        def counted(f):
+            def g(x):
+                calls.append(x.shape)
+                return f(x)
+            return g
+
+        integrate(counted(np.log), 0.0, 1.0, self.SPEC)
+        steps = len(calls) - 1  # bisections of log x alone
+        assert steps > 5
+        calls.clear()
+        values, _ = integrate(counted(lambda x: np.vstack([np.log(x[0]), np.exp(-x[1]), np.log(x[2])])),
+                              0.0, 1.0, self.SPEC, trees=[4, 7, 5])
+        assert calls == [(3, 21)] + [(3, 42)] * steps
+        assert values[0] == values[2]  # two trees, the same decisions and bits
